@@ -12,6 +12,8 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import io as vio
 from .harness import (
     OBJECT_SHAPES,
@@ -303,7 +305,10 @@ def run_command(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
-        return args.func(args)
+        # A score that overflows is reported once, as the ValueError that
+        # memory.argmax_frame raises, rather than as numpy warnings too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

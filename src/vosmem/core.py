@@ -2,13 +2,17 @@
 
 Every type validates its payload at construction and freezes it afterwards
 (the backing arrays are made read-only), so instances can be shared across
-threads without synchronization. Feature data is held as float64 regardless
-of any on-disk precision so that similarity sums reproduce across platforms.
+threads without synchronization. A feature map's memory keys (the per-frame
+terms of its similarity scores) are computed on first use and stored
+read-only; a concurrent first use only computes the same value twice.
+Feature data is held as float64 regardless of any on-disk precision so that
+similarity sums reproduce across platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -21,12 +25,33 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a non-empty array, flattened; ties share the average
+    of their positions, as SciPy's ``rankdata(values, method="average")``."""
+    x = np.ravel(values)
+    order = np.argsort(x)
+    xs = x[order]
+    new = np.r_[True, xs[1:] != xs[:-1]]
+    # run k of equal values holds sorted positions start[k] .. start[k+1]-1
+    start = np.r_[np.flatnonzero(new), x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = (0.5 * (start[:-1] + start[1:] + 1))[np.cumsum(new) - 1]
+    return ranks
+
+
+def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
+    xc = x - x.mean()
+    return _freeze(xc), float(np.dot(xc, xc))
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Per-frame feature tensor of shape (channels, height, width).
 
     Values are stored as float64 and must be finite. ``data`` is read-only
-    after construction.
+    after construction. The memory keys ``channel_norms``, ``centred`` and
+    ``centred_ranks`` are computed on first use, once per map, and are
+    read-only too; a concurrent first use only computes the same value twice.
     """
 
     frame_index: int
@@ -61,6 +86,22 @@ class FeatureMap:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
+
+    @cached_property
+    def channel_norms(self) -> np.ndarray:
+        """L2 norm of each channel (the cosine key)."""
+        return _freeze(np.linalg.norm(self.data.reshape(self.channels, -1), axis=1))
+
+    @cached_property
+    def centred(self) -> tuple[np.ndarray, float]:
+        """Mean-centred flat data and its squared norm (the Pearson key)."""
+        return _centre(self.data.ravel())
+
+    @cached_property
+    def centred_ranks(self) -> tuple[np.ndarray, float]:
+        """Mean-centred average ranks of the flat data and their squared norm
+        (the Spearman key)."""
+        return _centre(average_ranks(self.data))
 
 
 def make_feature_map(frame_index: int, channels: int, height: int, width: int,

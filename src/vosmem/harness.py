@@ -26,6 +26,7 @@ from .memory import (
     MemoryBank,
     MemoryEntry,
     PruneOutcome,
+    argmax_frame,
     similarity,
 )
 
@@ -234,15 +235,10 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         else:
             outcome = PruneOutcome(retained=bank.entries, pruned_frame_indices=())
 
-        best_entry = None
-        best_score = -np.inf
-        # retained is in temporal order, so strict > keeps the smallest
-        # frame_index on ties
-        for entry in outcome.retained:
-            score = similarity(metric, entry.features, features)
-            if score > best_score:
-                best_score = score
-                best_entry = entry
+        retained = {entry.frame_index: entry for entry in outcome.retained}
+        best_entry = retained[argmax_frame(metric, {
+            idx: similarity(metric, entry.features, features)
+            for idx, entry in retained.items()})]
         if best_entry.mask is None:
             raise ValueError(
                 f"memory entry {best_entry.frame_index} has no stored mask to copy")

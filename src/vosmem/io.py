@@ -17,6 +17,7 @@ order and no timestamps enter any payload.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import struct
@@ -102,7 +103,7 @@ def parse_tensor_bytes(blob: bytes) -> np.ndarray:
     dims = struct.unpack_from(f"<{ndim}I", blob, 8)
     dtype = _DTYPE_CODES[code]
     payload = blob[dims_end:]
-    count = int(np.prod(dims, dtype=np.int64))  # 1 for a 0-d tensor
+    count = math.prod(dims)  # 1 for a 0-d tensor; exact, never wraps
     expected = count * dtype.itemsize
     if len(payload) != expected:
         raise TensorFormatError(

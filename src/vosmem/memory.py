@@ -9,8 +9,9 @@ split that retains 5 frames whenever pruning fires. Below capacity the
 bank is left untouched.
 
 Redundancy is a similarity score where higher means "more like the group
-reference". Distances (L1, L2) are negated so one argmax rule selects the
-prune victim for every metric.
+reference". Distances (L1, L2) are negated so one argmax rule
+(:func:`argmax_frame`) selects the prune victim for every metric, and the
+harness's readout uses the same rule.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import FeatureMap, LabelMask
 
@@ -31,50 +31,57 @@ DEFAULT_METRIC = "cosine"
 DEFAULT_MODE = "persistent"
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+def _check_metric(metric: str) -> None:
+    if metric not in SIMILARITY_METRICS:
+        raise ValueError(f"unknown similarity metric {metric!r}, expected one of {SIMILARITY_METRICS}")
+
+
+# Cosine, Pearson and Spearman read the per-frame keys that FeatureMap
+# computes once, so each pair costs one dot product. Pairs are not batched
+# across a group: a stacked reduction sums in another order, and a one-ulp
+# change can flip a tie between candidates.
+
+
+def _cosine(a: FeatureMap, b: FeatureMap) -> float:
     # Sum of per-channel cosines; a zero-norm channel contributes 0.
-    x = a.reshape(a.shape[0], -1)
-    y = b.reshape(b.shape[0], -1)
+    x = a.data.reshape(a.channels, -1)
+    y = b.data.reshape(b.channels, -1)
     dots = np.einsum("ij,ij->i", x, y)
-    norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+    norms = a.channel_norms * b.channel_norms
     ok = norms > 0.0
     return float(np.sum(dots[ok] / norms[ok]))
 
 
-def _manhattan(a: np.ndarray, b: np.ndarray) -> float:
-    return -float(np.sum(np.abs(a - b)))
+def _manhattan(a: FeatureMap, b: FeatureMap) -> float:
+    return -float(np.sum(np.abs(a.data - b.data)))
 
 
-def _euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    d = a - b
+def _euclidean(a: FeatureMap, b: FeatureMap) -> float:
+    d = a.data - b.data
     return -math.sqrt(float(np.sum(d * d)))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sum(a * b))
+def _dot(a: FeatureMap, b: FeatureMap) -> float:
+    return float(np.sum(a.data * b.data))
 
 
-def _pearson_flat(x: np.ndarray, y: np.ndarray) -> float:
-    # Zero variance on either side yields 0 (degenerate inputs rank as
-    # non-redundant rather than dividing by zero).
-    xc = x - x.mean()
-    yc = y - y.mean()
-    vx = float(np.dot(xc, xc))
-    vy = float(np.dot(yc, yc))
+def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
+    # Pearson correlation of two centred keys. Zero variance on either side
+    # yields 0 (degenerate inputs rank as non-redundant rather than dividing
+    # by zero).
+    (xc, vx), (yc, vy) = x, y
     if vx == 0.0 or vy == 0.0:
         return 0.0
     return float(np.dot(xc, yc)) / math.sqrt(vx * vy)
 
 
-def _pearson(a: np.ndarray, b: np.ndarray) -> float:
-    return _pearson_flat(a.ravel(), b.ravel())
+def _pearson(a: FeatureMap, b: FeatureMap) -> float:
+    return _correlation(a.centred, b.centred)
 
 
-def _spearman(a: np.ndarray, b: np.ndarray) -> float:
+def _spearman(a: FeatureMap, b: FeatureMap) -> float:
     # Rank correlation with average ranks for ties.
-    ra = rankdata(a.ravel(), method="average")
-    rb = rankdata(b.ravel(), method="average")
-    return _pearson_flat(ra, rb)
+    return _correlation(a.centred_ranks, b.centred_ranks)
 
 
 _METRIC_FUNCS = {
@@ -94,11 +101,25 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
     manhattan and euclidean are negated distances over the flattened
     tensor; dot, spearman, and pearson operate on the flattened tensor.
     """
-    if metric not in _METRIC_FUNCS:
-        raise ValueError(f"unknown similarity metric {metric!r}, expected one of {SIMILARITY_METRICS}")
+    _check_metric(metric)
     if a.shape != b.shape:
         raise ValueError(f"feature shapes differ: {a.shape} vs {b.shape}")
-    return _METRIC_FUNCS[metric](a.data, b.data)
+    return _METRIC_FUNCS[metric](a, b)
+
+
+def argmax_frame(metric: str, scores: dict[int, float]) -> int:
+    """Frame index with the highest score; ties go to the smallest frame_index
+    so results are deterministic across platforms.
+
+    Raises ValueError naming the metric and the frame when a score is not
+    finite (features near the float64 limits can overflow a score).
+    """
+    order = sorted(scores)
+    for idx in order:
+        if not math.isfinite(scores[idx]):
+            raise ValueError(
+                f"{metric} score {scores[idx]} for frame {idx} is not finite")
+    return max(order, key=scores.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -161,18 +182,6 @@ def redundancy_scores(metric: str, group: MemoryGroup) -> dict[int, float]:
         c.frame_index: similarity(metric, group.reference.features, c.features)
         for c in group.candidates
     }
-
-
-def _pick_victim(scores: dict[int, float]) -> int:
-    # Highest score pruned; ties go to the smallest frame_index so results
-    # are deterministic across platforms.
-    best_idx = None
-    best = -math.inf
-    for idx in sorted(scores):
-        if scores[idx] > best:
-            best = scores[idx]
-            best_idx = idx
-    return best_idx
 
 
 class MemoryBank:
@@ -248,8 +257,7 @@ class MemoryBank:
         """
         if mode not in PRUNE_MODES:
             raise ValueError(f"unknown prune mode {mode!r}, expected one of {PRUNE_MODES}")
-        if metric not in SIMILARITY_METRICS:
-            raise ValueError(f"unknown similarity metric {metric!r}, expected one of {SIMILARITY_METRICS}")
+        _check_metric(metric)
         if len(self._entries) < self.capacity:
             return PruneOutcome(retained=tuple(self._entries), pruned_frame_indices=())
         short, long = self.split()
@@ -261,7 +269,7 @@ class MemoryBank:
                 continue
             group_scores = redundancy_scores(metric, group)
             scores[group.name] = group_scores
-            victims.append(_pick_victim(group_scores))
+            victims.append(argmax_frame(metric, group_scores))
         victim_set = set(victims)
         retained = tuple(e for e in self._entries if e.frame_index not in victim_set)
         outcome = PruneOutcome(

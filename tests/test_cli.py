@@ -1,10 +1,15 @@
 """Command-line interface: wiring, exit codes, reproducible outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vosmem
 from vosmem.cli import RunConfig, run_command
 from vosmem.core import make_feature_map
 from vosmem.harness import SceneConfig, generate_scene
@@ -222,7 +227,34 @@ class TestSimulateCommand:
         assert records[-1]["bank_after"] == [3, 4, 5, 6, 7, 8, 9]
 
 
+def run_cli_process(*args):
+    """Run ``python -m vosmem.cli`` or ``python -c`` in a fresh interpreter."""
+    src = str(Path(vosmem.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
 class TestErrorHandling:
+    @pytest.mark.parametrize("capacity", ["3", "7"])
+    def test_overflowing_scores_exit_1_with_one_error_line(self, tmp_path, capacity):
+        # finite features near +-1e308 whose euclidean distances overflow
+        for i in range(8):
+            write_tensor(make_feature_map(i, 1, 1, 2, [(-1.0) ** i * 1e308, 1.0]),
+                         tmp_path / f"{i:03d}.ften")
+        proc = run_cli_process("-m", "vosmem.cli", "prune", "--features", str(tmp_path),
+                               "--metric", "euclidean", "--capacity", capacity)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: euclidean score -inf for frame ")
+
+    def test_import_does_not_load_scipy_stats(self):
+        proc = run_cli_process("-c", "import sys, vosmem.cli; print('scipy.stats' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run_command(["polish"]) == 2
         assert "invalid choice" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from vosmem.core import (
     MAX_OBJECT_ID,
@@ -11,6 +12,7 @@ from vosmem.core import (
     FrameSequence,
     LabelMask,
     approx_equal,
+    average_ranks,
     make_feature_map,
 )
 
@@ -53,6 +55,58 @@ class TestFeatureMap:
         fm = FeatureMap(0, src)
         src[0, 0, 0] = 9.0
         assert fm.data[0, 0, 0] == 1.0
+
+
+class TestMemoryKeys:
+    def test_keys_are_read_only_and_computed_once(self):
+        fm = FeatureMap(0, np.arange(12.0).reshape(3, 2, 2))
+        centred, _ = fm.centred
+        ranks, _ = fm.centred_ranks
+        for key in (fm.channel_norms, centred, ranks):
+            with pytest.raises(ValueError):
+                key[0] = 5.0
+        assert fm.channel_norms is fm.channel_norms
+        assert fm.centred is fm.centred
+        assert fm.centred_ranks is fm.centred_ranks
+
+    def test_key_values(self):
+        fm = FeatureMap(0, np.array([[[3.0, 4.0]], [[0.0, 0.0]]]))
+        assert fm.channel_norms.tolist() == [5.0, 0.0]
+        centred, sq = fm.centred
+        assert centred.tolist() == [1.25, 2.25, -1.75, -1.75] and sq == 12.75
+        ranks, sq = fm.centred_ranks
+        assert ranks.tolist() == [0.5, 1.5, -1.0, -1.0] and sq == 4.5
+
+
+_RANK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestAverageRanks:
+    @given(st.lists(_RANK_VALUES, min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_rankdata_bit_for_bit(self, values):
+        x = np.array(values)
+        expected = rankdata(x, method="average")
+        got = average_ranks(x)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [7.0],
+        [2.0] * 9,
+        [0.0, -0.0, 0.0, -0.0],
+        [3.0, -0.0, 1.0, 0.0, 3.0, 3.0],
+    ])
+    def test_edge_cases(self, values):
+        x = np.array(values)
+        assert average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    def test_flattens_row_major(self):
+        x = np.array([[[3.0, 1.0], [2.0, 1.0]]])
+        assert average_ranks(x).tolist() == [4.0, 1.5, 3.0, 1.5]
 
 
 class TestMakeFeatureMap:

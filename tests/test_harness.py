@@ -188,6 +188,15 @@ class TestTrackSequence:
         # all features identical, so the oldest retained entry always wins
         assert [s.selected_frame_index for s in trace.steps] == [0] * 5
 
+    @pytest.mark.parametrize("prune_enabled", [False, True])
+    def test_overflowing_readout_scores_raise_value_error(self, prune_enabled):
+        # noise near 1e307 is finite, but squared distances overflow
+        scene = _static_scene(3)
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=1e307)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"euclidean score -inf for frame 0 is not finite"):
+            track_sequence(scene, config, metric="euclidean", prune_enabled=prune_enabled)
+
     def test_scene_too_short_rejected(self):
         scene = generate_scene(SceneConfig(n_frames=1))
         config = ToyEncoderConfig()

@@ -93,6 +93,12 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError, match="payload"):
             parse_tensor_bytes(blob)
 
+    def test_header_dims_product_does_not_wrap(self):
+        # 65536**4 wraps to 0 in int64, which once passed the size check
+        blob = struct.pack("<4sHBB", b"FTEN", 1, 1, 4) + struct.pack("<4I", *(65536,) * 4)
+        with pytest.raises(TensorFormatError, match="payload"):
+            parse_tensor_bytes(blob)
+
     def test_truncated_header_rejected(self):
         with pytest.raises(TensorFormatError, match="truncated"):
             parse_tensor_bytes(b"FTEN")

@@ -1,9 +1,12 @@
 """Memory bank behavior: FIFO, splitting, similarity scoring, pruning."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from oracles import METRIC_ORACLES
 from vosmem.core import make_feature_map
@@ -14,6 +17,7 @@ from vosmem.memory import (
     MemoryBank,
     MemoryEntry,
     MemoryGroup,
+    argmax_frame,
     redundancy_scores,
     similarity,
 )
@@ -126,6 +130,50 @@ class TestSimilarityAgainstOracles:
             fb = make_feature_map(1, c, h, w, b.ravel())
             assert similarity(metric, fa, fb) == pytest.approx(
                 oracle(a.tolist(), b.tolist()), abs=1e-9)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("metric", SIMILARITY_METRICS)
+    def test_bit_identical_to_oracles_with_or_without_cached_keys(self, metric, warm):
+        # Small integers on a power-of-two element count keep every sum,
+        # mean and centred value exact, so summation order cannot matter
+        # and only the final divisions and square roots round, as in the
+        # oracles.
+        rng = np.random.default_rng(3)
+        oracle = METRIC_ORACLES[metric]
+        for shape in [(1, 4, 4), (2, 2, 4), (4, 2, 2), (4, 4, 4), (3, 8, 8)]:
+            a = rng.integers(-3, 4, size=shape).astype(float)
+            b = rng.integers(-3, 4, size=shape).astype(float)
+            a[0] = 0.0  # a zero-norm channel
+            fa = make_feature_map(0, *shape, a.ravel())
+            fb = make_feature_map(1, *shape, b.ravel())
+            if warm:
+                for fm in (fa, fb):
+                    fm.channel_norms, fm.centred, fm.centred_ranks
+            assert similarity(metric, fa, fb) == oracle(a.tolist(), b.tolist())
+            assert similarity(metric, fb, fa) == oracle(b.tolist(), a.tolist())
+
+    @pytest.mark.parametrize("metric", ["cosine", "pearson", "spearman"])
+    def test_cached_keys_reproduce_per_pair_formulas(self, metric):
+        # reference: each score computed from scratch per pair, SciPy ranks
+        def per_pair(x, y):
+            if metric == "cosine":
+                x, y = x.reshape(x.shape[0], -1), y.reshape(y.shape[0], -1)
+                dots = np.einsum("ij,ij->i", x, y)
+                norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+                return float(np.sum(dots[norms > 0] / norms[norms > 0]))
+            x, y = x.ravel(), y.ravel()
+            if metric == "spearman":
+                x, y = rankdata(x, method="average"), rankdata(y, method="average")
+            xc, yc = x - x.mean(), y - y.mean()
+            return float(np.dot(xc, yc)) / math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
+
+        rng = np.random.default_rng(8)
+        for shape in [(64, 8, 8), (4, 16, 16), (3, 5, 7)]:
+            a = rng.normal(size=shape).astype(np.float32).astype(float)
+            b = a + 0.1 * rng.normal(size=shape)
+            fa = make_feature_map(0, *shape, a.ravel())
+            fb = make_feature_map(1, *shape, b.ravel())
+            assert similarity(metric, fa, fb) == per_pair(a, b)
 
     def test_cosine_positive_channel_scale_invariance(self):
         rng = np.random.default_rng(7)
@@ -321,6 +369,14 @@ class TestPruneStep:
         with pytest.raises(ValueError, match="metric"):
             bank.prune_step(metric="hamming")
 
+    def test_unknown_metric_message_matches_similarity(self):
+        a = fmap(0, [1.0])
+        with pytest.raises(ValueError) as from_prune:
+            MemoryBank().prune_step(metric="hamming")
+        with pytest.raises(ValueError) as from_similarity:
+            similarity("hamming", a, a)
+        assert str(from_prune.value) == str(from_similarity.value)
+
     def test_persistent_dynamics_oscillate(self):
         # once full: prune to 5, grow back to 7, prune again
         rng = np.random.default_rng(11)
@@ -377,3 +433,36 @@ class TestPruneProperties:
             victims = [i for i in outcome.pruned_frame_indices if i in scores]
             assert len(victims) == 1
             assert scores[victims[0]] == max(scores.values())
+
+
+def overflowing_bank(capacity):
+    """Finite features near +-1e308 whose euclidean scores overflow to -inf."""
+    bank = MemoryBank(capacity=capacity)
+    for i in range(capacity):
+        bank.append(entry(i, [(-1.0) ** i * 1e308, 1.0]))
+    return bank
+
+
+class TestNonFiniteScores:
+    def test_argmax_ties_go_to_smallest_frame_index(self):
+        assert argmax_frame("dot", {9: 1.0, 4: 2.0, 6: 2.0, 1: -5.0}) == 4
+        assert argmax_frame("dot", {3: -1e300}) == 3
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_argmax_rejects_non_finite_naming_metric_and_frame(self, bad):
+        with pytest.raises(ValueError, match=r"euclidean score .* frame 7 is not finite"):
+            argmax_frame("euclidean", {3: 1.0, 7: bad})
+
+    def test_capacity_two_scores_nothing(self):
+        outcome = overflowing_bank(2).prune_step(metric="euclidean")
+        assert not outcome.fired
+        assert outcome.scores == {"short": {}, "long": {}}
+
+    @pytest.mark.parametrize("capacity", [3, 7])
+    @pytest.mark.parametrize("mode", PRUNE_MODES)
+    def test_overflowing_scores_raise_value_error(self, capacity, mode):
+        bank = overflowing_bank(capacity)
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"euclidean score -inf for frame \d+ is not finite"):
+            bank.prune_step(metric="euclidean", mode=mode)
+        assert len(bank) == capacity
