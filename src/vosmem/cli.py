@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,75 +32,6 @@ from .memory import (
 )
 from .metrics import DEFAULT_BOUNDARY_RADIUS, METRIC_NAMES, evaluate
 from .sampling import DEFAULT_STRIDES, PHASE_POLICIES, SamplingConfig, build_plan
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Every cross-module tunable in one place.
-
-    The defaults reproduce the reference configuration: capacity 7, cosine
-    redundancy, persistent pruning, strides (1, 2) at phase 0, boundary
-    radius 14, seed 0.
-    """
-
-    capacity: int = DEFAULT_CAPACITY
-    metric: str = DEFAULT_METRIC
-    mode: str = DEFAULT_MODE
-    strides: tuple[int, ...] = DEFAULT_STRIDES
-    phase_policy: str = "zero"
-    max_frames: int | None = None
-    radius: int = DEFAULT_BOUNDARY_RADIUS
-    seed: int = 0
-    paths: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.capacity < 2:
-            raise ValueError(f"capacity must be >= 2, got {self.capacity}")
-        if self.metric not in SIMILARITY_METRICS:
-            raise ValueError(
-                f"unknown metric {self.metric!r}, expected one of {SIMILARITY_METRICS}")
-        if self.mode not in PRUNE_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}, expected one of {PRUNE_MODES}")
-        if self.radius < 0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "strides", tuple(int(s) for s in self.strides))
-        object.__setattr__(self, "paths", tuple(str(p) for p in self.paths))
-        # delegates stride/phase validation
-        self.sampling_config()
-
-    def sampling_config(self) -> SamplingConfig:
-        return SamplingConfig(strides=self.strides, phase_policy=self.phase_policy,
-                              max_frames=self.max_frames)
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(values) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        coerced = dict(values)
-        for key in ("strides", "paths"):
-            if key in coerced:
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
-
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "metric": self.metric,
-            "mode": self.mode,
-            "strides": list(self.strides),
-            "phase_policy": self.phase_policy,
-            "max_frames": self.max_frames,
-            "radius": self.radius,
-            "seed": self.seed,
-            "paths": list(self.paths),
-        }
-
-
-_DEFAULTS = RunConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +144,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     predicted, trace = track_sequence(
         scene, encoder_config, bank_capacity=args.capacity, metric=args.metric,
         mode=args.mode, prune_enabled=not args.no_prune, seed=args.seed)
+    # scored before any write, so a failing run leaves no partial directory
+    report = evaluate(predicted, scene, radius=args.radius)
 
     out = Path(args.out)
     vio.write_mask_dir(scene, out / "gt")
     vio.write_mask_dir(predicted, out / "pred")
     vio.write_jsonl(vio.track_records(trace), out / "trace.jsonl")
-    report = evaluate(predicted, scene, radius=args.radius)
     vio.write_json({"schema_version": vio.SCHEMA_VERSION, **report.to_dict()},
                    out / "report.json")
     sys.stdout.write(report.format_table() + "\n")
@@ -227,6 +158,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every default is read from the module that owns the setting
     parser = argparse.ArgumentParser(
         prog="vosmem",
         description="Streaming memory management and evaluation for promptable "
@@ -235,10 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="emit a stride-augmentation index plan as JSON")
     p.add_argument("--length", type=int, required=True, help="clip length in frames")
-    p.add_argument("--strides", type=_int_tuple, default=_DEFAULTS.strides,
-                   help="comma-separated strides (default 1,2)")
+    p.add_argument("--strides", type=_int_tuple, default=DEFAULT_STRIDES,
+                   help=f"comma-separated strides (default {','.join(map(str, DEFAULT_STRIDES))})")
     p.add_argument("--phase-policy", dest="phase_policy", choices=PHASE_POLICIES,
-                   default=_DEFAULTS.phase_policy)
+                   default=SamplingConfig.phase_policy)
     p.add_argument("--max-frames", dest="max_frames", type=int, default=None,
                    help="cap each view at this many indices")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
@@ -246,17 +178,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="replay a feature directory through the memory bank")
     p.add_argument("--features", required=True, help="directory of tensor files")
-    p.add_argument("--capacity", type=int, default=_DEFAULTS.capacity)
-    p.add_argument("--metric", choices=SIMILARITY_METRICS, default=_DEFAULTS.metric)
-    p.add_argument("--mode", choices=PRUNE_MODES, default=_DEFAULTS.mode)
+    p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
+    p.add_argument("--metric", choices=SIMILARITY_METRICS, default=DEFAULT_METRIC)
+    p.add_argument("--mode", choices=PRUNE_MODES, default=DEFAULT_MODE)
     p.add_argument("--out", default=None, help="write JSON-lines here instead of stdout")
     p.set_defaults(func=_cmd_prune)
 
     p = sub.add_parser("eval", help="score predicted masks against ground truth")
     p.add_argument("--pred", required=True, help="directory of predicted masks")
     p.add_argument("--gt", required=True, help="directory of ground-truth masks")
-    p.add_argument("--radius", type=int, default=_DEFAULTS.radius,
-                   help="boundary dilation radius in pixels (default 14)")
+    p.add_argument("--radius", type=int, default=DEFAULT_BOUNDARY_RADIUS,
+                   help=f"boundary dilation radius in pixels (default {DEFAULT_BOUNDARY_RADIUS})")
     p.add_argument("--metrics", type=_metric_names, default=METRIC_NAMES,
                    help="comma-separated subset of J&F,J,F,Dice,CIoU")
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -266,27 +198,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the synthetic tracker end to end")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", type=_dims, default=(32, 32), help="scene size HxW")
-    p.add_argument("--shape", choices=OBJECT_SHAPES, default="square")
-    p.add_argument("--size", type=int, default=4,
+    p.add_argument("--grid", type=_dims, default=SceneConfig.grid, help="scene size HxW")
+    p.add_argument("--shape", choices=OBJECT_SHAPES, default=SceneConfig.shape)
+    p.add_argument("--size", type=int, default=SceneConfig.size,
                    help="square side length or disk radius")
-    p.add_argument("--start", type=_int_pair, default=(0, 0),
+    p.add_argument("--start", type=_int_pair, default=SceneConfig.start,
                    help="object top-left x,y at frame 0")
-    p.add_argument("--velocity", type=_int_pair, default=(0, 0),
+    p.add_argument("--velocity", type=_int_pair, default=SceneConfig.velocity,
                    help="pixels per frame vx,vy")
-    p.add_argument("--frames", type=int, default=20, help="number of frames")
-    p.add_argument("--gaps", type=_gap_list, default=(),
+    p.add_argument("--frames", type=int, default=SceneConfig.n_frames, help="number of frames")
+    p.add_argument("--gaps", type=_gap_list, default=SceneConfig.gaps,
                    help="frame intervals with the object absent, e.g. 2:3,10:12")
-    p.add_argument("--feature-res", dest="feature_res", type=_dims, default=(8, 8),
+    p.add_argument("--feature-res", dest="feature_res", type=_dims,
+                   default=ToyEncoderConfig.feature_resolution,
                    help="encoder resolution hxw; must divide the grid")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    p.add_argument("--capacity", type=int, default=_DEFAULTS.capacity)
-    p.add_argument("--metric", choices=SIMILARITY_METRICS, default=_DEFAULTS.metric)
-    p.add_argument("--mode", choices=PRUNE_MODES, default=_DEFAULTS.mode)
+    p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
+                   default=ToyEncoderConfig.noise_sigma)
+    p.add_argument("--seed", type=int, default=SceneConfig.seed)
+    p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
+    p.add_argument("--metric", choices=SIMILARITY_METRICS, default=DEFAULT_METRIC)
+    p.add_argument("--mode", choices=PRUNE_MODES, default=DEFAULT_MODE)
     p.add_argument("--no-prune", dest="no_prune", action="store_true",
                    help="disable pruning (bank still evicts FIFO at capacity)")
-    p.add_argument("--radius", type=int, default=_DEFAULTS.radius)
+    p.add_argument("--radius", type=int, default=DEFAULT_BOUNDARY_RADIUS)
     p.set_defaults(func=_cmd_simulate)
 
     return parser

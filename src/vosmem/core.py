@@ -6,7 +6,9 @@ threads without synchronization. A feature map's memory keys (the per-frame
 terms of its similarity scores) are computed on first use and stored
 read-only; a concurrent first use only computes the same value twice.
 Feature data is held as float64 regardless of any on-disk precision so that
-similarity sums reproduce across platforms.
+similarity sums reproduce across platforms. Feature maps and masks compare
+and hash by identity: an array has no single truth value, so field-wise
+equality would raise.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
     return _freeze(xc), float(np.dot(xc, xc))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Per-frame feature tensor of shape (channels, height, width).
 
@@ -133,7 +135,7 @@ def approx_equal(a: FeatureMap, b: FeatureMap, tol: float) -> bool:
     return float(np.max(np.abs(a.data - b.data))) <= tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelMask:
     """Per-frame integer mask: 0 is background, 1..255 are object ids."""
 
@@ -161,6 +163,10 @@ class LabelMask:
     @property
     def width(self) -> int:
         return self.labels.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.labels.shape
 
     def object_ids(self) -> list[int]:
         """Sorted ids present in the mask, background excluded."""

@@ -5,6 +5,8 @@ Two small on-disk formats keep the toolchain dependency-free:
 * tensor files: magic ``FTEN``, version u16 LE, dtype code u8 (0 = float32,
   1 = float64), ndim u8, then ndim u32 LE dims and a row-major
   little-endian payload whose byte length must match the header exactly;
+  a parsed payload is a read-only view in the file's dtype, and
+  :class:`~vosmem.core.FeatureMap` makes the one float64 copy;
 * mask files: binary PGM (``P5``) with maxval 255, one byte per pixel
   holding the object id; the filename stem encodes the frame index as
   leading decimal digits.
@@ -87,7 +89,8 @@ def tensor_bytes(array: np.ndarray, dtype: str = "float64") -> bytes:
 
 def parse_tensor_bytes(blob: bytes) -> np.ndarray:
     """Inverse of tensor_bytes; rejects bad magic, unknown versions or dtype
-    codes, truncated headers, and payload/header size mismatches."""
+    codes, truncated headers, and payload/header size mismatches. Returns a
+    read-only view of ``blob`` in the file's dtype, without copying."""
     if len(blob) < 8:
         raise TensorFormatError(f"truncated tensor header: {len(blob)} bytes")
     magic, version, code, ndim = struct.unpack_from("<4sHBB", blob, 0)
@@ -102,14 +105,13 @@ def parse_tensor_bytes(blob: bytes) -> np.ndarray:
         raise TensorFormatError("truncated tensor header: dims missing")
     dims = struct.unpack_from(f"<{ndim}I", blob, 8)
     dtype = _DTYPE_CODES[code]
-    payload = blob[dims_end:]
     count = math.prod(dims)  # 1 for a 0-d tensor; exact, never wraps
     expected = count * dtype.itemsize
-    if len(payload) != expected:
+    if len(blob) - dims_end != expected:
         raise TensorFormatError(
-            f"payload holds {len(payload)} bytes but header dims {tuple(dims)} "
+            f"payload holds {len(blob) - dims_end} bytes but header dims {tuple(dims)} "
             f"require {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).astype(np.float64)
+    return np.frombuffer(blob, dtype, count, offset=dims_end).reshape(dims)
 
 
 def write_tensor(fmap: FeatureMap, path, dtype: str = "float64") -> None:
@@ -221,52 +223,48 @@ def write_mask_dir(sequence: FrameSequence, directory, pad: int = 3) -> list[Pat
     return paths
 
 
+def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:
+    """Read every file matching ``patterns`` with ``read(path, frame_index=i)``,
+    ordered by the frame index i decoded from each filename stem. A missing or
+    empty directory, a stem without leading digits, a duplicate frame index
+    and items of different shapes raise ``error``."""
+    root = Path(directory)
+    if not root.is_dir():
+        raise error(f"not a directory: {root}")
+    files = [path for pattern in patterns for path in sorted(root.glob(pattern))]
+    if not files:
+        raise error(f"no {kind} files in {root} (expected {', '.join(patterns)})")
+    by_index: dict[int, tuple[Path, object]] = {}
+    for path in files:
+        try:
+            index = frame_index_from_stem(path.stem)
+        except ValueError as exc:
+            raise error(str(exc)) from None
+        if index in by_index:
+            raise error(f"duplicate frame index {index}: "
+                        f"{by_index[index][0].name} and {path.name}")
+        by_index[index] = (path, read(path, frame_index=index))
+    items = [by_index[i][1] for i in sorted(by_index)]
+    shapes = {item.shape for item in items}
+    if len(shapes) > 1:
+        raise error(f"inconsistent {kind} dimensions: {sorted(shapes)}")
+    return items
+
+
 def read_mask_dir(directory) -> FrameSequence:
     """Load every .pgm in a directory, ordered by decoded frame index.
 
     Rejects duplicate frame indices, malformed files, and mixed dimensions.
     """
-    root = Path(directory)
-    if not root.is_dir():
-        raise MaskFormatError(f"not a directory: {root}")
-    files = sorted(root.glob("*.pgm"))
-    if not files:
-        raise MaskFormatError(f"no .pgm mask files in {root}")
-    by_index: dict[int, tuple[Path, LabelMask]] = {}
-    for path in files:
-        mask = read_mask(path)
-        if mask.frame_index in by_index:
-            prev = by_index[mask.frame_index][0]
-            raise MaskFormatError(
-                f"duplicate frame index {mask.frame_index}: {prev.name} and {path.name}")
-        by_index[mask.frame_index] = (path, mask)
-    frames = [by_index[i][1] for i in sorted(by_index)]
-    shapes = {f.labels.shape for f in frames}
-    if len(shapes) > 1:
-        raise MaskFormatError(f"inconsistent mask dimensions: {sorted(shapes)}")
-    return FrameSequence(frames)
+    return FrameSequence(
+        _read_indexed_dir(directory, ("*.pgm",), read_mask, MaskFormatError, ".pgm mask"))
 
 
 def read_feature_dir(directory) -> list[FeatureMap]:
-    """Load every tensor file in a directory, ordered by decoded frame index."""
-    root = Path(directory)
-    if not root.is_dir():
-        raise TensorFormatError(f"not a directory: {root}")
-    files = sorted(root.glob("*.ften")) + sorted(root.glob("*.bin"))
-    if not files:
-        raise TensorFormatError(f"no tensor files (*.ften, *.bin) in {root}")
-    by_index: dict[int, tuple[Path, FeatureMap]] = {}
-    for path in files:
-        try:
-            index = frame_index_from_stem(path.stem)
-        except ValueError as exc:
-            raise TensorFormatError(str(exc)) from None
-        if index in by_index:
-            prev = by_index[index][0]
-            raise TensorFormatError(
-                f"duplicate frame index {index}: {prev.name} and {path.name}")
-        by_index[index] = (path, read_tensor(path, frame_index=index))
-    return [by_index[i][1] for i in sorted(by_index)]
+    """Load every .ften and .bin tensor file in a directory, ordered by
+    decoded frame index; rejects as :func:`read_mask_dir` does."""
+    return _read_indexed_dir(directory, ("*.ften", "*.bin"), read_tensor,
+                             TensorFormatError, "tensor")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.ndimage import binary_dilation
 
-from .core import FrameSequence, LabelMask
+from .core import FrameSequence
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
@@ -33,31 +33,39 @@ def _as_pixel_set(mask) -> np.ndarray:
     return arr
 
 
-def _check_same_shape(p: np.ndarray, g: np.ndarray) -> None:
+def _pixel_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    p = _as_pixel_set(pred)
+    g = _as_pixel_set(gt)
     if p.shape != g.shape:
         raise ValueError(f"pixel sets differ in shape: {p.shape} vs {g.shape}")
+    return p, g
+
+
+def _overlap(p: np.ndarray, g: np.ndarray) -> tuple[int, int]:
+    """Pixel counts of the intersection and the union of two pixel sets."""
+    return int(np.count_nonzero(p & g)), int(np.count_nonzero(p | g))
+
+
+def _ratio(part: int, whole: int) -> float:
+    # an empty whole means both sets are empty: nothing missed, nothing extra
+    return 1.0 if whole == 0 else part / whole
+
+
+def _check_radius(radius: int) -> None:
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
 
 
 def jaccard(pred, gt) -> float:
     """Region overlap |P & G| / |P | G|; 1.0 when both sets are empty."""
-    p = _as_pixel_set(pred)
-    g = _as_pixel_set(gt)
-    _check_same_shape(p, g)
-    union = int(np.count_nonzero(p | g))
-    if union == 0:
-        return 1.0
-    return int(np.count_nonzero(p & g)) / union
+    return _ratio(*_overlap(*_pixel_pair(pred, gt)))
 
 
 def dice(pred, gt) -> float:
     """Overlap 2|P & G| / (|P| + |G|); 1.0 when both sets are empty."""
-    p = _as_pixel_set(pred)
-    g = _as_pixel_set(gt)
-    _check_same_shape(p, g)
+    p, g = _pixel_pair(pred, gt)
     total = int(np.count_nonzero(p)) + int(np.count_nonzero(g))
-    if total == 0:
-        return 1.0
-    return 2 * int(np.count_nonzero(p & g)) / total
+    return _ratio(2 * int(np.count_nonzero(p & g)), total)
 
 
 def boundary_pixels(mask) -> np.ndarray:
@@ -73,8 +81,7 @@ def boundary_pixels(mask) -> np.ndarray:
 
 def disk_footprint(radius: int) -> np.ndarray:
     """Integer Euclidean ball: offsets (dy, dx) with dy^2 + dx^2 <= radius^2."""
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    _check_radius(radius)
     yy, xx = np.ogrid[-radius:radius + 1, -radius:radius + 1]
     return yy * yy + xx * xx <= radius * radius
 
@@ -95,9 +102,8 @@ def boundary_f(pred, gt, radius: int = DEFAULT_BOUNDARY_RADIUS) -> float:
     boundary pixels within the dilated predicted boundary. Both boundaries
     empty -> 1.0; exactly one empty -> 0.0; precision + recall == 0 -> 0.0.
     """
-    p = _as_pixel_set(pred)
-    g = _as_pixel_set(gt)
-    _check_same_shape(p, g)
+    _check_radius(radius)
+    p, g = _pixel_pair(pred, gt)
     bp = boundary_pixels(p)
     bg = boundary_pixels(g)
     np_b = int(np.count_nonzero(bp))
@@ -128,17 +134,12 @@ def ciou(pred_seq: Sequence, gt_seq: Sequence) -> float:
     if len(pred_seq) != len(gt_seq):
         raise ValueError(
             f"sequence lengths differ: {len(pred_seq)} vs {len(gt_seq)}")
-    inter = 0
-    union = 0
+    inter = union = 0
     for pred, gt in zip(pred_seq, gt_seq):
-        p = _as_pixel_set(pred)
-        g = _as_pixel_set(gt)
-        _check_same_shape(p, g)
-        inter += int(np.count_nonzero(p & g))
-        union += int(np.count_nonzero(p | g))
-    if union == 0:
-        return 1.0
-    return inter / union
+        i, u = _overlap(*_pixel_pair(pred, gt))
+        inter += i
+        union += u
+    return _ratio(inter, union)
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,7 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     frame. J, F, and Dice are per-frame values averaged over the sequence;
     the sequence-level IoU accumulates counts over all frames first.
     """
+    _check_radius(radius)
     _check_aligned(pred, gt)
     requested = list(metrics)
     unknown = [m for m in requested if m not in METRIC_NAMES]
@@ -230,15 +232,12 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
         raise ValueError(f"unknown metrics {unknown}, expected a subset of {METRIC_NAMES}")
 
     gt_ids = sorted({i for frame in gt for i in frame.object_ids()})
-    if object_ids is None:
-        ids = gt_ids
-        if not ids:
-            raise ValueError("ground truth contains no objects")
-    else:
-        ids = sorted(int(i) for i in object_ids)
-        missing = [i for i in ids if i not in gt_ids]
-        if missing:
-            raise ValueError(f"object ids {missing} absent from every ground-truth frame")
+    ids = gt_ids if object_ids is None else sorted(int(i) for i in object_ids)
+    if not ids:
+        raise ValueError("no objects to score")
+    missing = [i for i in ids if i not in gt_ids]
+    if missing:
+        raise ValueError(f"object ids {missing} absent from every ground-truth frame")
 
     need_j = bool({"J", "J&F"} & set(requested))
     need_f = bool({"F", "J&F"} & set(requested))
@@ -247,39 +246,32 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     per_frame: dict[int, list[dict[str, float]]] = {}
     for oid in ids:
         rows = []
-        inter = 0
-        union = 0
+        inter = union = 0
         for pf, gf in zip(pred, gt):
             p = pf.binarize(oid)
             g = gf.binarize(oid)
+            i, u = _overlap(p, g)
+            inter += i
+            union += u
             row: dict[str, float] = {"frame_index": pf.frame_index}
             if need_j:
-                row["J"] = jaccard(p, g)
+                row["J"] = _ratio(i, u)
             if need_f:
                 row["F"] = boundary_f(p, g, radius)
             if "Dice" in requested:
                 row["Dice"] = dice(p, g)
-            inter += int(np.count_nonzero(p & g))
-            union += int(np.count_nonzero(p | g))
             rows.append(row)
         per_frame[oid] = rows
-        mean_j = float(np.mean([r["J"] for r in rows])) if need_j else 0.0
-        mean_f = float(np.mean([r["F"] for r in rows])) if need_f else 0.0
-        computed = {
-            "J&F": (lambda: j_and_f(mean_j, mean_f)),
-            "J": (lambda: mean_j),
-            "F": (lambda: mean_f),
-            "Dice": (lambda: float(np.mean([r["Dice"] for r in rows]))),
-            "CIoU": (lambda: 1.0 if union == 0 else inter / union),
-        }
+        means = {name: float(np.mean([r[name] for r in rows]))
+                 for name in ("J", "F", "Dice") if name in rows[0]}
+        if "J&F" in requested:
+            means["J&F"] = j_and_f(means["J"], means["F"])
+        means["CIoU"] = _ratio(inter, union)
         # canonical key order keeps serialized reports byte-stable
-        per_object[oid] = {name: computed[name]()
-                           for name in METRIC_NAMES if name in requested}
+        per_object[oid] = {name: means[name] for name in METRIC_NAMES if name in requested}
 
     aggregate: dict[str, AggregateStat] = {}
-    for name in METRIC_NAMES:
-        if name not in requested:
-            continue
+    for name in per_object[ids[0]]:
         values = np.array([per_object[oid][name] for oid in ids], dtype=np.float64)
         sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         aggregate[name] = AggregateStat(mean=float(values.mean()), sd=sd)

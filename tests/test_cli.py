@@ -10,62 +10,30 @@ import numpy as np
 import pytest
 
 import vosmem
-from vosmem.cli import RunConfig, run_command
-from vosmem.core import make_feature_map
-from vosmem.harness import SceneConfig, generate_scene
+from vosmem.cli import build_parser, run_command
+from vosmem.core import FrameSequence, LabelMask, make_feature_map
+from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
 from vosmem.io import write_mask_dir, write_tensor
-from vosmem.sampling import SamplingConfig
+from vosmem.memory import DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE
+from vosmem.metrics import DEFAULT_BOUNDARY_RADIUS
+from vosmem.sampling import DEFAULT_STRIDES, SamplingConfig
 
 
-class TestRunConfig:
-    def test_defaults(self):
-        cfg = RunConfig()
-        assert cfg.capacity == 7
-        assert cfg.metric == "cosine"
-        assert cfg.mode == "persistent"
-        assert cfg.strides == (1, 2)
-        assert cfg.phase_policy == "zero"
-        assert cfg.max_frames is None
-        assert cfg.radius == 14
-        assert cfg.seed == 0
-        assert cfg.paths == ()
-
-    def test_dict_round_trip(self):
-        cfg = RunConfig(capacity=5, metric="spearman", strides=(2, 3), seed=9)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown config keys: window"):
-            RunConfig.from_dict({"capacity": 5, "window": 3})
-
-    def test_from_dict_coerces_sequences(self):
-        cfg = RunConfig.from_dict({"strides": [1, 4], "paths": ["a", "b"]})
-        assert cfg.strides == (1, 4)
-        assert cfg.paths == ("a", "b")
-
-    @pytest.mark.parametrize("bad", [
-        {"capacity": 1},
-        {"metric": "sad"},
-        {"mode": "lazy"},
-        {"radius": -1},
-        {"seed": -3},
-        {"strides": ()},
-        {"strides": (0,)},
-        {"strides": (2, 2)},
-        {"phase_policy": "odd"},
-        {"max_frames": 0},
-    ])
-    def test_invalid_values_rejected(self, bad):
-        with pytest.raises(ValueError):
-            RunConfig(**bad)
-
-    def test_sampling_config_carries_fields(self):
-        cfg = RunConfig(strides=(3, 1), phase_policy="all", max_frames=10)
-        sampled = cfg.sampling_config()
-        assert isinstance(sampled, SamplingConfig)
-        assert sampled.strides == (3, 1)
-        assert sampled.phase_policy == "all"
-        assert sampled.max_frames == 10
+def test_flag_defaults_match_library_defaults():
+    parser = build_parser()
+    sample = parser.parse_args(["sample", "--length", "5"])
+    assert (sample.strides, sample.phase_policy) == (DEFAULT_STRIDES, SamplingConfig().phase_policy)
+    assert parser.parse_args(["eval", "--pred", "p", "--gt", "g"]).radius == DEFAULT_BOUNDARY_RADIUS
+    sim = parser.parse_args(["simulate", "--out", "o"])
+    scene = SceneConfig(grid=sim.grid, shape=sim.shape, size=sim.size, velocity=sim.velocity,
+                        n_frames=sim.frames, gaps=sim.gaps, seed=sim.seed, start=sim.start)
+    assert scene == SceneConfig()
+    encoder = ToyEncoderConfig(feature_resolution=sim.feature_res, noise_sigma=sim.noise_sigma)
+    assert encoder == ToyEncoderConfig()
+    assert sim.radius == DEFAULT_BOUNDARY_RADIUS
+    for args in (sim, parser.parse_args(["prune", "--features", "f"])):
+        assert (args.capacity, args.metric, args.mode) == (
+            DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE)
 
 
 class TestSampleCommand:
@@ -272,6 +240,29 @@ class TestErrorHandling:
         assert run_command(["eval", "--pred", str(missing), "--gt", str(missing)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+
+    def test_negative_radius_eval_exits_1(self, tmp_path, capsys):
+        # an empty prediction scores F = 0 without dilating any boundary, so
+        # only an up-front check catches the radius
+        scene = generate_scene(SceneConfig(n_frames=3))
+        write_mask_dir(scene, tmp_path / "gt")
+        blank = [LabelMask(f.frame_index, np.zeros_like(f.labels)) for f in scene]
+        write_mask_dir(FrameSequence(blank), tmp_path / "pred")
+        out = tmp_path / "report.json"
+        assert run_command(["eval", "--pred", str(tmp_path / "pred"), "--gt",
+                            str(tmp_path / "gt"), "--radius", "-5", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: radius must be >= 0, got -5"]
+        assert not out.exists()
+
+    def test_negative_radius_simulate_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_command(["simulate", "--out", str(out), "--radius", "-2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: radius must be >= 0, got -2"]
+        assert not out.exists()
 
     def test_empty_feature_dir_exits_1(self, tmp_path, capsys):
         assert run_command(["prune", "--features", str(tmp_path)]) == 1

@@ -222,3 +222,20 @@ class TestFrameSequence:
         frames = (FeatureMap(0, np.zeros((2, 3, 3))), FeatureMap(4, np.ones((2, 3, 3))))
         seq = FrameSequence(frames)
         assert seq.spatial_shape == (3, 3)
+
+
+class TestIdentityEquality:
+    def test_feature_maps_and_masks_compare_and_hash_by_identity(self):
+        a = FeatureMap(0, np.ones((1, 1, 2)))
+        b = FeatureMap(0, np.ones((1, 1, 2)))
+        assert a == a and a != b
+        assert hash(a) != hash(b) and len({a, b}) == 2
+        m = LabelMask(0, np.ones((2, 2), dtype=np.uint8))
+        assert m == m and m != LabelMask(0, np.ones((2, 2), dtype=np.uint8))
+        assert {m: 1}[m] == 1
+
+    def test_frame_sequences_compare_without_raising(self):
+        frames = (FeatureMap(0, np.ones((1, 1, 2))), FeatureMap(1, np.ones((1, 1, 2))))
+        assert FrameSequence(frames) == FrameSequence(frames)
+        assert FrameSequence(frames) != FrameSequence(frames[:1])
+        assert hash(FrameSequence(frames)) == hash(FrameSequence(frames))

@@ -120,6 +120,20 @@ class TestTensorFormat:
         assert np.array_equal(parse_tensor_bytes(tensor_bytes(arr)), arr)
 
 
+    def test_read_copies_once_into_float64(self, tmp_path):
+        arr = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
+        blob = tensor_bytes(arr, dtype="float32")
+        parsed = parse_tensor_bytes(blob)
+        assert parsed.dtype == np.dtype("<f4")
+        assert not parsed.flags.writeable
+        path = tmp_path / "007.ften"
+        path.write_bytes(blob)
+        data = read_tensor(path).data
+        assert data.dtype == np.float64
+        assert data.flags.c_contiguous and not data.flags.writeable
+        np.testing.assert_array_equal(data, arr)
+
+
 class TestStemDecoding:
     def test_leading_digits(self):
         assert frame_index_from_stem("000") == 0
@@ -242,6 +256,12 @@ class TestFeatureDir:
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(TensorFormatError, match="no tensor files"):
+            read_feature_dir(tmp_path)
+
+    def test_mixed_shapes_rejected(self, tmp_path):
+        write_tensor(fmap(0, shape=(2, 3, 3)), tmp_path / "000.ften")
+        write_tensor(fmap(1, shape=(5, 1, 1)), tmp_path / "001.ften")
+        with pytest.raises(TensorFormatError, match=r"\(2, 3, 3\), \(5, 1, 1\)"):
             read_feature_dir(tmp_path)
 
 

@@ -185,6 +185,14 @@ class TestBoundaryF:
                 assert boundary_f(a, b, radius) == boundary_f_oracle(
                     a.tolist(), b.tolist(), radius)
 
+    @pytest.mark.parametrize("radius", [-1, -5])
+    def test_negative_radius_rejected_before_any_early_return(self, radius):
+        e = grid(8, 8)
+        m = block(8, 8, 2, 2, 3)
+        for pred, gt in ((e, e), (e, m), (m, m)):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                boundary_f(pred, gt, radius)
+
     def test_nondecreasing_in_radius(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -312,6 +320,12 @@ class TestEvaluate:
             for name in ("J", "F", "Dice", "CIoU"):
                 assert vals[name] == 0.0
 
+    def test_negative_radius_rejected_even_without_dilation(self):
+        # only J is requested, so no frame would reach boundary_f
+        pred, gt = self._toy()
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            evaluate(pred, gt, radius=-5, metrics=["J"])
+
     def test_hand_counted_two_object_values(self):
         pred, gt = self._toy()
         report = evaluate(pred, gt, radius=0)
@@ -370,6 +384,11 @@ class TestEvaluate:
         blank = _mask_seq([np.zeros((4, 4), int)])
         with pytest.raises(ValueError, match="no objects"):
             evaluate(blank, blank)
+
+    def test_empty_object_ids_rejected(self):
+        pred, gt = self._toy()
+        with pytest.raises(ValueError, match="no objects to score"):
+            evaluate(pred, gt, object_ids=[])
 
     def test_report_dict_casts_to_plain_types(self):
         import json
