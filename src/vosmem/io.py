@@ -133,7 +133,10 @@ def read_tensor(path, frame_index: int | None = None) -> FeatureMap:
             frame_index = frame_index_from_stem(Path(path).stem)
         except ValueError:
             frame_index = 0
-    return FeatureMap(frame_index=frame_index, data=arr)
+    try:
+        return FeatureMap(frame_index=frame_index, data=arr)
+    except ValueError as exc:  # e.g. a zero dimension or a non-finite value
+        raise TensorFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,10 @@ def read_mask(path, frame_index: int | None = None) -> LabelMask:
             token = _next_header_token(f)
             if not token.isdigit():
                 raise MaskFormatError(f"non-numeric PGM {name} token {token!r}")
-            fields.append(int(token))
+            try:
+                fields.append(int(token))
+            except ValueError:  # more digits than int() converts
+                raise MaskFormatError(f"PGM {name} token has {len(token)} digits") from None
         width, height, maxval = fields
         if width < 1 or height < 1:
             raise MaskFormatError(f"invalid PGM dimensions {width}x{height}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .core import FrameSequence
 
@@ -63,9 +62,8 @@ def jaccard(pred, gt) -> float:
 
 def dice(pred, gt) -> float:
     """Overlap 2|P & G| / (|P| + |G|); 1.0 when both sets are empty."""
-    p, g = _pixel_pair(pred, gt)
-    total = int(np.count_nonzero(p)) + int(np.count_nonzero(g))
-    return _ratio(2 * int(np.count_nonzero(p & g)), total)
+    i, u = _overlap(*_pixel_pair(pred, gt))
+    return _ratio(2 * i, i + u)  # |P| + |G| == |P & G| + |P | G|
 
 
 def boundary_pixels(mask) -> np.ndarray:
@@ -87,11 +85,24 @@ def disk_footprint(radius: int) -> np.ndarray:
 
 
 def dilate_disk(pixels, radius: int) -> np.ndarray:
-    """Dilate a pixel set by the disk of the given radius, clipped to the image."""
+    """Dilate a pixel set by the disk of the given radius, clipped to the image.
+
+    The disk is one horizontal run per row offset (Urbach & Wilkinson, IEEE
+    TIP 2008). With prefix sums along the rows of the padded set, one
+    subtraction tells whether a run covers a member, so the work is
+    O(h*w*r). A radius beyond h + w reaches no further than h + w does.
+    """
     m = _as_pixel_set(pixels)
-    if radius == 0:
-        return m.copy()
-    return binary_dilation(m, structure=disk_footprint(radius))
+    h, w = m.shape
+    r = min(radius, h + w)
+    half_widths = np.count_nonzero(disk_footprint(r), axis=1) // 2
+    band = np.zeros((h + 2 * r, w + 2 * r + 1), dtype=np.int32)
+    np.cumsum(np.pad(m, r), axis=1, out=band[:, 1:])
+    out = np.zeros_like(m)
+    for top, k in enumerate(half_widths):
+        rows = band[top:top + h]
+        out |= rows[:, r + k + 1:r + k + 1 + w] > rows[:, r - k:r - k + w]
+    return out
 
 
 def boundary_f(pred, gt, radius: int = DEFAULT_BOUNDARY_RADIUS) -> float:
@@ -259,7 +270,7 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
             if need_f:
                 row["F"] = boundary_f(p, g, radius)
             if "Dice" in requested:
-                row["Dice"] = dice(p, g)
+                row["Dice"] = _ratio(2 * i, i + u)
             rows.append(row)
         per_frame[oid] = rows
         means = {name: float(np.mean([r[name] for r in rows]))

@@ -1,5 +1,7 @@
 """Command-line interface: wiring, exit codes, reproducible outputs."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vosmem
 from vosmem.cli import build_parser, run_command
 from vosmem.core import FrameSequence, LabelMask, make_feature_map
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
-from vosmem.io import write_mask_dir, write_tensor
+from vosmem.io import tensor_bytes, write_mask_dir, write_tensor
 from vosmem.memory import DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE
 from vosmem.metrics import DEFAULT_BOUNDARY_RADIUS
 from vosmem.sampling import DEFAULT_STRIDES, SamplingConfig
@@ -157,6 +161,21 @@ class TestEvalCommand:
         assert [row["frame_index"] for row in rows] == [0, 1, 2, 3, 4]
         assert all(row["J"] == 1.0 for row in rows)
 
+    def test_radius_beyond_image_matches_radius_h_plus_w(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert run_command(["simulate", "--out", str(run), "--velocity", "1,1",
+                            "--frames", "12", "--gaps", "4:5", "--noise-sigma", "0.3"]) == 0
+        capsys.readouterr()
+        reports = []
+        for radius in ("64", "1000000"):  # 64 = h + w of the 32x32 grid
+            out = tmp_path / f"r{radius}.json"
+            assert run_command(["eval", "--pred", str(run / "pred"), "--gt", str(run / "gt"),
+                                "--radius", radius, "--per-frame", "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report.pop("radius") == int(radius)
+            reports.append((capsys.readouterr(), report))
+        assert reports[0] == reports[1]
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--velocity", "1,0", "--frames", "10",
@@ -218,6 +237,15 @@ class TestErrorHandling:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: euclidean score -inf for frame ")
 
+    @pytest.mark.parametrize("values", [np.zeros((0, 2, 2)), np.array([[[np.nan]]])],
+                             ids=["zero-dimension", "nan"])
+    def test_invalid_tensor_exits_1_naming_the_file(self, tmp_path, capsys, values):
+        (tmp_path / "003.ften").write_bytes(tensor_bytes(values))
+        assert run_command(["prune", "--features", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "003.ften" in lines[0]
+
     def test_import_does_not_load_scipy_stats(self):
         proc = run_cli_process("-c", "import sys, vosmem.cli; print('scipy.stats' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
@@ -273,3 +301,145 @@ class TestErrorHandling:
         assert run_command(["prune", "--features", str(tmp_path),
                             "--capacity", "1"]) == 1
         assert "capacity" in capsys.readouterr().err
+
+
+class TestNumpyOnly:
+    def test_simulate_and_eval_without_scipy_match_a_normal_run(self, tmp_path, capsys):
+        blocked = "import sys; sys.modules['scipy'] = None; from vosmem.cli import main; main()"
+        outputs = {}
+        for side in ("normal", "no-scipy"):
+            root = tmp_path / side
+            commands = [
+                ["simulate", "--out", str(root / "run"), "--velocity", "1,1", "--frames", "12",
+                 "--noise-sigma", "0.3", "--gaps", "4:5", "--metric", "spearman"],
+                ["eval", "--pred", str(root / "run" / "pred"), "--gt", str(root / "run" / "gt"),
+                 "--radius", "3", "--per-frame", "--out", str(root / "eval.json")],
+            ]
+            stdout = []
+            for argv in commands:
+                if side == "normal":
+                    assert run_command(argv) == 0
+                    stdout.append(capsys.readouterr().out)
+                else:
+                    proc = run_cli_process("-c", blocked, *argv)
+                    assert proc.returncode == 0, proc.stderr
+                    stdout.append(proc.stdout)
+            files = {p.relative_to(root).as_posix(): p.read_bytes()
+                     for p in sorted(root.rglob("*")) if p.is_file()}
+            outputs[side] = (stdout, files)
+        assert len(outputs["normal"][1]) == 12 + 12 + 3
+        assert outputs["no-scipy"] == outputs["normal"]
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing: exit status 0, 1 or 2 and never a traceback
+
+_small = st.integers(-2, 6).map(str)
+
+
+def _pair(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda t: f"{t[0]},{t[1]}")
+
+
+def _dims(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(lambda t: f"{t[0]}x{t[1]}")
+
+
+_garbage = st.sampled_from(["", "x", "1,", ",", "-", "1e3", "nan", "2:1", "0x0"])
+_REQUIRED = {"sample": ("--length",), "prune": ("--features",), "eval": ("--pred", "--gt"),
+             "simulate": ("--out",)}
+_PATH_FLAGS = {"--out", "--features", "--pred", "--gt"}  # kept inside the fixture's directory
+_radius = st.one_of(st.integers(-2, 20), st.integers(10**5, 10**7)).map(str)
+
+
+def _mostly(valid, *others):
+    """``valid`` three times in four, else one of ``others``."""
+    return st.integers(0, 3).flatmap(lambda i: st.just(valid) if i else st.sampled_from(others))
+
+
+def _flag_values(paths):
+    """Per subcommand, each flag with values drawn from small bounded ranges."""
+    return {
+        "sample": {
+            "--length": _small, "--strides": st.sampled_from(["1", "1,2", "0", "3,3", "-1"]),
+            "--phase-policy": st.sampled_from(["single", "all", "both"]),
+            "--max-frames": _small, "--out": st.just(paths["out_file"]),
+        },
+        "prune": {
+            "--features": _mostly(paths["features"], paths["empty"], paths["missing"],
+                                  paths["gt"]),
+            "--capacity": _small, "--metric": st.sampled_from(["cosine", "spearman", "l2"]),
+            "--mode": st.sampled_from(["select", "persistent", "both"]),
+            "--out": st.just(paths["out_file"]),
+        },
+        "eval": {
+            "--pred": _mostly(paths["pred"], paths["gt"], paths["empty"], paths["missing"],
+                              paths["small"]),
+            "--gt": _mostly(paths["gt"], paths["pred"], paths["features"]),
+            "--radius": _radius,
+            "--metrics": st.sampled_from(["J", "F,Dice", "J&F", "CIoU,J", "K", ","]),
+            "--out": st.just(paths["out_file"]), "--per-frame": st.just(None),
+        },
+        "simulate": {
+            "--out": st.just(paths["run"]), "--grid": _dims(0, 12),
+            "--shape": st.sampled_from(["square", "disk", "star"]), "--size": _small,
+            "--start": _pair(-1, 6), "--velocity": _pair(-2, 2), "--frames": _small,
+            "--gaps": st.sampled_from(["", "1:2", "3", "2:1", "-1:0", "0:9"]),
+            "--feature-res": _dims(0, 6), "--noise-sigma": st.sampled_from(["0", "0.5", "-1"]),
+            "--seed": _small, "--capacity": _small,
+            "--metric": st.sampled_from(["dot", "pearson", "manhattan"]),
+            "--mode": st.sampled_from(["select", "persistent"]),
+            "--no-prune": st.just(None), "--radius": _radius,
+        },
+    }
+
+
+@st.composite
+def argvs(draw, paths):
+    table = _flag_values(paths)
+    command = draw(st.sampled_from(sorted(table) + ["polish"]))
+    flags = table.get(command, {})
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), max_size=6)) if flags else []
+    if draw(st.integers(0, 9)):  # most runs carry the required flags
+        chosen = [f for f in _REQUIRED.get(command, ()) if f not in chosen] + chosen
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        value = draw(flags[flag])  # None for a switch
+        if value is not None:
+            garbled = flag not in _PATH_FLAGS and draw(st.integers(0, 7)) == 0
+            argv.append(draw(_garbage) if garbled else value)
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    scene = generate_scene(SceneConfig(grid=(12, 12), size=3, n_frames=4, velocity=(1, 1)))
+    write_mask_dir(scene, root / "gt")
+    shifted = generate_scene(SceneConfig(grid=(12, 12), size=3, n_frames=4, start=(2, 1)))
+    write_mask_dir(shifted, root / "pred")
+    write_mask_dir(generate_scene(SceneConfig(grid=(8, 8), n_frames=4)), root / "small")
+    features = root / "features"
+    features.mkdir()
+    write_duplicate_features(features)
+    (root / "empty").mkdir()
+    names = ("gt", "pred", "small", "features", "empty", "missing", "run")
+    paths = {name: str(root / name) for name in names}
+    paths["out_file"] = str(root / "out.json")
+    return paths
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(fuzz_paths, data):
+    argv = data.draw(argvs(fuzz_paths), label="argv")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

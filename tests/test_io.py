@@ -1,16 +1,20 @@
 """On-disk formats: tensor container, PGM masks, JSON traces, atomicity."""
 
 import json
+import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vosmem.core import FrameSequence, LabelMask, approx_equal, make_feature_map
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
+    TENSOR_MAGIC,
     MaskFormatError,
     TensorFormatError,
     frame_index_from_stem,
@@ -111,6 +115,17 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError, match="3-D"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("blob", [
+        tensor_bytes(np.zeros((0, 3, 3))),
+        tensor_bytes(np.array([[[1.0, np.nan]]])),
+        tensor_bytes(np.array([[[np.inf]]]), dtype="float32"),
+    ], ids=["zero-dimension", "nan", "inf-float32"])
+    def test_invalid_feature_data_raises_format_error_naming_file(self, tmp_path, blob):
+        path = tmp_path / "004.ften"
+        path.write_bytes(blob)
+        with pytest.raises(TensorFormatError, match="004.ften"):
+            read_tensor(path)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_property(self, seed):
@@ -201,6 +216,12 @@ class TestMaskFormat:
         path = tmp_path / "000.pgm"
         path.write_bytes(b"P5\nwide 2\n255\n" + bytes(4))
         with pytest.raises(MaskFormatError, match="width"):
+            read_mask(path)
+
+    def test_header_number_beyond_int_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "000.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4))
+        with pytest.raises(MaskFormatError, match="width token has 5000 digits"):
             read_mask(path)
 
 
@@ -308,3 +329,102 @@ class TestTraceRecords:
         assert first["step"] == 1
         assert first["metric"] == "cosine"
         assert first["readout_cost"] == 64
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: only the documented format errors may escape the readers
+
+@st.composite
+def tensor_blobs(draw):
+    """Tensor files whose header fields are each valid most of the time, so
+    that payloads with zero dimensions or non-finite values reach the reader."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.binary(max_size=64))
+
+    def field(valid, other):
+        return draw(other) if draw(st.integers(0, 7)) == 0 else valid
+
+    dims = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)
+                | st.lists(st.integers(0, 3), max_size=4))
+    code = field(1, st.integers(0, 2))
+    head = struct.pack("<4sHBB", field(TENSOR_MAGIC, st.binary(min_size=4, max_size=4)),
+                       field(1, st.integers(0, 2)), code,
+                       field(len(dims), st.integers(0, 5)))
+    head += struct.pack(f"<{len(dims)}I", *dims)
+    count = math.prod(dims)
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(width=32), min_size=count, max_size=count))
+        payload = np.array(values, dtype="<f4" if code == 0 else "<f8").tobytes()
+    else:
+        size = count * (4 if code == 0 else 8)
+        payload = draw(st.binary(min_size=max(size - 2, 0), max_size=size + 2))
+    return head + payload
+
+
+@st.composite
+def pgm_blobs(draw):
+    """PGM files with mutated magic, header tokens, comments and payload size."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=48))
+    token = st.one_of(st.integers(0, 6).map(str), st.sampled_from(["", "x", "-1", "2.0", "0003"]))
+    magic = draw(st.sampled_from(["P5", "P2", "P6", ""]))
+    width, height = draw(token), draw(token)
+    maxval = draw(st.sampled_from(["255", "256", "1", "", "#"]))
+    sep = st.sampled_from([" ", "\n", "\n# note\n", "\t"])
+    head = (magic + draw(sep) + width + draw(sep) + height + draw(sep) + maxval
+            + draw(st.sampled_from(["\n", " ", ""])))
+    n = int(width) * int(height) if width.isdigit() and height.isdigit() else 4
+    payload = draw(st.binary(min_size=max(n - 1, 0), max_size=n + 1))
+    return head.encode("ascii") + payload
+
+
+def _scratch_file(directory, name, blob):
+    path = Path(directory) / name
+    path.write_bytes(blob)
+    return path
+
+
+class TestFuzzedInputs:
+    @given(tensor_blobs())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_tensor_bytes_raises_only_format_errors(self, blob):
+        try:
+            arr = parse_tensor_bytes(blob)
+        except TensorFormatError:
+            return
+        assert arr.nbytes == len(blob) - 8 - 4 * arr.ndim
+
+    @given(tensor_blobs(), st.sampled_from(["000.ften", "12.bin", "frame.ften"]))
+    @settings(max_examples=200, deadline=None)
+    def test_read_tensor_raises_only_format_errors(self, blob, name):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                fm = read_tensor(_scratch_file(tmp, name, blob))
+            except TensorFormatError:
+                return
+        assert fm.data.ndim == 3 and np.isfinite(fm.data).all()
+
+    @given(pgm_blobs(), st.sampled_from(["000.pgm", "7_a.pgm", "mask.pgm"]))
+    @example(b"P5\n" + b"9" * 4400 + b" 1\n255\n\x00", "000.pgm")
+    @settings(max_examples=300, deadline=None)
+    def test_read_mask_raises_only_format_errors(self, blob, name):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                mask = read_mask(_scratch_file(tmp, name, blob))
+            except MaskFormatError:
+                return
+        assert mask.labels.dtype == np.uint8 and mask.labels.size >= 1
+
+    @given(st.dictionaries(st.sampled_from(["000.pgm", "001.pgm", "000_b.pgm", "01x.pgm",
+                                            "x.pgm", "2.txt"]),
+                           pgm_blobs(), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_read_mask_dir_raises_only_format_errors(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, blob in files.items():
+                _scratch_file(tmp, name, blob)
+            try:
+                seq = read_mask_dir(tmp)
+            except MaskFormatError:
+                return
+        assert len(seq) >= 1

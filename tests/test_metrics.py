@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -148,6 +148,25 @@ class TestDilateDisk:
                 shift = dilate_shift_oracle(m, radius)
                 np.testing.assert_array_equal(loop, shift)
                 np.testing.assert_array_equal(dilate_disk(m, radius), loop)
+
+    @given(arrays(bool, st.tuples(st.integers(1, 9), st.integers(1, 9))), st.integers(0, 20))
+    @example(grid(1, 9, [(0, 0)]), 0)
+    @example(grid(1, 9, [(0, 8)]), 3)
+    @example(grid(9, 1, [(4, 0)]), 20)
+    @example(grid(5, 5, [(0, 0), (4, 4)]), 2)
+    @example(np.ones((3, 4), dtype=bool), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loop_oracle_under_hypothesis(self, m, radius):
+        # radii up to 20 reach past every image of at most 9x9
+        expected = np.array(dilate_oracle(m.tolist(), radius), dtype=bool)
+        np.testing.assert_array_equal(dilate_disk(m, radius), expected)
+
+    def test_radius_beyond_image_is_bounded_by_it(self):
+        m = grid(5, 7, [(0, 0)])
+        huge = dilate_disk(m, 10**9)
+        np.testing.assert_array_equal(huge, np.ones((5, 7), dtype=bool))
+        np.testing.assert_array_equal(huge, dilate_disk(m, 5 + 7))
+        assert boundary_f(m, grid(5, 7, [(4, 6)]), radius=10**9) == 1.0
 
 
 class TestBoundaryF:
