@@ -104,8 +104,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     config = SamplingConfig(strides=args.strides, phase_policy=args.phase_policy,
                             max_frames=args.max_frames)
     plan = build_plan(args.length, config)
-    payload = {"schema_version": vio.SCHEMA_VERSION, **plan.to_dict()}
-    _emit(vio.json_text(payload), args.out)
+    _emit(vio.json_text(plan.to_dict()), args.out)
     return 0
 
 
@@ -128,9 +127,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(pred, gt, radius=args.radius, metrics=args.metrics)
     sys.stdout.write(report.format_table() + "\n")
     if args.out is not None:
-        payload = {"schema_version": vio.SCHEMA_VERSION,
-                   **report.to_dict(include_per_frame=args.per_frame)}
-        vio.write_json(payload, args.out)
+        vio.write_json(report.to_dict(include_per_frame=args.per_frame), args.out)
     return 0
 
 
@@ -151,8 +148,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     vio.write_mask_dir(scene, out / "gt")
     vio.write_mask_dir(predicted, out / "pred")
     vio.write_jsonl(vio.track_records(trace), out / "trace.jsonl")
-    vio.write_json({"schema_version": vio.SCHEMA_VERSION, **report.to_dict()},
-                   out / "report.json")
+    vio.write_json(report.to_dict(), out / "report.json")
     sys.stdout.write(report.format_table() + "\n")
     return 0
 

@@ -26,6 +26,7 @@ from .memory import (
     MemoryBank,
     MemoryEntry,
     PruneOutcome,
+    _check_mode,
     argmax_frame,
     similarity,
 )
@@ -168,12 +169,13 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
 
 @dataclass(frozen=True)
 class TrackStep:
-    """One streaming step: what was seen, what the bank did, what was predicted."""
+    """One streaming step: what the bank did and which entry was read out.
+
+    The observed and predicted masks of the step are frame ``step`` of the
+    scene and of the sequence that :func:`track_sequence` returns."""
 
     step: int
     frame_index: int
-    observed: LabelMask
-    predicted: LabelMask
     bank_before: tuple[int, ...]
     bank_after: tuple[int, ...]
     outcome: PruneOutcome
@@ -183,18 +185,11 @@ class TrackStep:
 
 @dataclass(frozen=True)
 class TrackTrace:
-    """Full record of a tracking run plus the settings that produced it."""
+    """Every step of a tracking run plus the metric and prune mode it used."""
 
     steps: tuple[TrackStep, ...]
-    capacity: int
     metric: str
     mode: str
-    prune_enabled: bool
-    seed: int
-    feature_resolution: tuple[int, int]
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
@@ -216,6 +211,7 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
     """
     if len(scene) < 2:
         raise ValueError(f"scene must have at least 2 frames, got {len(scene)}")
+    _check_mode(mode)  # also when pruning is off: the mode is written to the trace
     h, w = encoder_config.feature_resolution
     tokens_per_entry = h * w
 
@@ -249,8 +245,6 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         steps.append(TrackStep(
             step=t,
             frame_index=observed.frame_index,
-            observed=observed,
-            predicted=predicted,
             bank_before=bank_before,
             bank_after=bank.frame_indices,
             outcome=outcome,
@@ -259,16 +253,7 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         ))
         predicted_frames.append(predicted)
 
-    trace = TrackTrace(
-        steps=tuple(steps),
-        capacity=bank_capacity,
-        metric=metric,
-        mode=mode,
-        prune_enabled=prune_enabled,
-        seed=seed,
-        feature_resolution=encoder_config.feature_resolution,
-    )
-    return FrameSequence(predicted_frames), trace
+    return FrameSequence(predicted_frames), TrackTrace(tuple(steps), metric, mode)
 
 
 def readout_cost(trace: TrackTrace) -> list[int]:

@@ -25,7 +25,7 @@ import re
 import struct
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -156,61 +156,52 @@ def mask_bytes(mask: LabelMask) -> bytes:
     return f"P5\n{w} {h}\n255\n".encode("ascii") + mask.labels.tobytes(order="C")
 
 
-def _next_header_token(f: BinaryIO) -> bytes:
-    c = f.read(1)
-    while True:
-        if not c:
-            raise MaskFormatError("truncated PGM header")
-        if c == b"#":  # comment runs to end of line
-            while c and c != b"\n":
-                c = f.read(1)
-            c = f.read(1)
-            continue
-        if c.isspace():
-            c = f.read(1)
-            continue
-        break
-    token = bytearray()
-    while c and not c.isspace():
-        token += c
-        c = f.read(1)
-    # the byte just consumed is the single whitespace delimiter, so after
-    # the maxval token the stream is positioned exactly at the payload
-    return bytes(token)
+# one header token: leading whitespace and "#" comments (each running to the
+# end of its line) skipped, then the token, then its single whitespace
+# delimiter, so after the maxval token the match ends exactly at the payload
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n?)*(\S*)\s?")
+
+
+def _header_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """The next PGM header token at or after ``pos`` and the offset past it."""
+    m = _PGM_TOKEN.match(data, pos)
+    if not m.group(1):
+        raise MaskFormatError("truncated PGM header")
+    return m.group(1), m.end()
 
 
 def read_mask(path, frame_index: int | None = None) -> LabelMask:
     """Read a binary PGM mask; header comments are allowed, maxval must be
     255, and the payload must hold exactly width*height bytes."""
-    with open(path, "rb") as f:
-        magic = _next_header_token(f)
-        if magic != b"P5":
-            raise MaskFormatError(f"bad PGM magic {magic!r}, expected b'P5'")
-        fields = []
-        for name in ("width", "height", "maxval"):
-            token = _next_header_token(f)
-            if not token.isdigit():
-                raise MaskFormatError(f"non-numeric PGM {name} token {token!r}")
-            try:
-                fields.append(int(token))
-            except ValueError:  # more digits than int() converts
-                raise MaskFormatError(f"PGM {name} token has {len(token)} digits") from None
-        width, height, maxval = fields
-        if width < 1 or height < 1:
-            raise MaskFormatError(f"invalid PGM dimensions {width}x{height}")
-        if maxval != 255:
-            raise MaskFormatError(f"PGM maxval must be 255, got {maxval}")
-        payload = f.read()
-    if len(payload) != width * height:
+    with open(path, "rb") as f:  # a few microseconds less than Path.read_bytes
+        data = f.read()
+    magic, pos = _header_token(data, 0)
+    if magic != b"P5":
+        raise MaskFormatError(f"bad PGM magic {magic!r}, expected b'P5'")
+    fields = []
+    for name in ("width", "height", "maxval"):
+        token, pos = _header_token(data, pos)
+        if not token.isdigit():
+            raise MaskFormatError(f"non-numeric PGM {name} token {token!r}")
+        try:
+            fields.append(int(token))
+        except ValueError:  # more digits than int() converts
+            raise MaskFormatError(f"PGM {name} token has {len(token)} digits") from None
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise MaskFormatError(f"invalid PGM dimensions {width}x{height}")
+    if maxval != 255:
+        raise MaskFormatError(f"PGM maxval must be 255, got {maxval}")
+    if len(data) - pos != width * height:
         raise MaskFormatError(
-            f"payload holds {len(payload)} bytes but header claims "
+            f"payload holds {len(data) - pos} bytes but header claims "
             f"{width}x{height} = {width * height}")
     if frame_index is None:
         try:
             frame_index = frame_index_from_stem(Path(path).stem)
         except ValueError as exc:
             raise MaskFormatError(str(exc)) from None
-    labels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
+    labels = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)
     return LabelMask(frame_index=frame_index, labels=labels)
 
 
@@ -218,15 +209,11 @@ def write_mask(mask: LabelMask, path) -> None:
     atomic_write_bytes(path, mask_bytes(mask))
 
 
-def write_mask_dir(sequence: FrameSequence, directory, pad: int = 3) -> list[Path]:
-    """Write one zero-padded-stem PGM per frame; returns the paths written."""
+def write_mask_dir(sequence: FrameSequence, directory) -> None:
+    """Write one PGM per frame, named by its three-digit zero-padded index."""
     out = Path(directory)
-    paths = []
     for frame in sequence:
-        path = out / f"{frame.frame_index:0{pad}d}.pgm"
-        write_mask(frame, path)
-        paths.append(path)
-    return paths
+        write_mask(frame, out / f"{frame.frame_index:03d}.pgm")
 
 
 def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:
@@ -275,17 +262,25 @@ def read_feature_dir(directory) -> list[FeatureMap]:
 
 # ---------------------------------------------------------------------------
 # JSON emission (fixed key order, no timestamps)
+#
+# Every JSON document and every JSON-lines record leads with the schema
+# version; this section is the only place that knows the output schema.
 
 
-def json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _stamped(fields: dict) -> dict:
+    return {"schema_version": SCHEMA_VERSION, **fields}
+
+
+def json_text(obj: dict) -> str:
+    """A JSON document: ``obj``'s keys behind ``schema_version``."""
+    return json.dumps(_stamped(obj), indent=2) + "\n"
 
 
 def jsonl_text(records: Iterable[dict]) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
-def write_json(obj, path) -> None:
+def write_json(obj: dict, path) -> None:
     atomic_write_text(path, json_text(obj))
 
 
@@ -293,23 +288,13 @@ def write_jsonl(records: Iterable[dict], path) -> None:
     atomic_write_text(path, jsonl_text(records))
 
 
-def _scores_lists(scores: dict[str, dict[int, float]]) -> dict[str, list[list]]:
-    # [[frame_index, score], ...] keeps indices as integers (JSON object
-    # keys would stringify them) and fixes the ordering
+def _decision(outcome: PruneOutcome, mode: str, metric: str) -> dict:
+    """The keys a record gives one prune decision, in their serialized order."""
     return {
-        group: [[idx, float(s[idx])] for idx in sorted(s)]
-        for group, s in scores.items()
-    }
-
-
-def prune_record(step: int, bank_before: tuple[int, ...], outcome: PruneOutcome,
-                 mode: str, metric: str) -> dict:
-    """One JSON-lines record of a prune step (bank state it ran on)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "step": step,
-        "bank_before": list(bank_before),
-        "scores": _scores_lists(outcome.scores),
+        # [[frame_index, score], ...] keeps indices as integers (JSON object
+        # keys would stringify them) and fixes the ordering
+        "scores": {group: [[idx, float(s[idx])] for idx in sorted(s)]
+                   for group, s in outcome.scores.items()},
         "pruned": list(outcome.pruned_frame_indices),
         "retained": list(outcome.retained_frame_indices),
         "mode": mode,
@@ -317,22 +302,21 @@ def prune_record(step: int, bank_before: tuple[int, ...], outcome: PruneOutcome,
     }
 
 
+def prune_record(step: int, bank_before: tuple[int, ...], outcome: PruneOutcome,
+                 mode: str, metric: str) -> dict:
+    """One JSON-lines record of a prune step (bank state it ran on)."""
+    return _stamped({"step": step, "bank_before": list(bank_before),
+                     **_decision(outcome, mode, metric)})
+
+
 def track_records(trace: TrackTrace) -> list[dict]:
     """JSON-lines records for a tracking run, one per step."""
-    records = []
-    for s in trace.steps:
-        records.append({
-            "schema_version": SCHEMA_VERSION,
-            "step": s.step,
-            "frame_index": s.frame_index,
-            "bank_before": list(s.bank_before),
-            "bank_after": list(s.bank_after),
-            "scores": _scores_lists(s.outcome.scores),
-            "pruned": list(s.outcome.pruned_frame_indices),
-            "retained": list(s.outcome.retained_frame_indices),
-            "mode": trace.mode,
-            "metric": trace.metric,
-            "selected": s.selected_frame_index,
-            "readout_cost": s.readout_cost,
-        })
-    return records
+    return [_stamped({
+        "step": s.step,
+        "frame_index": s.frame_index,
+        "bank_before": list(s.bank_before),
+        "bank_after": list(s.bank_after),
+        **_decision(s.outcome, trace.mode, trace.metric),
+        "selected": s.selected_frame_index,
+        "readout_cost": s.readout_cost,
+    }) for s in trace.steps]

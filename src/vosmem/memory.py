@@ -36,6 +36,11 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"unknown similarity metric {metric!r}, expected one of {SIMILARITY_METRICS}")
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in PRUNE_MODES:
+        raise ValueError(f"unknown prune mode {mode!r}, expected one of {PRUNE_MODES}")
+
+
 # Cosine, Pearson and Spearman read the per-frame keys that FeatureMap
 # computes once, so each pair costs one dot product. Pairs are not batched
 # across a group: a stacked reduction sums in another order, and a one-ulp
@@ -213,10 +218,6 @@ class MemoryBank:
     def frame_indices(self) -> tuple[int, ...]:
         return tuple(e.frame_index for e in self._entries)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._entries) == self.capacity
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -255,8 +256,7 @@ class MemoryBank:
         the bank itself shrinks to the retained entries; in ``select`` mode
         the outcome is a per-step view and the bank is left unchanged.
         """
-        if mode not in PRUNE_MODES:
-            raise ValueError(f"unknown prune mode {mode!r}, expected one of {PRUNE_MODES}")
+        _check_mode(mode)
         _check_metric(metric)
         if len(self._entries) < self.capacity:
             return PruneOutcome(retained=tuple(self._entries), pruned_frame_indices=())

@@ -14,6 +14,7 @@ was hallucinated); when exactly one side is empty they return 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,9 +51,14 @@ def _ratio(part: int, whole: int) -> float:
     return 1.0 if whole == 0 else part / whole
 
 
-def _check_radius(radius: int) -> None:
+def _check_radius(radius: int) -> int:
+    try:
+        radius = operator.index(radius)
+    except TypeError:
+        raise ValueError(f"radius must be an integer, got {radius!r}") from None
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
+    return radius
 
 
 def jaccard(pred, gt) -> float:
@@ -90,11 +96,14 @@ def dilate_disk(pixels, radius: int) -> np.ndarray:
     The disk is one horizontal run per row offset (Urbach & Wilkinson, IEEE
     TIP 2008). With prefix sums along the rows of the padded set, one
     subtraction tells whether a run covers a member, so the work is
-    O(h*w*r). A radius beyond h + w reaches no further than h + w does.
+    O(h*w*r). A disk that spans the image diagonal covers the whole image
+    from any member, so such a radius costs no more than a fill.
     """
+    r = _check_radius(radius)
     m = _as_pixel_set(pixels)
     h, w = m.shape
-    r = min(radius, h + w)
+    if r * r >= (h - 1) ** 2 + (w - 1) ** 2:
+        return np.full_like(m, m.any())
     half_widths = np.count_nonzero(disk_footprint(r), axis=1) // 2
     band = np.zeros((h + 2 * r, w + 2 * r + 1), dtype=np.int32)
     np.cumsum(np.pad(m, r), axis=1, out=band[:, 1:])
@@ -235,12 +244,14 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     frame. J, F, and Dice are per-frame values averaged over the sequence;
     the sequence-level IoU accumulates counts over all frames first.
     """
-    _check_radius(radius)
+    radius = _check_radius(radius)  # a plain int, so the report serializes
     _check_aligned(pred, gt)
     requested = list(metrics)
     unknown = [m for m in requested if m not in METRIC_NAMES]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}, expected a subset of {METRIC_NAMES}")
+    if not requested:
+        raise ValueError("no metrics requested")
 
     gt_ids = sorted({i for frame in gt for i in frame.object_ids()})
     ids = gt_ids if object_ids is None else sorted(int(i) for i in object_ids)

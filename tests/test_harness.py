@@ -197,6 +197,12 @@ class TestTrackSequence:
                 ValueError, match=r"euclidean score -inf for frame 0 is not finite"):
             track_sequence(scene, config, metric="euclidean", prune_enabled=prune_enabled)
 
+    def test_unknown_mode_rejected_even_without_pruning(self):
+        # with pruning off the mode is never used, but it is written to every record
+        with pytest.raises(ValueError, match="unknown prune mode 'bogus'"):
+            track_sequence(_static_scene(3), ToyEncoderConfig(), mode="bogus",
+                           prune_enabled=False)
+
     def test_scene_too_short_rejected(self):
         scene = generate_scene(SceneConfig(n_frames=1))
         config = ToyEncoderConfig()

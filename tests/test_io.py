@@ -18,6 +18,7 @@ from vosmem.io import (
     MaskFormatError,
     TensorFormatError,
     frame_index_from_stem,
+    json_text,
     mask_bytes,
     parse_tensor_bytes,
     prune_record,
@@ -302,6 +303,10 @@ class TestAtomicity:
 
 
 class TestTraceRecords:
+    def test_json_documents_lead_with_schema_version(self):
+        assert json_text({"b": 1, "a": [2]}) == (
+            '{\n  "schema_version": 1,\n  "b": 1,\n  "a": [\n    2\n  ]\n}\n')
+
     def test_prune_record_key_order_and_content(self):
         bank = MemoryBank(capacity=4)
         for i in range(4):

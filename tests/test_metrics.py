@@ -1,5 +1,7 @@
 """Segmentation metrics: overlap, boundary agreement, reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +169,32 @@ class TestDilateDisk:
         np.testing.assert_array_equal(huge, np.ones((5, 7), dtype=bool))
         np.testing.assert_array_equal(huge, dilate_disk(m, 5 + 7))
         assert boundary_f(m, grid(5, 7, [(4, 6)]), radius=10**9) == 1.0
+
+    def test_radius_beyond_diagonal_costs_no_more_than_the_image(self):
+        m = grid(120, 200, [(60, 100)])
+        empty = grid(120, 200)
+        tracemalloc.start()
+        try:
+            full = dilate_disk(m, 10**9)
+            none = dilate_disk(empty, 10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full.all() and not none.any()
+        assert peak < 4 * m.nbytes
+
+    @pytest.mark.parametrize("radius", [1.5, 2.0, "3", None])
+    def test_non_integer_radius_rejected(self, radius):
+        m = grid(6, 6, [(2, 2)])
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            dilate_disk(m, radius)
+        with pytest.raises(ValueError, match="radius must be an integer"):
+            boundary_f(m, grid(6, 6, [(3, 3)]), radius)
+
+    def test_negative_radius_rejected_before_the_full_image_shortcut(self):
+        # a 1x1 image makes every radius reach the diagonal
+        with pytest.raises(ValueError, match="radius must be >= 0, got -5"):
+            dilate_disk(grid(1, 1, [(0, 0)]), -5)
 
 
 class TestBoundaryF:
@@ -381,6 +409,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown metrics"):
             evaluate(pred, gt, metrics=("J", "IoU"))
 
+    def test_empty_metric_list_rejected(self):
+        pred, gt = self._toy()
+        with pytest.raises(ValueError, match="no metrics requested"):
+            evaluate(pred, gt, metrics=[])
+
     def test_misaligned_lengths_rejected(self):
         pred, gt = self._toy()
         short = _mask_seq([np.zeros((4, 4), int)])
@@ -418,6 +451,15 @@ class TestEvaluate:
         text = json.dumps(payload)
         assert '"radius": 2' in text
         assert set(payload["per_object"]) == {"1", "2"}
+
+    @pytest.mark.parametrize("radius", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_radius_reported_as_plain_int(self, radius):
+        import json
+
+        pred, gt = self._toy()
+        report = evaluate(pred, gt, radius=radius)
+        assert type(report.radius) is int
+        assert '"radius": 2' in json.dumps(report.to_dict())
 
     def test_format_table_layout(self):
         pred, gt = self._toy()
