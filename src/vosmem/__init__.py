@@ -21,7 +21,6 @@ from .core import (
     FeatureMap,
     FrameSequence,
     LabelMask,
-    approx_equal,
     make_feature_map,
 )
 from .harness import (
@@ -83,7 +82,6 @@ __all__ = [
     "FeatureMap",
     "FrameSequence",
     "LabelMask",
-    "approx_equal",
     "make_feature_map",
     "ENCODER_CHANNELS",
     "OBJECT_ID",

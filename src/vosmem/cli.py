@@ -210,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="encoder resolution hxw; must divide the grid")
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
                    default=ToyEncoderConfig.noise_sigma)
-    p.add_argument("--seed", type=int, default=SceneConfig.seed)
+    p.add_argument("--seed", type=int, default=SceneConfig.seed,
+                   help="scene and encoder noise seed, 0..2**64-1")
     p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     p.add_argument("--metric", choices=SIMILARITY_METRICS, default=DEFAULT_METRIC)
     p.add_argument("--mode", choices=PRUNE_MODES, default=DEFAULT_MODE)

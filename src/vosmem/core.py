@@ -123,18 +123,6 @@ def make_feature_map(frame_index: int, channels: int, height: int, width: int,
     return FeatureMap(frame_index, flat.reshape(channels, height, width))
 
 
-def approx_equal(a: FeatureMap, b: FeatureMap, tol: float) -> bool:
-    """True iff shapes match and the max absolute elementwise difference <= tol.
-
-    Shape mismatch compares as unequal rather than raising.
-    """
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    if a.shape != b.shape:
-        return False
-    return float(np.max(np.abs(a.data - b.data))) <= tol
-
-
 @dataclass(frozen=True, eq=False)
 class LabelMask:
     """Per-frame integer mask: 0 is background, 1..255 are object ids."""

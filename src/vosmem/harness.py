@@ -34,6 +34,7 @@ from .memory import (
 OBJECT_SHAPES = ("square", "disk")
 OBJECT_ID = 1
 ENCODER_CHANNELS = ("occupancy", "x_coord", "y_coord", "noise")
+_KEY_MAX = 2**64 - 1  # largest Philox key word
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,9 @@ class SceneConfig:
     r spans 2r+1 (r is the radius). ``velocity`` is (vx, vy) pixels per
     frame; motion continues through gaps, during which the object simply
     is not drawn. The object must fit the grid at frame 0; later frames
-    clip it at the borders (possibly to nothing).
+    clip it at the borders (possibly to nothing). ``seed`` plays no part in
+    drawing the scene; it is carried for the encoder's noise, and
+    :func:`encode_frame` checks its range.
     """
 
     grid: tuple[int, int] = (32, 32)  # (H, W)
@@ -68,8 +71,6 @@ class SceneConfig:
             raise ValueError(f"{self.shape} size must be >= {min_size}, got {self.size}")
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for lo, hi in self.gaps:
             if lo < 0 or hi < lo:
                 raise ValueError(f"gap interval ({lo}, {hi}) is not a valid frame range")
@@ -144,22 +145,29 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
     The noise channel comes from a Philox generator keyed by
     (seed, frame_index): the same (mask, seed, frame_index) always yields
     identical features, regardless of how many frames were encoded before.
+    Each key word is 64 bits, so ``seed`` and ``frame_index`` must lie in
+    0..2**64-1; a value outside that range raises ``ValueError``.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value in (("seed", seed), ("frame_index", frame_index)):
+        if not 0 <= value <= _KEY_MAX:
+            raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
     big_h, big_w = mask.labels.shape
     h, w = config.feature_resolution
     if big_h % h != 0 or big_w % w != 0:
         raise ValueError(
             f"feature_resolution {config.feature_resolution} must divide the "
             f"mask grid {(big_h, big_w)} exactly")
-    occupancy = (mask.labels != 0).astype(np.float64)
-    blocks = occupancy.reshape(h, big_h // h, w, big_w // w)
-    occ = blocks.mean(axis=(1, 3))
+    bh, bw = big_h // h, big_w // w
+    # Exact integer block sums, rows of each band first (whole-row adds),
+    # then columns; one division gives the same float64 as a block mean.
+    counts = (mask.labels != 0).reshape(h, bh, big_w).sum(axis=1)
+    occ = counts.reshape(h, w, bw).sum(axis=2) / (bh * bw)
     x_map = np.broadcast_to((np.arange(w) + 0.5) / w, (h, w))
     y_map = np.broadcast_to(((np.arange(h) + 0.5) / h)[:, None], (h, w))
     if config.noise_sigma > 0.0:
-        rng = np.random.Generator(np.random.Philox(key=[seed, frame_index]))
+        # a plain list with a word past 2**63 would pass through float64
+        key = np.array([seed, frame_index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         noise = rng.normal(0.0, config.noise_sigma, size=(h, w))
     else:
         noise = np.zeros((h, w))

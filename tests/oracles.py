@@ -232,3 +232,27 @@ def ciou_oracle(pred_seq, gt_seq) -> float:
     if union == 0:
         return 1.0
     return inter / union
+
+
+# ---------------------------------------------------------------------------
+# encoder oracles
+
+
+def block_mean_oracle(labels, h: int, w: int) -> list[list[float]]:
+    """Share of nonzero pixels in each of the h x w equal blocks of the grid."""
+    big_h = len(labels)
+    big_w = len(labels[0])
+    bh = big_h // h
+    bw = big_w // w
+    out = []
+    for i in range(h):
+        row = []
+        for j in range(w):
+            count = 0
+            for y in range(i * bh, (i + 1) * bh):
+                for x in range(j * bw, (j + 1) * bw):
+                    if labels[y][x] != 0:
+                        count += 1
+            row.append(count / (bh * bw))
+        out.append(row)
+    return out

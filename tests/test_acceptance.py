@@ -20,7 +20,7 @@ from oracles import (
     dilate_shift_oracle,
 )
 from vosmem.cli import run_command
-from vosmem.core import FeatureMap, LabelMask, approx_equal, make_feature_map
+from vosmem.core import FeatureMap, LabelMask, make_feature_map
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
     MaskFormatError,
@@ -282,7 +282,7 @@ def test_criterion_8_io_round_trips(tmp_path):
         write_tensor(fmap, tmp_path / "003.ften")
         back = read_tensor(tmp_path / "003.ften")
         assert back.frame_index == 3
-        assert approx_equal(fmap, back, 0.0)
+        assert np.array_equal(fmap.data, back.data)
 
         labels = rng.integers(0, 4, size=(9, 7)).astype(np.uint8)
         write_mask(LabelMask(5, labels), tmp_path / "005.pgm")

@@ -292,6 +292,16 @@ class TestErrorHandling:
         assert captured.err.splitlines() == ["error: radius must be >= 0, got -2"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_simulate_writes_nothing(self, tmp_path, capsys, seed):
+        out = tmp_path / "run"
+        assert run_command(["simulate", "--out", str(out), "--seed", str(seed),
+                            "--noise-sigma", "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: seed must be in 0..2**64-1, got {seed}"]
+        assert not out.exists()
+
     def test_empty_feature_dir_exits_1(self, tmp_path, capsys):
         assert run_command(["prune", "--features", str(tmp_path)]) == 1
         assert "no tensor files" in capsys.readouterr().err
@@ -386,7 +396,9 @@ def _flag_values(paths):
             "--start": _pair(-1, 6), "--velocity": _pair(-2, 2), "--frames": _small,
             "--gaps": st.sampled_from(["", "1:2", "3", "2:1", "-1:0", "0:9"]),
             "--feature-res": _dims(0, 6), "--noise-sigma": st.sampled_from(["0", "0.5", "-1"]),
-            "--seed": _small, "--capacity": _small,
+            "--seed": st.one_of(_small, st.sampled_from(
+                ["-1", "18446744073709551615", "18446744073709551616"])),
+            "--capacity": _small,
             "--metric": st.sampled_from(["dot", "pearson", "manhattan"]),
             "--mode": st.sampled_from(["select", "persistent"]),
             "--no-prune": st.just(None), "--radius": _radius,

@@ -1,4 +1,4 @@
-"""Value-type construction, validation, and approximate equality."""
+"""Value-type construction, validation, and average ranks."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from vosmem.core import (
     FeatureMap,
     FrameSequence,
     LabelMask,
-    approx_equal,
     average_ranks,
     make_feature_map,
 )
@@ -122,42 +121,6 @@ class TestMakeFeatureMap:
     def test_rejects_nonpositive_dims(self):
         with pytest.raises(ValueError, match="dimensions"):
             make_feature_map(0, 0, 2, 2, [])
-
-
-class TestApproxEqual:
-    def test_identity_tol_zero(self):
-        fm = make_feature_map(0, 1, 2, 2, [1.0, 2.0, 3.0, 4.0])
-        assert approx_equal(fm, fm, 0.0)
-
-    def test_small_perturbation_within_loose_tol(self):
-        a = make_feature_map(0, 1, 1, 3, [0.5, 0.5, 0.5])
-        b = make_feature_map(0, 1, 1, 3, [0.5 + 1e-6, 0.5, 0.5 - 1e-6])
-        assert approx_equal(a, b, 1e-5)
-        assert not approx_equal(a, b, 1e-7)
-
-    def test_unit_difference_fails_half_tol(self):
-        a = make_feature_map(0, 1, 1, 1, [0.0])
-        b = make_feature_map(0, 1, 1, 1, [1.0])
-        assert not approx_equal(a, b, 0.5)
-
-    def test_shape_mismatch_is_unequal_not_error(self):
-        a = make_feature_map(0, 1, 1, 2, [0.0, 0.0])
-        b = make_feature_map(0, 1, 2, 1, [0.0, 0.0])
-        assert not approx_equal(a, b, 100.0)
-
-    def test_negative_tol_rejected(self):
-        a = make_feature_map(0, 1, 1, 1, [0.0])
-        with pytest.raises(ValueError, match="tol"):
-            approx_equal(a, a, -1e-9)
-
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
-           st.floats(0.0, 10.0))
-    @settings(max_examples=60)
-    def test_reflexive_and_symmetric(self, values, tol):
-        a = make_feature_map(0, 1, 2, 2, values)
-        b = make_feature_map(0, 1, 2, 2, values[::-1])
-        assert approx_equal(a, a, tol)
-        assert approx_equal(a, b, tol) == approx_equal(b, a, tol)
 
 
 class TestLabelMask:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import block_mean_oracle
 
 from vosmem.core import FrameSequence, LabelMask
 from vosmem.harness import (
@@ -87,6 +90,25 @@ class TestGenerateScene:
         assert int(rows[0]) == 5 and int(cols[0]) == 5
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def _occupancy_cases(draw):
+    """A mask of up to 24x24 label ids and a feature resolution dividing it."""
+    big_h = draw(st.integers(1, 24))
+    big_w = draw(st.integers(1, 24))
+    fill = draw(st.sampled_from(["empty", "full", "mixed"]))
+    ids = {"empty": st.just(0), "full": st.integers(1, 255),
+           "mixed": st.one_of(st.just(0), st.integers(1, 255))}[fill]
+    values = draw(st.lists(ids, min_size=big_h * big_w, max_size=big_h * big_w))
+    labels = np.array(values, dtype=np.uint8).reshape(big_h, big_w)
+    resolution = (draw(st.sampled_from(_divisors(big_h))),
+                  draw(st.sampled_from(_divisors(big_w))))
+    return labels, resolution
+
+
 class TestEncodeFrame:
     def _mask(self, labels, idx=0):
         return LabelMask(idx, np.asarray(labels, dtype=np.uint8))
@@ -136,6 +158,43 @@ class TestEncodeFrame:
         config = ToyEncoderConfig(feature_resolution=(3, 4))
         with pytest.raises(ValueError, match="divide"):
             encode_frame(mask, config, seed=0, frame_index=0)
+
+    @pytest.mark.parametrize("value", [-1, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("name", ["seed", "frame_index"])
+    def test_key_words_must_fit_64_bits(self, name, value):
+        mask = self._mask(np.zeros((8, 8), int))
+        config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
+        key = {"seed": 0, "frame_index": 0, name: value}
+        if value == 2**64 - 1:
+            features = encode_frame(mask, config, **key)
+            assert np.isfinite(features.data).all()
+        else:
+            with pytest.raises(ValueError, match=rf"{name} must be in 0\.\.2\*\*64-1"):
+                encode_frame(mask, config, **key)
+
+    @pytest.mark.parametrize("seeds", [(2**63, 2**63 + 1), (2**64 - 1, 0)])
+    def test_key_words_past_63_bits_give_their_own_noise(self, seeds):
+        mask = self._mask(np.zeros((8, 8), int))
+        config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
+        a, b = (encode_frame(mask, config, seed=s, frame_index=3).data[3] for s in seeds)
+        assert not np.array_equal(a, b)
+
+    @given(case=_occupancy_cases())
+    @example(case=(np.zeros((24, 24), np.uint8), (24, 24)))  # empty, 1x1 blocks
+    @example(case=(np.full((24, 24), 255, np.uint8), (1, 1)))  # full, whole grid
+    @example(case=(np.eye(6, 24, dtype=np.uint8), (6, 1)))  # 1xN blocks
+    @example(case=(np.eye(24, 6, dtype=np.uint8), (1, 6)))  # Nx1 blocks
+    @settings(max_examples=200, deadline=None)
+    def test_occupancy_matches_block_oracle_and_mean(self, case):
+        labels, (h, w) = case
+        big_h, big_w = labels.shape
+        config = ToyEncoderConfig(feature_resolution=(h, w))
+        occ = encode_frame(self._mask(labels), config, seed=0, frame_index=0).data[0]
+        expected = np.array(block_mean_oracle(labels.tolist(), h, w), dtype=np.float64)
+        mean = (labels != 0).astype(np.float64).reshape(
+            h, big_h // h, w, big_w // w).mean(axis=(1, 3))
+        assert occ.tobytes() == expected.tobytes()
+        assert occ.tobytes() == mean.tobytes()
 
 
 def _static_scene(n_frames=20):

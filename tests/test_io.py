@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vosmem.core import FrameSequence, LabelMask, approx_equal, make_feature_map
+from vosmem.core import FrameSequence, LabelMask, make_feature_map
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
     TENSOR_MAGIC,
@@ -48,14 +48,14 @@ class TestTensorFormat:
         write_tensor(fm, path)
         back = read_tensor(path)
         assert back.frame_index == 0
-        assert approx_equal(fm, back, 0.0)
+        assert np.array_equal(fm.data, back.data)
 
     def test_float32_round_trip_of_representable_values(self, tmp_path):
         data = np.float64(np.float32(np.random.default_rng(1).normal(size=(1, 2, 2))))
         fm = make_feature_map(4, 1, 2, 2, data.ravel())
         path = tmp_path / "004.ften"
         write_tensor(fm, path, dtype="float32")
-        assert approx_equal(fm, read_tensor(path), 0.0)
+        assert np.array_equal(fm.data, read_tensor(path).data)
 
     def test_header_layout(self):
         fm = make_feature_map(0, 1, 1, 2, [1.0, 2.0])
