@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -166,23 +166,23 @@ class LabelMask:
         return self.labels == object_id
 
 
-FramePayload = Union[FeatureMap, LabelMask]
-
-
 @dataclass(frozen=True)
 class FrameSequence:
-    """Temporally ordered frames (feature maps or masks) on a common grid.
+    """Temporally ordered label masks on a common grid.
 
-    frame_index must be strictly increasing and all frames must share the
-    same spatial dimensions.
+    Every frame must be a :class:`LabelMask`, frame_index must be strictly
+    increasing and all frames must share the same spatial dimensions.
     """
 
-    frames: tuple[FramePayload, ...]
+    frames: tuple[LabelMask, ...]
 
     def __post_init__(self):
         frames = tuple(self.frames)
         if not frames:
             raise ValueError("a frame sequence needs at least one frame")
+        for f in frames:
+            if not isinstance(f, LabelMask):
+                raise ValueError(f"frames must be LabelMask, got {type(f).__name__}")
         first = frames[0]
         for prev, cur in zip(frames, frames[1:]):
             if cur.frame_index <= prev.frame_index:
@@ -200,10 +200,10 @@ class FrameSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __iter__(self) -> Iterator[FramePayload]:
+    def __iter__(self) -> Iterator[LabelMask]:
         return iter(self.frames)
 
-    def __getitem__(self, i: int) -> FramePayload:
+    def __getitem__(self, i: int) -> LabelMask:
         return self.frames[i]
 
     @property

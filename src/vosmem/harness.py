@@ -134,16 +134,22 @@ class ToyEncoderConfig:
         h, w = self.feature_resolution
         if h < 1 or w < 1:
             raise ValueError(f"feature_resolution must be at least 1x1, got {self.feature_resolution}")
-        if not self.noise_sigma >= 0.0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
                  frame_index: int) -> FeatureMap:
     """Featurize one mask into the fixed 4-channel layout.
 
-    The noise channel comes from a Philox generator keyed by
-    (seed, frame_index): the same (mask, seed, frame_index) always yields
+    Occupancy is each block's count of non-zero pixels, summed exactly in
+    the narrowest unsigned type that holds a whole block and divided once
+    by the block size, so it equals the float64 block mean bit for bit.
+
+    The noise channel is drawn in place from a Philox generator keyed by
+    (seed, frame_index) and equals ``Generator(Philox(key=k)).normal(0.0,
+    noise_sigma, (h, w))`` bit for bit, with ``k`` the uint64 array
+    ``[seed, frame_index]``. The same (mask, seed, frame_index) always yields
     identical features, regardless of how many frames were encoded before.
     Each key word is 64 bits, so ``seed`` and ``frame_index`` must lie in
     0..2**64-1; a value outside that range raises ``ValueError``.
@@ -158,20 +164,29 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
             f"feature_resolution {config.feature_resolution} must divide the "
             f"mask grid {(big_h, big_w)} exactly")
     bh, bw = big_h // h, big_w // w
-    # Exact integer block sums, rows of each band first (whole-row adds),
-    # then columns; one division gives the same float64 as a block mean.
-    counts = (mask.labels != 0).reshape(h, bh, big_w).sum(axis=1)
-    occ = counts.reshape(h, w, bw).sum(axis=2) / (bh * bw)
-    x_map = np.broadcast_to((np.arange(w) + 0.5) / w, (h, w))
-    y_map = np.broadcast_to(((np.arange(h) + 0.5) / h)[:, None], (h, w))
+    # Rows of each band are summed first; the small (h, W) partial is then
+    # transposed so that the columns of each block are summed by whole-row
+    # adds too, not by reducing an inner axis of length bw.
+    acc = np.min_scalar_type(bh * bw)
+    rows = (mask.labels != 0).reshape(h, bh, big_w).sum(axis=1, dtype=acc)
+    counts = np.ascontiguousarray(rows.T).reshape(w, bw, h).sum(axis=1, dtype=acc)
+    data = np.empty((4, h, w))
+    np.divide(counts.T, bh * bw, out=data[0])
+    data[1] = (np.arange(w) + 0.5) / w
+    data[2] = ((np.arange(h) + 0.5) / h)[:, None]
     if config.noise_sigma > 0.0:
         # a plain list with a word past 2**63 would pass through float64
         key = np.array([seed, frame_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        noise = rng.normal(0.0, config.noise_sigma, size=(h, w))
+        noise = rng.standard_normal(out=data[3])
+        # normal(0, s) is 0.0 + s * z over the same z; the + 0.0 turns the
+        # -0.0 of an underflowing product into +0.0 as normal() does. An
+        # overflow to inf is left for FeatureMap to reject.
+        with np.errstate(over="ignore"):
+            noise *= config.noise_sigma
+        noise += 0.0
     else:
-        noise = np.zeros((h, w))
-    data = np.stack([occ, x_map, y_map, noise])
+        data[3] = 0.0
     return FeatureMap(frame_index=frame_index, data=data)
 
 

@@ -67,16 +67,29 @@ class SamplingPlan:
         }
 
 
-def sample_indices(length: int, stride: int, phase: int = 0) -> list[int]:
-    """Arithmetic-progression frame indices phase, phase+stride, ... < length.
-
-    Never empty: the phase itself is always included.
-    """
+def _progression(length: int, stride: int, phase: int) -> range:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     if not 0 <= phase < length:
         raise ValueError(f"phase must be in [0, {length}), got {phase}")
-    return list(range(phase, length, stride))
+    return range(phase, length, stride)
+
+
+def _listed(view: range, length: int) -> list[int]:
+    try:
+        return list(view)
+    except OverflowError:  # more items than a list can index
+        raise ValueError(
+            f"a view of clip length {length} has too many frames to list") from None
+
+
+def sample_indices(length: int, stride: int, phase: int = 0) -> list[int]:
+    """Arithmetic-progression frame indices phase, phase+stride, ... < length.
+
+    Never empty: the phase itself is always included. A view with more
+    frames than a list can index raises ``ValueError`` naming the length.
+    """
+    return _listed(_progression(length, stride, phase), length)
 
 
 def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> SamplingPlan:
@@ -91,9 +104,8 @@ def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> Sampli
     for s in sorted(config.strides):
         phases = range(min(s, length)) if config.phase_policy == "all" else (0,)
         for t0 in phases:
-            indices = sample_indices(length, s, t0)
-            if config.max_frames is not None:
-                indices = indices[:config.max_frames]
+            # a range slices lazily, so max_frames applies before any listing
+            indices = _listed(_progression(length, s, t0)[:config.max_frames], length)
             views.append(SamplingView(stride=s, phase=t0, indices=tuple(indices)))
     return SamplingPlan(clip_length=length, views=tuple(views))
 

@@ -62,6 +62,13 @@ class TestSampleCommand:
         assert [(v["phase"], v["indices"]) for v in payload["views"]] == [
             (0, [0, 3]), (1, [1, 4]), (2, [2, 5])]
 
+    @pytest.mark.parametrize("length", ["9999999999", "99999999999999999999"])
+    def test_huge_length_with_max_frames_lists_only_those_frames(self, capsys, length):
+        assert run_command(["sample", "--length", length, "--strides", "1,2",
+                            "--max-frames", "2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [v["indices"] for v in payload["views"]] == [[0, 1], [0, 2]]
+
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         run_command(["sample", "--length", "50", "--out", str(first)])
@@ -302,6 +309,22 @@ class TestErrorHandling:
         assert captured.err.splitlines() == [f"error: seed must be in 0..2**64-1, got {seed}"]
         assert not out.exists()
 
+    def test_view_too_long_to_list_exits_1_with_one_error_line(self, capsys):
+        assert run_command(["sample", "--length", "99999999999999999999",
+                            "--strides", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: a view of clip length 99999999999999999999 has too many frames to list"]
+
+    def test_infinite_noise_sigma_simulate_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_command(["simulate", "--out", str(out), "--noise-sigma", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: noise_sigma must be finite and >= 0, got inf"]
+        assert not out.exists()
+
     def test_empty_feature_dir_exits_1(self, tmp_path, capsys):
         assert run_command(["prune", "--features", str(tmp_path)]) == 1
         assert "no tensor files" in capsys.readouterr().err
@@ -371,7 +394,10 @@ def _flag_values(paths):
     """Per subcommand, each flag with values drawn from small bounded ranges."""
     return {
         "sample": {
-            "--length": _small, "--strides": st.sampled_from(["1", "1,2", "0", "3,3", "-1"]),
+            # a view past 2**63 frames cannot be listed; no length between 10**8
+            # and 2**63 is drawn, since without --max-frames it would be listed
+            "--length": st.one_of(_small, st.just("99999999999999999999")),
+            "--strides": st.sampled_from(["1", "1,2", "0", "3,3", "-1"]),
             "--phase-policy": st.sampled_from(["single", "all", "both"]),
             "--max-frames": _small, "--out": st.just(paths["out_file"]),
         },
@@ -395,7 +421,7 @@ def _flag_values(paths):
             "--shape": st.sampled_from(["square", "disk", "star"]), "--size": _small,
             "--start": _pair(-1, 6), "--velocity": _pair(-2, 2), "--frames": _small,
             "--gaps": st.sampled_from(["", "1:2", "3", "2:1", "-1:0", "0:9"]),
-            "--feature-res": _dims(0, 6), "--noise-sigma": st.sampled_from(["0", "0.5", "-1"]),
+            "--feature-res": _dims(0, 6), "--noise-sigma": st.sampled_from(["0", "0.5", "-1", "inf"]),
             "--seed": st.one_of(_small, st.sampled_from(
                 ["-1", "18446744073709551615", "18446744073709551616"])),
             "--capacity": _small,

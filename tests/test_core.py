@@ -181,10 +181,10 @@ class TestFrameSequence:
         with pytest.raises(ValueError, match="spatial dimensions"):
             FrameSequence((self._mask(0, (4, 4)), self._mask(1, (4, 5))))
 
-    def test_holds_feature_maps_too(self):
-        frames = (FeatureMap(0, np.zeros((2, 3, 3))), FeatureMap(4, np.ones((2, 3, 3))))
-        seq = FrameSequence(frames)
-        assert seq.spatial_shape == (3, 3)
+    @pytest.mark.parametrize("frame", [FeatureMap(0, np.zeros((2, 4, 4))), None])
+    def test_rejects_frames_that_are_not_masks(self, frame):
+        with pytest.raises(ValueError, match=f"got {type(frame).__name__}$"):
+            FrameSequence((frame, self._mask(1)))
 
 
 class TestIdentityEquality:
@@ -198,7 +198,8 @@ class TestIdentityEquality:
         assert {m: 1}[m] == 1
 
     def test_frame_sequences_compare_without_raising(self):
-        frames = (FeatureMap(0, np.ones((1, 1, 2))), FeatureMap(1, np.ones((1, 1, 2))))
+        frames = (LabelMask(0, np.ones((1, 2), dtype=np.uint8)),
+                  LabelMask(1, np.ones((1, 2), dtype=np.uint8)))
         assert FrameSequence(frames) == FrameSequence(frames)
         assert FrameSequence(frames) != FrameSequence(frames[:1])
         assert hash(FrameSequence(frames)) == hash(FrameSequence(frames))

@@ -3,7 +3,8 @@
 Every ``simulate`` metric and mode (with noise and a gap) at capacities
 2, 3 and 7, a ``--no-prune`` run, ``eval --per-frame`` on two ``simulate``
 runs, ``prune`` over float32 and float64 tensors and ``sample`` with
-``--phase-policy all`` go through :func:`vosmem.cli.run_command`. Mask
+``--phase-policy all`` go through :func:`vosmem.cli.run_command`, and the
+demo scripts in ``scripts/`` run as CI runs them. Mask
 bytes, integers and stdout are hashed exactly; JSON floats are rounded to
 12 significant digits first, so a one-ulp BLAS difference on another CPU
 passes while any changed decision (a prune victim, a readout pick, a mask
@@ -21,6 +22,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -28,12 +31,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vosmem
 from vosmem.cli import run_command
 from vosmem.core import FeatureMap
 from vosmem.io import write_tensor
 from vosmem.memory import PRUNE_MODES, SIMILARITY_METRICS
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
+SCRIPTS_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = ("metric_shootout", "pruning_cost", "stride_views")
 
 PER_FRAME_EVAL = ("simulate-spearman-select-3", "simulate-disk")
 
@@ -122,8 +128,17 @@ def _run(name: str, argv: list[str], root: Path, features: dict[str, Path]) -> d
     return result
 
 
+def _run_script(name: str) -> dict:
+    """Run one demo script in a fresh interpreter on the package under test."""
+    src = str(Path(vosmem.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, str(SCRIPTS_DIR / f"{name}.py")],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    return {"exit": proc.returncode, "stdout": _sha(proc.stdout)}
+
+
 def compute_all() -> dict[str, dict]:
-    results = {}
+    results = {f"script-{name}": _run_script(name) for name in SCRIPTS}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         features = {}
@@ -148,11 +163,15 @@ def golden():
     return json.loads(GOLDEN_PATH.read_text())
 
 
+def _names() -> list[str]:
+    return sorted([*_cases(), *(f"script-{name}" for name in SCRIPTS)])
+
+
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(_cases())
+    assert sorted(golden) == _names()
 
 
-@pytest.mark.parametrize("name", sorted(_cases()))
+@pytest.mark.parametrize("name", _names())
 def test_output_matches_golden(name, computed, golden):
     assert computed[name] == golden[name]
 

@@ -1,5 +1,7 @@
 """Synthetic tracker: scene kinematics, encoder determinism, streaming loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -179,11 +181,40 @@ class TestEncodeFrame:
         a, b = (encode_frame(mask, config, seed=s, frame_index=3).data[3] for s in seeds)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-310, 0.05, 1e300])
+    def test_noise_channel_is_philox_normal_bit_for_bit(self, sigma):
+        mask = self._mask(np.zeros((12, 20), int))
+        config = ToyEncoderConfig(feature_resolution=(6, 10), noise_sigma=sigma)
+        noise = encode_frame(mask, config, seed=7, frame_index=11).data[3]
+        key = np.array([7, 11], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).normal(0.0, sigma, (6, 10))
+        assert noise.tobytes() == expected.tobytes()
+
+    def test_overflowing_noise_raises_value_error_without_warning(self):
+        mask = self._mask(np.zeros((8, 8), int))
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=1e308)
+        key = np.array([0, 5], dtype=np.uint64)
+        noise = np.random.Generator(np.random.Philox(key=key)).normal(0.0, 1e308, (8, 8))
+        first_inf = 3 * 64 + int(np.flatnonzero(np.isinf(noise))[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=rf"^non-finite feature value at flat index {first_inf}$"):
+                encode_frame(mask, config, seed=0, frame_index=5)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match=rf"^noise_sigma must be finite and >= 0, got {sigma}$"):
+            ToyEncoderConfig(noise_sigma=sigma)
+
     @given(case=_occupancy_cases())
     @example(case=(np.zeros((24, 24), np.uint8), (24, 24)))  # empty, 1x1 blocks
     @example(case=(np.full((24, 24), 255, np.uint8), (1, 1)))  # full, whole grid
     @example(case=(np.eye(6, 24, dtype=np.uint8), (6, 1)))  # 1xN blocks
     @example(case=(np.eye(24, 6, dtype=np.uint8), (1, 6)))  # Nx1 blocks
+    @example(case=(np.full((255, 1), 9, np.uint8), (1, 1)))  # uint8 sums at their maximum
+    @example(case=(np.full((256, 1), 9, np.uint8), (1, 1)))  # uint16 sums
+    @example(case=(np.full((256, 256), 9, np.uint8), (1, 1)))  # uint32 sums
     @settings(max_examples=200, deadline=None)
     def test_occupancy_matches_block_oracle_and_mean(self, case):
         labels, (h, w) = case

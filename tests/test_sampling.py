@@ -51,6 +51,10 @@ class TestSampleIndices:
         with pytest.raises(ValueError, match="phase"):
             sample_indices(10, 2, phase=-1)
 
+    def test_view_too_long_to_list_names_the_length(self):
+        with pytest.raises(ValueError, match=r"^a view of clip length 100000000000000000000 "):
+            sample_indices(10**20, 1)
+
     @given(st.integers(1, 500), st.integers(1, 20), st.integers(0, 19))
     @settings(max_examples=120)
     def test_indices_bounded_and_arithmetic(self, length, stride, phase):
@@ -118,6 +122,16 @@ class TestBuildPlan:
     def test_max_frames_truncates_from_the_end(self):
         plan = build_plan(10, SamplingConfig(strides=(1,), max_frames=4))
         assert plan.views[0].indices == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("length", [10**10, 10**20])
+    def test_max_frames_applies_before_a_huge_view_is_listed(self, length):
+        config = SamplingConfig(strides=(1, 3), phase_policy="all", max_frames=2)
+        assert [(v.stride, v.phase, v.indices) for v in build_plan(length, config).views] == [
+            (1, 0, (0, 1)), (3, 0, (0, 3)), (3, 1, (1, 4)), (3, 2, (2, 5))]
+
+    def test_view_too_long_to_list_names_the_length(self):
+        with pytest.raises(ValueError, match=r"^a view of clip length 100000000000000000000 "):
+            build_plan(10**20, SamplingConfig(strides=(2,)))
 
     def test_strides_emitted_in_sorted_order(self):
         plan = build_plan(10, SamplingConfig(strides=(4, 1, 2)))
