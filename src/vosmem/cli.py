@@ -226,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv=None) -> int:
     """Parse and execute one subcommand; returns the process exit status.
 
-    Failures never propagate: argparse exits are converted to their status
-    code and domain errors print one ``error: <message>`` line to stderr.
+    Failures never propagate: argparse exits become their status code, and
+    domain errors and MemoryError print one ``error:`` line to stderr.
     """
     parser = build_parser()
     try:
@@ -242,6 +242,9 @@ def run_command(argv=None) -> int:
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

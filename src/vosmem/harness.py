@@ -30,6 +30,7 @@ from .memory import (
     argmax_frame,
     similarity,
 )
+from .metrics import disk_footprint
 
 OBJECT_SHAPES = ("square", "disk")
 OBJECT_ID = 1
@@ -106,10 +107,7 @@ def _rasterize(config: SceneConfig, t: int) -> np.ndarray:
     if config.shape == "square":
         labels[y_lo:y_hi, x_lo:x_hi] = OBJECT_ID
     else:
-        r = config.size
-        cy, cx = y + r, x + r
-        ii, jj = np.mgrid[y_lo:y_hi, x_lo:x_hi]
-        inside = (ii - cy) ** 2 + (jj - cx) ** 2 <= r * r
+        inside = disk_footprint(config.size)[y_lo - y:y_hi - y, x_lo - x:x_hi - x]
         labels[y_lo:y_hi, x_lo:x_hi][inside] = OBJECT_ID
     return labels
 
@@ -249,15 +247,15 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         observed = scene[t]
         features = encode_frame(observed, encoder_config, seed, observed.frame_index)
         bank_before = bank.frame_indices
+        entries = {e.frame_index: e for e in bank.entries}
         if prune_enabled:
             outcome = bank.prune_step(metric=metric, mode=mode)
         else:
-            outcome = PruneOutcome(retained=bank.entries, pruned_frame_indices=())
+            outcome = PruneOutcome(retained=bank_before, pruned_frame_indices=())
 
-        retained = {entry.frame_index: entry for entry in outcome.retained}
-        best_entry = retained[argmax_frame(metric, {
-            idx: similarity(metric, entry.features, features)
-            for idx, entry in retained.items()})]
+        best_entry = entries[argmax_frame(metric, {
+            i: similarity(metric, entries[i].features, features)
+            for i in outcome.retained})]
         if best_entry.mask is None:
             raise ValueError(
                 f"memory entry {best_entry.frame_index} has no stored mask to copy")

@@ -296,7 +296,7 @@ def _decision(outcome: PruneOutcome, mode: str, metric: str) -> dict:
         "scores": {group: [[idx, float(s[idx])] for idx in sorted(s)]
                    for group, s in outcome.scores.items()},
         "pruned": list(outcome.pruned_frame_indices),
-        "retained": list(outcome.retained_frame_indices),
+        "retained": list(outcome.retained),
         "mode": mode,
         "metric": metric,
     }

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import FeatureMap, LabelMask
 
-SIMILARITY_METRICS = ("cosine", "manhattan", "euclidean", "dot", "spearman", "pearson")
 PRUNE_MODES = ("persistent", "select")
 
 DEFAULT_CAPACITY = 7
@@ -97,6 +96,7 @@ _METRIC_FUNCS = {
     "spearman": _spearman,
     "pearson": _pearson,
 }
+SIMILARITY_METRICS = tuple(_METRIC_FUNCS)
 
 
 def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
@@ -131,8 +131,9 @@ def argmax_frame(metric: str, scores: dict[int, float]) -> int:
 class MemoryEntry:
     """One stored frame: its features plus the mask predicted/observed for it.
 
-    The mask is what the template segmenter copies at readout; it may be
-    omitted when a bank is built from features alone (e.g. the prune CLI).
+    Only the bank holds entries. The mask is what the template segmenter
+    copies at readout; it may be omitted when a bank is built from features
+    alone (e.g. the prune CLI).
     """
 
     frame_index: int
@@ -159,24 +160,20 @@ class MemoryGroup:
 
 @dataclass(frozen=True)
 class PruneOutcome:
-    """Result of one prune step.
+    """Result of one prune step, as frame indices: it holds no features.
 
-    retained is the temporally ordered list of entries fed to readout;
+    retained is the temporally ordered tuple of frame indices fed to readout;
     scores maps group name -> {candidate frame_index: redundancy score}.
     When the bank was below capacity nothing is scored or pruned.
     """
 
-    retained: tuple[MemoryEntry, ...]
+    retained: tuple[int, ...]
     pruned_frame_indices: tuple[int, ...]
     scores: dict[str, dict[int, float]] = field(default_factory=dict)
 
     @property
     def fired(self) -> bool:
         return bool(self.pruned_frame_indices)
-
-    @property
-    def retained_frame_indices(self) -> tuple[int, ...]:
-        return tuple(e.frame_index for e in self.retained)
 
 
 def redundancy_scores(metric: str, group: MemoryGroup) -> dict[int, float]:
@@ -259,7 +256,7 @@ class MemoryBank:
         _check_mode(mode)
         _check_metric(metric)
         if len(self._entries) < self.capacity:
-            return PruneOutcome(retained=tuple(self._entries), pruned_frame_indices=())
+            return PruneOutcome(retained=self.frame_indices, pruned_frame_indices=())
         short, long = self.split()
         scores: dict[str, dict[int, float]] = {}
         victims: list[int] = []
@@ -270,13 +267,11 @@ class MemoryBank:
             group_scores = redundancy_scores(metric, group)
             scores[group.name] = group_scores
             victims.append(argmax_frame(metric, group_scores))
-        victim_set = set(victims)
-        retained = tuple(e for e in self._entries if e.frame_index not in victim_set)
-        outcome = PruneOutcome(
-            retained=retained,
+        kept = [e for e in self._entries if e.frame_index not in victims]
+        if mode == "persistent":
+            self._entries = kept
+        return PruneOutcome(
+            retained=tuple(e.frame_index for e in kept),
             pruned_frame_indices=tuple(sorted(victims)),
             scores=scores,
         )
-        if mode == "persistent" and victims:
-            self._entries = list(retained)
-        return outcome

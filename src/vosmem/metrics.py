@@ -51,6 +51,15 @@ def _ratio(part: int, whole: int) -> float:
     return 1.0 if whole == 0 else part / whole
 
 
+def _dice(i: int, u: int) -> float:
+    return _ratio(2 * i, i + u)  # |P| + |G| == |P & G| + |P | G|
+
+
+def _ciou(counts: list[tuple[int, int]]) -> float:
+    """Sequence IoU from per-frame (intersection, union) pixel counts."""
+    return _ratio(sum(i for i, _ in counts), sum(u for _, u in counts))
+
+
 def _check_radius(radius: int) -> int:
     try:
         radius = operator.index(radius)
@@ -68,8 +77,7 @@ def jaccard(pred, gt) -> float:
 
 def dice(pred, gt) -> float:
     """Overlap 2|P & G| / (|P| + |G|); 1.0 when both sets are empty."""
-    i, u = _overlap(*_pixel_pair(pred, gt))
-    return _ratio(2 * i, i + u)  # |P| + |G| == |P & G| + |P | G|
+    return _dice(*_overlap(*_pixel_pair(pred, gt)))
 
 
 def boundary_pixels(mask) -> np.ndarray:
@@ -154,12 +162,8 @@ def ciou(pred_seq: Sequence, gt_seq: Sequence) -> float:
     if len(pred_seq) != len(gt_seq):
         raise ValueError(
             f"sequence lengths differ: {len(pred_seq)} vs {len(gt_seq)}")
-    inter = union = 0
-    for pred, gt in zip(pred_seq, gt_seq):
-        i, u = _overlap(*_pixel_pair(pred, gt))
-        inter += i
-        union += u
-    return _ratio(inter, union)
+    return _ciou([_overlap(*_pixel_pair(pred, gt))
+                  for pred, gt in zip(pred_seq, gt_seq)])
 
 
 @dataclass(frozen=True)
@@ -268,27 +272,26 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     per_frame: dict[int, list[dict[str, float]]] = {}
     for oid in ids:
         rows = []
-        inter = union = 0
+        counts = []
         for pf, gf in zip(pred, gt):
             p = pf.binarize(oid)
             g = gf.binarize(oid)
             i, u = _overlap(p, g)
-            inter += i
-            union += u
+            counts.append((i, u))
             row: dict[str, float] = {"frame_index": pf.frame_index}
             if need_j:
                 row["J"] = _ratio(i, u)
             if need_f:
                 row["F"] = boundary_f(p, g, radius)
             if "Dice" in requested:
-                row["Dice"] = _ratio(2 * i, i + u)
+                row["Dice"] = _dice(i, u)
             rows.append(row)
         per_frame[oid] = rows
         means = {name: float(np.mean([r[name] for r in rows]))
                  for name in ("J", "F", "Dice") if name in rows[0]}
         if "J&F" in requested:
             means["J&F"] = j_and_f(means["J"], means["F"])
-        means["CIoU"] = _ratio(inter, union)
+        means["CIoU"] = _ciou(counts)
         # canonical key order keeps serialized reports byte-stable
         per_object[oid] = {name: means[name] for name in METRIC_NAMES if name in requested}
 

@@ -110,7 +110,7 @@ def test_criterion_2_prune_structure_suite():
 
             metric = SIMILARITY_METRICS[trial % len(SIMILARITY_METRICS)]
             outcome = bank.prune_step(metric=metric, mode="select")
-            retained = outcome.retained_frame_indices
+            retained = outcome.retained
             assert len(retained) == 5
             assert newest in retained and oldest in retained
             pruned = outcome.pruned_frame_indices
@@ -120,7 +120,7 @@ def test_criterion_2_prune_structure_suite():
 
         for n in range(2, 13):
             outcome = full_bank(n, rng).prune_step()
-            retained = set(outcome.retained_frame_indices)
+            retained = set(outcome.retained)
             assert {0, n - 1} <= retained  # both references survive
             # each group sheds one entry iff it holds a non-reference
             # candidate; at n=2 neither group does, at n=3 only one does
@@ -152,7 +152,7 @@ def test_criterion_3_duplicate_pruning():
         for metric in SIMILARITY_METRICS:
             outcome = bank.prune_step(metric=metric, mode="select")
             assert outcome.pruned_frame_indices == (t - 4, t - 1), metric
-            assert set(outcome.retained_frame_indices) == {
+            assert set(outcome.retained) == {
                 t - 6, t - 5, t - 3, t - 2, t}, metric
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -221,13 +222,18 @@ class TestSimulateCommand:
         assert records[-1]["bank_after"] == [3, 4, 5, 6, 7, 8, 9]
 
 
-def run_cli_process(*args):
+def run_cli_process(*args, preexec_fn=None):
     """Run ``python -m vosmem.cli`` or ``python -c`` in a fresh interpreter."""
     src = str(Path(vosmem.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=env, timeout=120, preexec_fn=preexec_fn)
+
+
+def _limit_address_space():
+    limit = 600 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 class TestErrorHandling:
@@ -316,6 +322,15 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             "error: a view of clip length 99999999999999999999 has too many frames to list"]
+
+    def test_out_of_memory_exits_1_with_one_error_line(self):
+        # phase policy "all" builds one view per phase: 10**8 views here
+        proc = run_cli_process("-m", "vosmem.cli", "sample", "--length", "100000000",
+                               "--strides", "100000000", "--phase-policy", "all",
+                               "--max-frames", "1", preexec_fn=_limit_address_space)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["error: out of memory"]
 
     def test_infinite_noise_sigma_simulate_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,6 +1,8 @@
 """Synthetic tracker: scene kinematics, encoder determinism, streaming loop."""
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import block_mean_oracle
 
+from vosmem import harness
 from vosmem.core import FrameSequence, LabelMask
 from vosmem.harness import (
     OBJECT_ID,
@@ -298,6 +301,28 @@ class TestTrackSequence:
         config = ToyEncoderConfig()
         with pytest.raises(ValueError, match="at least 2"):
             track_sequence(scene, config)
+
+    @pytest.mark.parametrize("mode", ["persistent", "select"])
+    def test_trace_holds_no_features(self, monkeypatch, mode):
+        encode = harness.encode_frame
+        maps = []
+
+        def encode_and_watch(*args, **kwargs):
+            features = encode(*args, **kwargs)
+            maps.append(weakref.ref(features))
+            return features
+
+        monkeypatch.setattr(harness, "encode_frame", encode_and_watch)
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
+        result = track_sequence(_static_scene(12), config, mode=mode)
+        gc.collect()
+        assert len(maps) == 12
+        assert [ref for ref in maps if ref() is not None] == []
+        _, trace = result
+        assert any(s.outcome.fired for s in trace.steps)
+        for s in trace.steps:
+            assert type(s.outcome.retained) is tuple
+            assert all(type(i) is int for i in s.outcome.retained)
 
     def test_select_mode_bank_stays_full(self):
         scene = _static_scene()

@@ -320,7 +320,7 @@ class TestPruneStep:
             bank.append(entry(i, [float(i)]))
         outcome = bank.prune_step()
         assert not outcome.fired
-        assert outcome.retained_frame_indices == (0, 1, 2, 3, 4, 5)
+        assert outcome.retained == (0, 1, 2, 3, 4, 5)
         assert outcome.pruned_frame_indices == ()
         assert bank.frame_indices == (0, 1, 2, 3, 4, 5)
 
@@ -329,7 +329,7 @@ class TestPruneStep:
         bank = bank_with_duplicates()
         outcome = bank.prune_step(metric=metric, mode="select")
         assert outcome.pruned_frame_indices == (11, 15)
-        assert outcome.retained_frame_indices == (10, 12, 13, 14, 16)
+        assert outcome.retained == (10, 12, 13, 14, 16)
 
     def test_persistent_mode_shrinks_bank(self):
         bank = bank_with_duplicates()
@@ -400,8 +400,8 @@ class TestPruneStep:
         # single entry (capacities 2 and 3) have only their reference
         expected = {2: 2, 3: 2}.get(n, n - 2)
         assert len(outcome.retained) == expected
-        assert newest in outcome.retained_frame_indices
-        assert oldest in outcome.retained_frame_indices
+        assert newest in outcome.retained
+        assert oldest in outcome.retained
 
 
 class TestPruneProperties:
@@ -413,7 +413,7 @@ class TestPruneProperties:
         bank = full_bank(rng, start=start, step=int(rng.integers(1, 4)))
         indices = bank.frame_indices
         outcome = bank.prune_step(metric=metric, mode="select")
-        retained = outcome.retained_frame_indices
+        retained = outcome.retained
         # newest and oldest always kept, exactly two pruned, order kept
         assert indices[-1] in retained
         assert indices[0] in retained
