@@ -2,24 +2,48 @@
 
 Every type validates its payload at construction and freezes it afterwards
 (the backing arrays are made read-only), so instances can be shared across
-threads without synchronization. A feature map's memory keys (the per-frame
-terms of its similarity scores) are computed on first use and stored
-read-only; a concurrent first use only computes the same value twice.
-Feature data is held as float64 regardless of any on-disk precision so that
-similarity sums reproduce across platforms. Feature maps and masks compare
-and hash by identity: an array has no single truth value, so field-wise
-equality would raise.
+threads without synchronization. Intake rule: an array a caller passes is
+copied, so no view the caller keeps can change a map or a mask. An array the
+library has just built and shares with no one (a fresh encoding, a rasterized
+frame, the frozen labels of another mask) is adopted: handed over wrapped in
+:class:`_Adopted`, it is validated and frozen without a copy.
+
+A feature map's memory keys (the per-frame terms of its similarity scores)
+are computed on first use and stored read-only; a concurrent first use only
+computes the same value twice. Because a map's data never changes, the
+scores that ``memory.similarity`` computes for it are memoized on the map
+too. Pickles and copies are rebuilt through the constructor, so they are
+frozen as well and carry neither the keys nor the memo. Feature data is
+held as float64 regardless of any on-disk precision so that similarity
+sums reproduce across platforms. Feature maps and masks compare and hash
+by identity: an array has no single truth value, so field-wise equality
+would raise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterator, Sequence
 
 import numpy as np
 
 MAX_OBJECT_ID = 255
+
+_SERIALS = count()  # FeatureMap memo serials; never reused within a process
+
+
+class _Adopted:
+    """An array the library built and shares with no one. Passed as a map's
+    ``data`` or a mask's ``labels``, it is validated and frozen in place
+    instead of copied. Callers' arrays are never wrapped: even a read-only
+    array may have a writable view elsewhere."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -62,7 +86,10 @@ class FeatureMap:
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
-        arr = np.array(self.data, dtype=np.float64, order="C")
+        if type(self.data) is _Adopted:
+            arr = np.asarray(self.data.array, dtype=np.float64, order="C")
+        else:
+            arr = np.array(self.data, dtype=np.float64, order="C")
         if arr.ndim != 3:
             raise ValueError(f"feature data must be 3-D (channels, h, w), got {arr.ndim}-D")
         if min(arr.shape) < 1:
@@ -105,6 +132,20 @@ class FeatureMap:
         (the Spearman key)."""
         return _centre(average_ranks(self.data))
 
+    @cached_property
+    def _memo(self) -> tuple[int, dict[tuple[str, int], float]]:
+        """This map's serial and the scores ``memory.similarity`` memoized
+        for it against maps of higher serial: (metric, serial) -> score.
+        Serials are never reused, so the memo holds no reference to a map
+        and cannot confuse a dead map with a new one."""
+        return next(_SERIALS), {}
+
+    def __reduce__(self):
+        # a pickle or copy is rebuilt through __init__, so it is validated and
+        # frozen, and starts without the keys and the memo (serials are per
+        # process)
+        return FeatureMap, (self.frame_index, self.data)
+
 
 def make_feature_map(frame_index: int, channels: int, height: int, width: int,
                      data: Sequence[float] | np.ndarray) -> FeatureMap:
@@ -133,16 +174,18 @@ class LabelMask:
     def __post_init__(self):
         if self.frame_index < 0:
             raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
-        arr = np.asarray(self.labels)
+        adopted = type(self.labels) is _Adopted
+        arr = np.asarray(self.labels.array if adopted else self.labels)
         if arr.ndim != 2:
             raise ValueError(f"labels must be 2-D (height, width), got {arr.ndim}-D")
         if min(arr.shape) < 1:
             raise ValueError(f"mask dimensions must be >= 1, got {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-        if arr.size and (arr.min() < 0 or arr.max() > MAX_OBJECT_ID):
+        # uint8 holds exactly 0..MAX_OBJECT_ID, so only wider types are scanned
+        if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > MAX_OBJECT_ID):
             raise ValueError(f"label values must be in 0..{MAX_OBJECT_ID}")
-        object.__setattr__(self, "labels", _freeze(arr.astype(np.uint8, copy=True)))
+        object.__setattr__(self, "labels", _freeze(arr.astype(np.uint8, copy=not adopted)))
 
     @property
     def height(self) -> int:
@@ -155,6 +198,10 @@ class LabelMask:
     @property
     def shape(self) -> tuple[int, int]:
         return self.labels.shape
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a pickle or copy is frozen too
+        return LabelMask, (self.frame_index, self.labels)
 
     def object_ids(self) -> list[int]:
         """Sorted ids present in the mask, background excluded."""

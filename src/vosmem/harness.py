@@ -4,7 +4,7 @@ The harness drives the full streaming loop (encode, prune, read out,
 predict, append) without any neural network, so memory dynamics are
 directly observable. The world is a single rigid object (square or disk)
 translating over a blank grid, optionally vanishing during gap intervals;
-the encoder is a fixed 4-channel featurizer; the segmenter copies the
+the encoder is a fixed 4-channel featurizer; the segmenter reuses the
 stored mask of the best-matching memory entry.
 
 Everything is reproducible: scene generation is pure kinematics, and the
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask
+from .core import FeatureMap, FrameSequence, LabelMask, _Adopted
 from .memory import (
     DEFAULT_CAPACITY,
     DEFAULT_METRIC,
@@ -114,7 +114,7 @@ def _rasterize(config: SceneConfig, t: int) -> np.ndarray:
 
 def generate_scene(config: SceneConfig) -> FrameSequence:
     """Render the configured object at frames 0..n_frames-1."""
-    frames = [LabelMask(frame_index=t, labels=_rasterize(config, t))
+    frames = [LabelMask(frame_index=t, labels=_Adopted(_rasterize(config, t)))
               for t in range(config.n_frames)]
     return FrameSequence(frames)
 
@@ -185,7 +185,7 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
         noise += 0.0
     else:
         data[3] = 0.0
-    return FeatureMap(frame_index=frame_index, data=data)
+    return FeatureMap(frame_index=frame_index, data=_Adopted(data))
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,9 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
     first step. Each later step encodes the observed frame, runs one prune
     step (skipped entirely when pruning is disabled), picks the retained
     entry whose features are most similar to the current ones (ties go to
-    the smallest frame index), copies that entry's stored mask as the
-    prediction, and appends (current features, predicted mask) to the bank.
+    the smallest frame index), predicts that entry's stored mask (sharing its
+    read-only labels), and appends (current features, predicted mask) to the
+    bank.
 
     The returned sequence starts with the prompt mask itself so that it
     aligns frame-for-frame with the observed scene.
@@ -256,12 +257,10 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         best_entry = entries[argmax_frame(metric, {
             i: similarity(metric, entries[i].features, features)
             for i in outcome.retained})]
-        if best_entry.mask is None:
-            raise ValueError(
-                f"memory entry {best_entry.frame_index} has no stored mask to copy")
 
+        # every entry appended here carries a mask, whose labels are frozen
         predicted = LabelMask(frame_index=observed.frame_index,
-                              labels=best_entry.mask.labels)
+                              labels=_Adopted(best_entry.mask.labels))
         bank.append(MemoryEntry(observed.frame_index, features, mask=predicted))
         steps.append(TrackStep(
             step=t,

@@ -43,7 +43,10 @@ def _check_mode(mode: str) -> None:
 # Cosine, Pearson and Spearman read the per-frame keys that FeatureMap
 # computes once, so each pair costs one dot product. Pairs are not batched
 # across a group: a stacked reduction sums in another order, and a one-ulp
-# change can flip a tie between candidates.
+# change can flip a tie between candidates. Each pair is scored once per
+# metric: similarity memoizes the score on one map of the pair and serves
+# it in either order, which is exact because every metric below is
+# symmetric bit for bit (products and sums commute, |a - b| = |b - a|).
 
 
 def _cosine(a: FeatureMap, b: FeatureMap) -> float:
@@ -105,11 +108,22 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
     cosine sums per-channel cosines (bounded by the channel count);
     manhattan and euclidean are negated distances over the flattened
     tensor; dot, spearman, and pearson operate on the flattened tensor.
+    Scores are memoized per pair of maps (by identity) and metric, so asking
+    again, in either order, returns the same float without recomputing it.
     """
     _check_metric(metric)
     if a.shape != b.shape:
         raise ValueError(f"feature shapes differ: {a.shape} vs {b.shape}")
-    return _METRIC_FUNCS[metric](a, b)
+    serial_a, memo_a = a._memo
+    serial_b, memo_b = b._memo
+    if serial_a < serial_b:
+        memo, key = memo_a, (metric, serial_b)
+    else:
+        memo, key = memo_b, (metric, serial_a)
+    score = memo.get(key)
+    if score is None:
+        score = memo[key] = _METRIC_FUNCS[metric](a, b)
+    return score
 
 
 def argmax_frame(metric: str, scores: dict[int, float]) -> int:

@@ -70,6 +70,20 @@ def _check_radius(radius: int) -> int:
     return radius
 
 
+def _check_object_ids(object_ids: Sequence[int]) -> list[int]:
+    """Requested ids as sorted plain ints; a non-integer or repeated id raises."""
+    ids: set[int] = set()
+    for value in object_ids:
+        try:
+            oid = operator.index(value)
+        except TypeError:
+            raise ValueError(f"object ids must be integers, got {value!r}") from None
+        if oid in ids:
+            raise ValueError(f"object id {oid} requested more than once")
+        ids.add(oid)
+    return sorted(ids)
+
+
 def jaccard(pred, gt) -> float:
     """Region overlap |P & G| / |P | G|; 1.0 when both sets are empty."""
     return _ratio(*_overlap(*_pixel_pair(pred, gt)))
@@ -244,9 +258,10 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
 
     Masks are binarized per object id before any metric; background is
     never scored. Ids default to every id present in the ground truth;
-    explicitly requested ids must appear in at least one ground-truth
-    frame. J, F, and Dice are per-frame values averaged over the sequence;
-    the sequence-level IoU accumulates counts over all frames first.
+    explicitly requested ids must be distinct integers that appear in at
+    least one ground-truth frame. J, F, and Dice are per-frame values
+    averaged over the sequence; the sequence-level IoU accumulates counts
+    over all frames first.
     """
     radius = _check_radius(radius)  # a plain int, so the report serializes
     _check_aligned(pred, gt)
@@ -258,7 +273,7 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
         raise ValueError("no metrics requested")
 
     gt_ids = sorted({i for frame in gt for i in frame.object_ids()})
-    ids = gt_ids if object_ids is None else sorted(int(i) for i in object_ids)
+    ids = gt_ids if object_ids is None else _check_object_ids(object_ids)
     if not ids:
         raise ValueError("no objects to score")
     missing = [i for i in ids if i not in gt_ids]

@@ -1,5 +1,8 @@
 """Value-type construction, validation, and average ranks."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from vosmem.core import (
     FeatureMap,
     FrameSequence,
     LabelMask,
+    _Adopted,
     average_ranks,
     make_feature_map,
 )
@@ -185,6 +189,76 @@ class TestFrameSequence:
     def test_rejects_frames_that_are_not_masks(self, frame):
         with pytest.raises(ValueError, match=f"got {type(frame).__name__}$"):
             FrameSequence((frame, self._mask(1)))
+
+
+def _frozen_with_writable_view(arr):
+    view = arr[:]
+    arr.setflags(write=False)  # read-only and owns its data, yet the view still writes
+    return arr, view
+
+
+class TestIntake:
+    def test_caller_array_is_copied(self):
+        data = np.zeros((1, 2, 2))
+        labels = np.zeros((2, 2), dtype=np.uint8)
+        fm, m = FeatureMap(0, data), LabelMask(0, labels)
+        data[0, 0, 0], labels[0, 0] = 7.0, 7
+        assert fm.data[0, 0, 0] == 0.0 and m.labels[0, 0] == 0
+        assert not np.shares_memory(fm.data, data) and not np.shares_memory(m.labels, labels)
+
+    def test_writable_view_of_a_frozen_array_cannot_change_a_map(self):
+        data, view = _frozen_with_writable_view(np.zeros((1, 2, 2)))
+        fm = FeatureMap(0, data)
+        view[0, 0, 0] = 7.0
+        assert fm.data[0, 0, 0] == 0.0
+
+    def test_writable_view_of_a_frozen_array_cannot_change_a_mask(self):
+        labels, view = _frozen_with_writable_view(np.zeros((2, 2), dtype=np.uint8))
+        m = LabelMask(0, labels)
+        view[0, 0] = 7
+        assert m.labels[0, 0] == 0
+
+    def test_adopted_arrays_are_taken_without_a_copy_and_frozen(self):
+        data = np.zeros((1, 2, 2))
+        labels = np.zeros((2, 2), dtype=np.uint8)
+        fm, m = FeatureMap(0, _Adopted(data)), LabelMask(0, _Adopted(labels))
+        assert fm.data is data and m.labels is labels
+        assert not data.flags.writeable and not labels.flags.writeable
+
+    @pytest.mark.parametrize("data, match", [
+        (np.full((1, 1, 2), np.inf), "non-finite"),
+        (np.zeros((2, 2)), "3-D"),
+    ])
+    def test_adopted_feature_data_is_validated(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            FeatureMap(0, _Adopted(data))
+
+    @pytest.mark.parametrize("labels, match", [
+        (np.zeros((2, 2, 2), dtype=np.uint8), "2-D"),
+        (np.zeros((2, 2)), "integer"),
+        (np.array([[MAX_OBJECT_ID + 1]]), "0..255"),
+        (np.array([[-1]], dtype=np.int8), "0..255"),
+    ])
+    def test_adopted_labels_are_validated(self, labels, match):
+        with pytest.raises(ValueError, match=match):
+            LabelMask(0, _Adopted(labels))
+
+
+_CLONES = [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy]
+
+
+class TestClones:
+    @pytest.mark.parametrize("clone", _CLONES, ids=["pickle", "copy", "deepcopy"])
+    def test_pickled_and_copied_maps_and_masks_stay_frozen(self, clone):
+        fm = FeatureMap(3, np.arange(4.0).reshape(1, 2, 2))
+        m = LabelMask(2, np.array([[0, 1]], dtype=np.uint8))
+        fm2, m2 = clone(fm), clone(m)
+        assert (fm2.frame_index, fm2.data.tolist()) == (3, fm.data.tolist())
+        assert (m2.frame_index, m2.labels.tolist()) == (2, [[0, 1]])
+        with pytest.raises(ValueError):
+            fm2.data[0, 0, 0] = 9.0
+        with pytest.raises(ValueError):
+            m2.labels[0, 0] = 9
 
 
 class TestIdentityEquality:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import block_mean_oracle
 
-from vosmem import harness
+from vosmem import harness, memory
 from vosmem.core import FrameSequence, LabelMask
 from vosmem.harness import (
     OBJECT_ID,
@@ -323,6 +323,39 @@ class TestTrackSequence:
         for s in trace.steps:
             assert type(s.outcome.retained) is tuple
             assert all(type(i) is int for i in s.outcome.retained)
+
+    @pytest.mark.parametrize("mode", ["persistent", "select"])
+    def test_predictions_share_the_selected_entrys_labels(self, mode):
+        scene = generate_scene(SceneConfig(velocity=(1, 0), n_frames=12))
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
+        predicted, trace = track_sequence(scene, config, mode=mode)
+        assert predicted[0] is scene[0]
+        for s in trace.steps:
+            selected = predicted[s.selected_frame_index]  # frame index = position here
+            assert np.shares_memory(predicted[s.step].labels, selected.labels)
+            assert not predicted[s.step].labels.flags.writeable
+
+    @pytest.mark.parametrize("mode", ["persistent", "select"])
+    def test_scoring_stays_in_the_traced_layers(self, monkeypatch, mode):
+        # perfbench/tracer.py times the readout by patching harness.similarity
+        # and prune scoring by patching memory.similarity; every score must
+        # still pass through those names, memo hits included
+        calls = {"readout": 0, "prune": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "similarity", counted("readout", harness.similarity))
+        monkeypatch.setattr(memory, "similarity", counted("prune", memory.similarity))
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
+        _, trace = track_sequence(_static_scene(12), config, bank_capacity=7, mode=mode)
+        scored = sum(len(group) for s in trace.steps for group in s.outcome.scores.values())
+        assert scored > 0
+        assert calls["readout"] == sum(len(s.outcome.retained) for s in trace.steps)
+        assert calls["prune"] == scored
 
     def test_select_mode_bank_stays_full(self):
         scene = _static_scene()

@@ -1,15 +1,21 @@
 """Memory bank behavior: FIFO, splitting, similarity scoring, pruning."""
 
+import copy
+import gc
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 from oracles import METRIC_ORACLES
-from vosmem.core import make_feature_map
+from vosmem import memory
+from vosmem.core import FeatureMap, make_feature_map
 from vosmem.memory import (
     DEFAULT_CAPACITY,
     PRUNE_MODES,
@@ -186,6 +192,107 @@ class TestSimilarityAgainstOracles:
         fs = make_feature_map(2, 3, 4, 4, scaled.ravel())
         assert similarity("cosine", fa, fb) == pytest.approx(
             similarity("cosine", fa, fs), abs=1e-9)
+
+
+def _bits(score: float) -> bytes:
+    return np.float64(score).tobytes()
+
+
+@st.composite
+def _map_pairs(draw):
+    """Two same-shape maps with zeroed channels and, sometimes, a constant map."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 5)))
+    values = st.floats(-1e3, 1e3, allow_subnormal=False)
+    a, b = (draw(arrays(np.float64, shape, elements=values)) for _ in range(2))
+    for x in (a, b):
+        x[draw(arrays(bool, shape[0]))] = 0.0  # zero-norm channels
+    if draw(st.booleans()):
+        b[...] = draw(values)  # a constant map: zero variance
+    return a, b
+
+
+class TestScoreMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(_map_pairs())
+    @example((np.zeros((2, 2, 2)), np.ones((2, 2, 2))))
+    @example((np.full((1, 3, 3), 7.0), np.full((1, 3, 3), 7.0)))
+    @example((np.arange(8.0).reshape(2, 2, 2) - 3.5, -np.arange(8.0).reshape(2, 2, 2)))
+    def test_every_metric_is_symmetric_bit_for_bit(self, pair):
+        # the memo serves (b, a) the score of (a, b): exact only if every
+        # metric computes the same bits in both orders; fresh maps each time
+        # so that nothing is memoized here
+        a, b = pair
+        for metric in SIMILARITY_METRICS:
+            ab = similarity(metric, FeatureMap(0, a), FeatureMap(1, b))
+            ba = similarity(metric, FeatureMap(1, b), FeatureMap(0, a))
+            assert _bits(ab) == _bits(ba), metric
+
+    @pytest.mark.parametrize("shape", [(4, 64, 64), (64, 32, 32), (3, 5, 7)])
+    def test_workload_sized_maps_are_symmetric_bit_for_bit(self, shape):
+        # long reductions take the vectorized paths of einsum and dot
+        rng = np.random.default_rng(shape[0])
+        x = rng.normal(size=shape)
+        y = x + 0.1 * rng.normal(size=shape)
+        for metric in SIMILARITY_METRICS:
+            ab = similarity(metric, FeatureMap(0, x), FeatureMap(1, y))
+            ba = similarity(metric, FeatureMap(1, y), FeatureMap(0, x))
+            assert _bits(ab) == _bits(ba), metric
+
+    @pytest.mark.parametrize("metric", SIMILARITY_METRICS)
+    def test_memoized_score_equals_either_order_and_fresh_copies(self, metric, monkeypatch):
+        rng = np.random.default_rng(11)
+        x, y = rng.normal(size=(2, 3, 4, 4))
+        a, b = FeatureMap(0, x), FeatureMap(1, y)
+        computed = []
+        score = memory._METRIC_FUNCS[metric]
+        monkeypatch.setitem(memory._METRIC_FUNCS, metric,
+                            lambda p, q: computed.append((p, q)) or score(p, q))
+        first = similarity(metric, a, b)
+        again = similarity(metric, a, b)
+        swapped = similarity(metric, b, a)
+        fresh = similarity(metric, FeatureMap(0, x), FeatureMap(1, y))
+        assert _bits(first) == _bits(again) == _bits(swapped) == _bits(fresh)
+        assert len(computed) == 2  # (a, b) once, and the fresh pair
+
+    def test_metrics_are_memoized_apart(self):
+        a = fmap(0, [1.0, 2.0])
+        b = fmap(1, [3.0, 5.0])
+        assert similarity("dot", a, b) == 13.0
+        assert similarity("manhattan", a, b) == -5.0
+        assert similarity("dot", b, a) == 13.0
+
+    @pytest.mark.parametrize("dropped", [0, 1])
+    def test_memo_holds_no_reference_to_a_scored_map(self, dropped):
+        maps = [fmap(0, [1.0, 2.0]), fmap(1, [3.0, 4.0])]
+        for metric in SIMILARITY_METRICS:
+            similarity(metric, *maps)
+        ref = weakref.ref(maps.pop(dropped))
+        gc.collect()
+        assert ref() is None
+
+    def test_new_map_never_reads_a_dead_maps_score(self):
+        # a memo keyed by id() would hand a new map at a reused address the
+        # score of the dead one
+        rng = np.random.default_rng(5)
+        a = FeatureMap(0, rng.normal(size=(1, 1, 4)))
+        b = None
+        for x in rng.normal(size=(50, 1, 1, 4)):
+            b = None  # the previous map dies just before the next takes its address
+            b = FeatureMap(1, x)
+            assert similarity("dot", a, b) == float(np.sum(a.data * b.data))
+
+    @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.copy,
+                                       copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_scored_map_pickles_and_copies(self, clone):
+        rng = np.random.default_rng(9)
+        a = fmap(0, rng.normal(size=8), channels=2)
+        b = fmap(1, rng.normal(size=8), channels=2)
+        scores = {m: similarity(m, a, b) for m in SIMILARITY_METRICS}
+        a2, b2 = clone(a), clone(b)
+        assert a2.frame_index == 0 and a2.data.tobytes() == a.data.tobytes()
+        for m in SIMILARITY_METRICS:
+            assert _bits(similarity(m, a2, b2)) == _bits(scores[m])
+            assert _bits(similarity(m, b, a2)) == _bits(scores[m])
 
 
 class TestMemoryEntry:

@@ -1,5 +1,6 @@
 """Segmentation metrics: overlap, boundary agreement, reports."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -431,6 +432,26 @@ class TestEvaluate:
         pred, gt = self._toy()
         with pytest.raises(ValueError, match="absent"):
             evaluate(pred, gt, object_ids=[9])
+
+    def test_repeated_object_id_rejected(self):
+        # two objects with J 1.0 and 0.0: counting id 1 twice would give 0.667
+        gt = _mask_seq([[[1, 2]]])
+        pred = _mask_seq([[[1, 0]]])
+        assert evaluate(pred, gt, object_ids=[1, 2]).aggregate["J"].mean == 0.5
+        with pytest.raises(ValueError, match="object id 1 requested more than once"):
+            evaluate(pred, gt, object_ids=[1, 1, 2])
+
+    @pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(2.0), "1"])
+    def test_non_integer_object_id_rejected(self, bad):
+        pred, gt = self._toy()
+        with pytest.raises(ValueError, match=re.escape(f"object ids must be integers, got {bad!r}")):
+            evaluate(pred, gt, object_ids=[bad])
+
+    def test_numpy_integer_object_ids_reported_as_plain_ints(self):
+        pred, gt = self._toy()
+        report = evaluate(pred, gt, object_ids=[np.int64(2), np.uint8(1)])
+        assert list(report.per_object) == [1, 2]
+        assert all(type(oid) is int for oid in report.per_object)
 
     def test_empty_gt_rejected(self):
         blank = _mask_seq([np.zeros((4, 4), int)])
