@@ -22,6 +22,7 @@ would raise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -44,6 +45,35 @@ class _Adopted:
 
     def __init__(self, array: np.ndarray):
         self.array = array
+
+
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """The library's one integer rule: ``value`` as a plain int; a non-integer
+    (even ``2.0``) or a value below ``minimum`` raises ValueError naming ``name``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number
+
+
+def _integers(name: str, values, minimum: int | None = None,
+              count: int | None = None) -> tuple[int, ...]:
+    """Each item through :func:`_integer` as ``name[i]``; ``count`` fixes their number."""
+    try:
+        items = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    if count is not None and len(items) != count:
+        raise ValueError(f"{name} must be {count} integers, got {values!r}")
+    return tuple(_integer(f"{name}[{i}]", v, minimum) for i, v in enumerate(items))
+
+
+def _choice(what: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        raise ValueError(f"unknown {what} {value!r}, expected one of {choices}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -84,8 +114,7 @@ class FeatureMap:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
+        object.__setattr__(self, "frame_index", _integer("frame_index", self.frame_index, 0))
         if type(self.data) is _Adopted:
             arr = np.asarray(self.data.array, dtype=np.float64, order="C")
         else:
@@ -154,8 +183,8 @@ def make_feature_map(frame_index: int, channels: int, height: int, width: int,
     Raises ValueError if the buffer length is not channels*height*width or
     any value is non-finite (the message names the offending flat index).
     """
-    if channels < 1 or height < 1 or width < 1:
-        raise ValueError(f"dimensions must be >= 1, got ({channels}, {height}, {width})")
+    channels, height, width = (_integer(name, value, 1) for name, value in
+                               (("channels", channels), ("height", height), ("width", width)))
     flat = np.asarray(data, dtype=np.float64).ravel()
     expected = channels * height * width
     if flat.size != expected:
@@ -172,8 +201,7 @@ class LabelMask:
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
+        object.__setattr__(self, "frame_index", _integer("frame_index", self.frame_index, 0))
         adopted = type(self.labels) is _Adopted
         arr = np.asarray(self.labels.array if adopted else self.labels)
         if arr.ndim != 2:

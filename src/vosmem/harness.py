@@ -14,19 +14,20 @@ encoder's noise channel is drawn from a counter-based generator keyed by
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask, _Adopted
+from .core import FeatureMap, FrameSequence, LabelMask, _Adopted, _choice, _integer, _integers
 from .memory import (
     DEFAULT_CAPACITY,
     DEFAULT_METRIC,
     DEFAULT_MODE,
+    PRUNE_MODES,
     MemoryBank,
     MemoryEntry,
     PruneOutcome,
-    _check_mode,
     argmax_frame,
     similarity,
 )
@@ -62,19 +63,20 @@ class SceneConfig:
     start: tuple[int, int] = (0, 0)  # (x0, y0)
 
     def __post_init__(self):
+        for name, minimum in (("grid", 1), ("velocity", None), ("start", None)):
+            object.__setattr__(self, name, _integers(name, getattr(self, name), minimum, count=2))
         h, w = self.grid
-        if h < 1 or w < 1:
-            raise ValueError(f"grid must be at least 1x1, got {self.grid}")
-        if self.shape not in OBJECT_SHAPES:
-            raise ValueError(f"unknown shape {self.shape!r}, expected one of {OBJECT_SHAPES}")
-        min_size = 1 if self.shape == "square" else 0
-        if self.size < min_size:
-            raise ValueError(f"{self.shape} size must be >= {min_size}, got {self.size}")
-        if self.n_frames < 1:
-            raise ValueError(f"n_frames must be >= 1, got {self.n_frames}")
-        for lo, hi in self.gaps:
+        _choice("shape", self.shape, OBJECT_SHAPES)
+        _integer(f"{self.shape} size", self.size, 1 if self.shape == "square" else 0)
+        _integer("n_frames", self.n_frames, 1)
+        try:
+            gaps = [_integers(f"gaps[{i}]", gap, count=2) for i, gap in enumerate(self.gaps)]
+        except TypeError:
+            raise ValueError(f"gaps must be a sequence of pairs, got {self.gaps!r}") from None
+        for lo, hi in gaps:
             if lo < 0 or hi < lo:
                 raise ValueError(f"gap interval ({lo}, {hi}) is not a valid frame range")
+        _integer("seed", self.seed)
         eh, ew = self.extent
         x0, y0 = self.start
         if x0 < 0 or y0 < 0 or y0 + eh > h or x0 + ew > w:
@@ -129,10 +131,9 @@ class ToyEncoderConfig:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        h, w = self.feature_resolution
-        if h < 1 or w < 1:
-            raise ValueError(f"feature_resolution must be at least 1x1, got {self.feature_resolution}")
-        if not 0.0 <= self.noise_sigma < np.inf:
+        object.__setattr__(self, "feature_resolution",
+                           _integers("feature_resolution", self.feature_resolution, 1, count=2))
+        if not (isinstance(self.noise_sigma, numbers.Real) and 0.0 <= self.noise_sigma < np.inf):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
@@ -153,7 +154,7 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
     0..2**64-1; a value outside that range raises ``ValueError``.
     """
     for name, value in (("seed", seed), ("frame_index", frame_index)):
-        if not 0 <= value <= _KEY_MAX:
+        if not 0 <= _integer(name, value) <= _KEY_MAX:
             raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
     big_h, big_w = mask.labels.shape
     h, w = config.feature_resolution
@@ -233,7 +234,7 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
     """
     if len(scene) < 2:
         raise ValueError(f"scene must have at least 2 frames, got {len(scene)}")
-    _check_mode(mode)  # also when pruning is off: the mode is written to the trace
+    _choice("prune mode", mode, PRUNE_MODES)  # even unpruned: the trace records it
     h, w = encoder_config.feature_resolution
     tokens_per_entry = h * w
 

@@ -21,23 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMap, LabelMask
+from .core import FeatureMap, LabelMask, _choice, _integer
 
 PRUNE_MODES = ("persistent", "select")
 
 DEFAULT_CAPACITY = 7
 DEFAULT_METRIC = "cosine"
 DEFAULT_MODE = "persistent"
-
-
-def _check_metric(metric: str) -> None:
-    if metric not in SIMILARITY_METRICS:
-        raise ValueError(f"unknown similarity metric {metric!r}, expected one of {SIMILARITY_METRICS}")
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in PRUNE_MODES:
-        raise ValueError(f"unknown prune mode {mode!r}, expected one of {PRUNE_MODES}")
 
 
 # Cosine, Pearson and Spearman read the per-frame keys that FeatureMap
@@ -111,7 +101,7 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
     Scores are memoized per pair of maps (by identity) and metric, so asking
     again, in either order, returns the same float without recomputing it.
     """
-    _check_metric(metric)
+    _choice("similarity metric", metric, SIMILARITY_METRICS)
     if a.shape != b.shape:
         raise ValueError(f"feature shapes differ: {a.shape} vs {b.shape}")
     serial_a, memo_a = a._memo
@@ -130,9 +120,11 @@ def argmax_frame(metric: str, scores: dict[int, float]) -> int:
     """Frame index with the highest score; ties go to the smallest frame_index
     so results are deterministic across platforms.
 
-    Raises ValueError naming the metric and the frame when a score is not
-    finite (features near the float64 limits can overflow a score).
+    Raises ValueError naming the metric when there are no scores, or the
+    metric and the frame when a score is not finite (an overflowed score).
     """
+    if not scores:
+        raise ValueError(f"no {metric} scores to choose a frame from")
     order = sorted(scores)
     for idx in order:
         if not math.isfinite(scores[idx]):
@@ -155,6 +147,7 @@ class MemoryEntry:
     mask: LabelMask | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "frame_index", _integer("frame_index", self.frame_index))
         if self.features.frame_index != self.frame_index:
             raise ValueError(
                 f"features.frame_index {self.features.frame_index} != entry frame_index {self.frame_index}")
@@ -208,9 +201,7 @@ class MemoryBank:
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 2:
-            raise ValueError(f"capacity must be >= 2, got {capacity}")
-        self.capacity = capacity
+        self.capacity = _integer("capacity", capacity, 2)
         self._entries: list[MemoryEntry] = []
 
     @property
@@ -267,8 +258,8 @@ class MemoryBank:
         the bank itself shrinks to the retained entries; in ``select`` mode
         the outcome is a per-step view and the bank is left unchanged.
         """
-        _check_mode(mode)
-        _check_metric(metric)
+        _choice("prune mode", mode, PRUNE_MODES)
+        _choice("similarity metric", metric, SIMILARITY_METRICS)
         if len(self._entries) < self.capacity:
             return PruneOutcome(retained=self.frame_indices, pruned_frame_indices=())
         short, long = self.split()

@@ -14,13 +14,12 @@ was hallucinated); when exactly one side is empty they return 0.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import FrameSequence
+from .core import FrameSequence, _integer, _integers
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
@@ -60,27 +59,12 @@ def _ciou(counts: list[tuple[int, int]]) -> float:
     return _ratio(sum(i for i, _ in counts), sum(u for _, u in counts))
 
 
-def _check_radius(radius: int) -> int:
-    try:
-        radius = operator.index(radius)
-    except TypeError:
-        raise ValueError(f"radius must be an integer, got {radius!r}") from None
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
-    return radius
-
-
 def _check_object_ids(object_ids: Sequence[int]) -> list[int]:
     """Requested ids as sorted plain ints; a non-integer or repeated id raises."""
-    ids: set[int] = set()
-    for value in object_ids:
-        try:
-            oid = operator.index(value)
-        except TypeError:
-            raise ValueError(f"object ids must be integers, got {value!r}") from None
-        if oid in ids:
+    ids = _integers("object_ids", object_ids)
+    for k, oid in enumerate(ids):
+        if oid in ids[:k]:
             raise ValueError(f"object id {oid} requested more than once")
-        ids.add(oid)
     return sorted(ids)
 
 
@@ -107,7 +91,7 @@ def boundary_pixels(mask) -> np.ndarray:
 
 def disk_footprint(radius: int) -> np.ndarray:
     """Integer Euclidean ball: offsets (dy, dx) with dy^2 + dx^2 <= radius^2."""
-    _check_radius(radius)
+    radius = _integer("radius", radius, 0)
     yy, xx = np.ogrid[-radius:radius + 1, -radius:radius + 1]
     return yy * yy + xx * xx <= radius * radius
 
@@ -121,7 +105,7 @@ def dilate_disk(pixels, radius: int) -> np.ndarray:
     O(h*w*r). A disk that spans the image diagonal covers the whole image
     from any member, so such a radius costs no more than a fill.
     """
-    r = _check_radius(radius)
+    r = _integer("radius", radius, 0)
     m = _as_pixel_set(pixels)
     h, w = m.shape
     if r * r >= (h - 1) ** 2 + (w - 1) ** 2:
@@ -144,7 +128,7 @@ def boundary_f(pred, gt, radius: int = DEFAULT_BOUNDARY_RADIUS) -> float:
     boundary pixels within the dilated predicted boundary. Both boundaries
     empty -> 1.0; exactly one empty -> 0.0; precision + recall == 0 -> 0.0.
     """
-    _check_radius(radius)
+    radius = _integer("radius", radius, 0)
     p, g = _pixel_pair(pred, gt)
     bp = boundary_pixels(p)
     bg = boundary_pixels(g)
@@ -252,7 +236,7 @@ def _check_aligned(pred: FrameSequence, gt: FrameSequence) -> None:
 
 def evaluate(pred: FrameSequence, gt: FrameSequence,
              radius: int = DEFAULT_BOUNDARY_RADIUS,
-             metrics: Sequence[str] = METRIC_NAMES,
+             metrics: str | Sequence[str] = METRIC_NAMES,
              object_ids: Sequence[int] | None = None) -> MetricReport:
     """Score aligned mask sequences per object id and aggregate over objects.
 
@@ -263,9 +247,9 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     averaged over the sequence; the sequence-level IoU accumulates counts
     over all frames first.
     """
-    radius = _check_radius(radius)  # a plain int, so the report serializes
+    radius = _integer("radius", radius, 0)  # a plain int, so the report serializes
     _check_aligned(pred, gt)
-    requested = list(metrics)
+    requested = [metrics] if isinstance(metrics, str) else list(metrics)
     unknown = [m for m in requested if m not in METRIC_NAMES]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}, expected a subset of {METRIC_NAMES}")

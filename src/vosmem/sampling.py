@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FrameSequence
+from .core import FrameSequence, _choice, _integer, _integers
 
 PHASE_POLICIES = ("zero", "all")
 DEFAULT_STRIDES = (1, 2)
@@ -30,18 +30,14 @@ class SamplingConfig:
     max_frames: int | None = None
 
     def __post_init__(self):
-        strides = tuple(int(s) for s in self.strides)
+        strides = _integers("strides", self.strides, 1)
         if not strides:
             raise ValueError("strides must be non-empty")
-        if any(s < 1 for s in strides):
-            raise ValueError(f"every stride must be >= 1, got {strides}")
         if len(set(strides)) != len(strides):
             raise ValueError(f"strides must be distinct, got {strides}")
-        if self.phase_policy not in PHASE_POLICIES:
-            raise ValueError(
-                f"unknown phase policy {self.phase_policy!r}, expected one of {PHASE_POLICIES}")
-        if self.max_frames is not None and self.max_frames < 1:
-            raise ValueError(f"max_frames must be >= 1, got {self.max_frames}")
+        _choice("phase policy", self.phase_policy, PHASE_POLICIES)
+        if self.max_frames is not None:
+            object.__setattr__(self, "max_frames", _integer("max_frames", self.max_frames, 1))
         object.__setattr__(self, "strides", strides)
 
 
@@ -68,8 +64,8 @@ class SamplingPlan:
 
 
 def _progression(length: int, stride: int, phase: int) -> range:
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    stride = _integer("stride", stride, 1)
+    phase = _integer("phase", phase)
     if not 0 <= phase < length:
         raise ValueError(f"phase must be in [0, {length}), got {phase}")
     return range(phase, length, stride)
@@ -89,6 +85,7 @@ def sample_indices(length: int, stride: int, phase: int = 0) -> list[int]:
     Never empty: the phase itself is always included. A view with more
     frames than a list can index raises ``ValueError`` naming the length.
     """
+    length = _integer("length", length)
     return _listed(_progression(length, stride, phase), length)
 
 
@@ -98,8 +95,7 @@ def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> Sampli
     Phases at or beyond the clip length are skipped (a stride larger than
     the clip yields only the phases that exist).
     """
-    if length < 1:
-        raise ValueError(f"clip length must be >= 1, got {length}")
+    length = _integer("clip length", length, 1)
     views = []
     for s in sorted(config.strides):
         phases = range(min(s, length)) if config.phase_policy == "all" else (0,)
@@ -112,9 +108,9 @@ def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> Sampli
 
 def materialize(sequence: FrameSequence, indices) -> FrameSequence:
     """Extract the subsequence at the given positions, keeping original
-    frame_index values on each frame."""
-    n = len(sequence)
+    frame_index values on each frame; a position past the end is an IndexError."""
+    indices = _integers("indices", indices, 0)
     for i in indices:
-        if not 0 <= i < n:
-            raise IndexError(f"index {i} out of bounds for sequence of length {n}")
+        if i >= len(sequence):
+            raise IndexError(f"index {i} out of bounds for sequence of length {len(sequence)}")
     return FrameSequence(tuple(sequence.frames[i] for i in indices))

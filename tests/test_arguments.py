@@ -1,0 +1,194 @@
+"""Integer and name arguments: one rule for every public entry point.
+
+An integer argument accepts ints and NumPy integers and keeps their value
+exactly; anything else (a float, even 2.0, a string, None) and a value out of
+range raise ValueError. A name argument outside its choices raises
+ValueError with the message ``unknown {what} {value!r}, expected one of
+{choices}``.
+"""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vosmem.core import FeatureMap, LabelMask, make_feature_map
+from vosmem.harness import (
+    OBJECT_SHAPES,
+    SceneConfig,
+    ToyEncoderConfig,
+    encode_frame,
+    generate_scene,
+    track_sequence,
+)
+from vosmem.memory import PRUNE_MODES, SIMILARITY_METRICS, MemoryBank, MemoryEntry, similarity
+from vosmem.metrics import boundary_f, dilate_disk, disk_footprint, evaluate
+from vosmem.sampling import (
+    PHASE_POLICIES,
+    SamplingConfig,
+    build_plan,
+    materialize,
+    sample_indices,
+)
+
+VALUES = (1.5, 2.0, "3", None, True, np.int64(3), -1, 0)
+
+SCENE = generate_scene(SceneConfig(grid=(6, 6), size=2, n_frames=4))
+PIXELS = SCENE[0].binarize(1)
+NOISY = ToyEncoderConfig(feature_resolution=(3, 3), noise_sigma=0.1)
+
+
+def _features(frame_index):
+    return FeatureMap(frame_index, np.arange(4.0).reshape(1, 2, 2))
+
+
+def _full_bank(capacity):
+    bank = MemoryBank(capacity)
+    for t in range(4):
+        bank.append(MemoryEntry(t, _features(t)))
+    bank.prune_step()
+    return bank.capacity
+
+
+def _scene(**fields):
+    generate_scene(SceneConfig(**{"grid": (6, 6), "size": 1, "n_frames": 3, **fields}))
+
+
+def _encode(feature_resolution):
+    encode_frame(SCENE[0], ToyEncoderConfig(feature_resolution=feature_resolution), 0, 0)
+
+
+def _plan(**fields):
+    config = SamplingConfig(**fields)
+    build_plan(5, config)
+    return config
+
+
+# Each case calls one entry point with v in one integer position. A case in
+# HOLDS returns the integer the result holds for v, which must be v itself as
+# a plain int; a case in CALLS returns nothing to compare. None is the
+# documented default of max_frames and object_ids.
+HOLDS = {
+    "FeatureMap.frame_index": lambda v: _features(v).frame_index,
+    "LabelMask.frame_index": lambda v: LabelMask(v, np.zeros((1, 1), np.uint8)).frame_index,
+    "make_feature_map.frame_index": lambda v: make_feature_map(v, 1, 1, 1, [0.0]).frame_index,
+    "make_feature_map.channels": lambda v: make_feature_map(0, v, 1, 1, np.zeros(3)).channels,
+    "make_feature_map.height": lambda v: make_feature_map(0, 1, v, 1, np.zeros(3)).height,
+    "make_feature_map.width": lambda v: make_feature_map(0, 1, 1, v, np.zeros(3)).width,
+    "MemoryBank.capacity": _full_bank,
+    "MemoryEntry.frame_index": lambda v: MemoryEntry(v, _features(3)).frame_index,
+    "encode_frame.frame_index": lambda v: encode_frame(SCENE[0], NOISY, 0, v).frame_index,
+    "SamplingConfig.strides[0]": lambda v: _plan(strides=(v,)).strides[0],
+    "SamplingConfig.strides[1]": lambda v: _plan(strides=(1, v)).strides[1],
+    "SamplingConfig.max_frames": lambda v: _plan(max_frames=v).max_frames,
+    "build_plan.length": lambda v: build_plan(v).clip_length,
+    "sample_indices.phase": lambda v: sample_indices(5, 1, v)[0],
+    "evaluate.radius": lambda v: evaluate(SCENE, SCENE, radius=v).radius,
+    "evaluate.object_ids[0]": lambda v: list(evaluate(SCENE, SCENE, object_ids=[v]).per_object)[0],
+}
+CALLS = {
+    "SceneConfig.grid[0]": lambda v: _scene(grid=(v, 6)),
+    "SceneConfig.grid[1]": lambda v: _scene(grid=(6, v)),
+    "SceneConfig.grid": lambda v: _scene(grid=v),
+    "SceneConfig.size": lambda v: _scene(size=v),
+    "SceneConfig.disk size": lambda v: _scene(shape="disk", size=v),
+    "SceneConfig.n_frames": lambda v: _scene(n_frames=v),
+    "SceneConfig.velocity[0]": lambda v: _scene(velocity=(v, 0)),
+    "SceneConfig.velocity[1]": lambda v: _scene(velocity=(0, v)),
+    "SceneConfig.velocity": lambda v: _scene(velocity=v),
+    "SceneConfig.start[0]": lambda v: _scene(start=(v, 0)),
+    "SceneConfig.start[1]": lambda v: _scene(start=(0, v)),
+    "SceneConfig.start": lambda v: _scene(start=v),
+    "SceneConfig.seed": lambda v: _scene(seed=v),
+    "SceneConfig.gaps[0][0]": lambda v: _scene(gaps=((v, 1),)),
+    "SceneConfig.gaps[0][1]": lambda v: _scene(gaps=((1, v),)),
+    "SceneConfig.gaps[0]": lambda v: _scene(gaps=(v,)),
+    "SceneConfig.gaps": lambda v: _scene(gaps=v),
+    "ToyEncoderConfig.feature_resolution[0]": lambda v: _encode((v, 1)),
+    "ToyEncoderConfig.feature_resolution[1]": lambda v: _encode((1, v)),
+    "ToyEncoderConfig.feature_resolution": lambda v: _encode(v),
+    "encode_frame.seed": lambda v: encode_frame(SCENE[0], NOISY, v, 0),
+    "track_sequence.bank_capacity": lambda v: track_sequence(SCENE, NOISY, bank_capacity=v),
+    "track_sequence.seed": lambda v: track_sequence(SCENE, NOISY, seed=v),
+    "SamplingConfig.strides": lambda v: _plan(strides=v),
+    "sample_indices.length": lambda v: sample_indices(v, 1),
+    "sample_indices.stride": lambda v: sample_indices(5, v),
+    "materialize.indices[0]": lambda v: materialize(SCENE, [v]),
+    "materialize.indices": lambda v: materialize(SCENE, v),
+    "disk_footprint.radius": lambda v: disk_footprint(v),
+    "dilate_disk.radius": lambda v: dilate_disk(PIXELS, v),
+    "boundary_f.radius": lambda v: boundary_f(PIXELS, PIXELS, v),
+    "evaluate.object_ids": lambda v: evaluate(SCENE, SCENE, object_ids=v),
+}
+
+
+CASES = {**HOLDS, **CALLS}
+
+
+@pytest.mark.parametrize("case", CASES)
+@settings(max_examples=20, deadline=None)
+@given(value=st.sampled_from(VALUES))
+def test_integer_arguments_are_exact_or_value_error(case, value):
+    try:
+        result = CASES[case](value)
+    except ValueError:
+        return
+    if value is None and case in ("SamplingConfig.max_frames", "evaluate.object_ids"):
+        return
+    # accepted: only an integer may pass, and the result keeps its value
+    assert isinstance(value, (int, np.integer)), f"{case} accepted {value!r}"
+    if case in HOLDS:
+        assert type(result) is int and result == value
+
+
+# a rejected integer raises ValueError whose message names the argument
+PROBES = [
+    (lambda: MemoryBank(7.0).prune_step(), "capacity must be an integer, got 7.0"),
+    (lambda: MemoryBank(2.5), "capacity must be an integer, got 2.5"),
+    (lambda: SceneConfig(n_frames=2.5), "n_frames must be an integer, got 2.5"),
+    (lambda: SceneConfig(velocity=(1,)), "velocity must be 2 integers, got (1,)"),
+    (lambda: SceneConfig(gaps=((1, 2.5),)), "gaps[0][1] must be an integer, got 2.5"),
+    (lambda: build_plan(10.5), "clip length must be an integer, got 10.5"),
+    (lambda: sample_indices(10, 2.5), "stride must be an integer, got 2.5"),
+    (lambda: materialize(SCENE, [1.0]), "indices[0] must be an integer, got 1.0"),
+    (lambda: ToyEncoderConfig(feature_resolution=(8.0, 8.0)),
+     "feature_resolution[0] must be an integer, got 8.0"),
+    (lambda: encode_frame(SCENE[0], NOISY, 1.5, 0), "seed must be an integer, got 1.5"),
+    (lambda: FeatureMap(1.5, np.zeros((1, 1, 1))), "frame_index must be an integer, got 1.5"),
+    (lambda: SamplingConfig(strides=(2.0,)), "strides[0] must be an integer, got 2.0"),
+]
+
+
+@pytest.mark.parametrize("call, message", PROBES, ids=[message for _, message in PROBES])
+def test_rejected_integer_names_its_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integers_are_held_as_plain_ints():
+    bank = MemoryBank(np.int64(7))
+    assert type(bank.capacity) is int and bank.capacity == 7
+    config = SamplingConfig(strides=(np.int32(1), np.uint8(2)), max_frames=np.int64(3))
+    assert config.strides == (1, 2) and type(config.max_frames) is int
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: similarity("cosinus", _features(0), _features(1)),
+     f"unknown similarity metric 'cosinus', expected one of {SIMILARITY_METRICS}"),
+    (lambda: MemoryBank().prune_step(metric="cosinus"),
+     f"unknown similarity metric 'cosinus', expected one of {SIMILARITY_METRICS}"),
+    (lambda: MemoryBank().prune_step(mode="keep"),
+     f"unknown prune mode 'keep', expected one of {PRUNE_MODES}"),
+    (lambda: track_sequence(SCENE, NOISY, mode="keep", prune_enabled=False),
+     f"unknown prune mode 'keep', expected one of {PRUNE_MODES}"),
+    (lambda: SceneConfig(shape="circle"),
+     f"unknown shape 'circle', expected one of {OBJECT_SHAPES}"),
+    (lambda: SamplingConfig(phase_policy="some"),
+     f"unknown phase policy 'some', expected one of {PHASE_POLICIES}"),
+], ids=["similarity", "prune_step metric", "prune_step mode", "track_sequence mode",
+        "shape", "phase policy"])
+def test_unknown_name_message(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

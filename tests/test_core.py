@@ -123,7 +123,7 @@ class TestMakeFeatureMap:
             make_feature_map(0, 2, 2, 2, [0.0] * 5)
 
     def test_rejects_nonpositive_dims(self):
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="channels must be >= 1, got 0"):
             make_feature_map(0, 0, 2, 2, [])
 
 

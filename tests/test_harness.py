@@ -210,6 +210,11 @@ class TestEncodeFrame:
         with pytest.raises(ValueError, match=rf"^noise_sigma must be finite and >= 0, got {sigma}$"):
             ToyEncoderConfig(noise_sigma=sigma)
 
+    @pytest.mark.parametrize("sigma", ["0.1", None, b"1", 1j, [0.1]])
+    def test_noise_sigma_must_be_a_number(self, sigma):
+        with pytest.raises(ValueError, match=r"^noise_sigma must be finite and >= 0, got "):
+            ToyEncoderConfig(noise_sigma=sigma)
+
     @given(case=_occupancy_cases())
     @example(case=(np.zeros((24, 24), np.uint8), (24, 24)))  # empty, 1x1 blocks
     @example(case=(np.full((24, 24), 255, np.uint8), (1, 1)))  # full, whole grid

@@ -555,6 +555,10 @@ class TestNonFiniteScores:
         assert argmax_frame("dot", {9: 1.0, 4: 2.0, 6: 2.0, 1: -5.0}) == 4
         assert argmax_frame("dot", {3: -1e300}) == 3
 
+    def test_argmax_without_scores_names_the_metric(self):
+        with pytest.raises(ValueError, match=r"^no euclidean scores to choose a frame from$"):
+            argmax_frame("euclidean", {})
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_argmax_rejects_non_finite_naming_metric_and_frame(self, bad):
         with pytest.raises(ValueError, match=r"euclidean score .* frame 7 is not finite"):

@@ -405,6 +405,13 @@ class TestEvaluate:
         assert set(report.per_object[1]) == {"J", "Dice"}
         assert set(report.aggregate) == {"J", "Dice"}
 
+    @pytest.mark.parametrize("name", ["J&F", "J", "CIoU"])
+    def test_bare_string_is_one_metric_name(self, name):
+        pred, gt = self._toy()
+        report = evaluate(pred, gt, radius=1, metrics=name)
+        assert report.to_dict() == evaluate(pred, gt, radius=1, metrics=(name,)).to_dict()
+        assert list(report.aggregate) == [name]
+
     def test_unknown_metric_rejected(self):
         pred, gt = self._toy()
         with pytest.raises(ValueError, match="unknown metrics"):
@@ -444,7 +451,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(2.0), "1"])
     def test_non_integer_object_id_rejected(self, bad):
         pred, gt = self._toy()
-        with pytest.raises(ValueError, match=re.escape(f"object ids must be integers, got {bad!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"object_ids[0] must be an integer, got {bad!r}")):
             evaluate(pred, gt, object_ids=[bad])
 
     def test_numpy_integer_object_ids_reported_as_plain_ints(self):
