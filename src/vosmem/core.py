@@ -59,13 +59,19 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     return number
 
 
+def _items(name: str, values, kind: str) -> tuple:
+    """``values`` as a tuple; a value that is not iterable raises ValueError
+    naming ``name`` and the ``kind`` of item it should hold."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of {kind}, got {values!r}") from None
+
+
 def _integers(name: str, values, minimum: int | None = None,
               count: int | None = None) -> tuple[int, ...]:
     """Each item through :func:`_integer` as ``name[i]``; ``count`` fixes their number."""
-    try:
-        items = tuple(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    items = _items(name, values, "integers")
     if count is not None and len(items) != count:
         raise ValueError(f"{name} must be {count} integers, got {values!r}")
     return tuple(_integer(f"{name}[{i}]", v, minimum) for i, v in enumerate(items))
@@ -83,15 +89,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks of a non-empty array, flattened; ties share the average
-    of their positions, as SciPy's ``rankdata(values, method="average")``."""
+    of their positions, as SciPy's ``rankdata(values, method="average")``.
+
+    Costs one ``argsort``, one gather, one scatter and one comparison of
+    neighbours. Only tied values look up the ends of their run (a binary
+    search each), so the tie handling grows with the number of tied values,
+    not with the size of the array."""
     x = np.ravel(values)
     order = np.argsort(x)
     xs = x[order]
-    new = np.r_[True, xs[1:] != xs[:-1]]
-    # run k of equal values holds sorted positions start[k] .. start[k+1]-1
-    start = np.r_[np.flatnonzero(new), x.size]
     ranks = np.empty(x.size)
-    ranks[order] = (0.5 * (start[:-1] + start[1:] + 1))[np.cumsum(new) - 1]
+    # a value alone in its run at sorted position p has rank p + 1
+    ranks[order] = np.arange(1.0, x.size + 1)
+    # a run of equal values at sorted positions lo .. hi-1 shares rank
+    # (lo + hi + 1) / 2; p + 1 above is that same float when hi = lo + 1
+    tied = np.flatnonzero(xs[1:] == xs[:-1])
+    p = np.concatenate((tied, tied + 1))
+    run = xs[p]
+    ranks[order[p]] = 0.5 * (np.searchsorted(xs, run, "left")
+                             + np.searchsorted(xs, run, "right") + 1)
     return ranks
 
 
@@ -252,7 +268,7 @@ class FrameSequence:
     frames: tuple[LabelMask, ...]
 
     def __post_init__(self):
-        frames = tuple(self.frames)
+        frames = _items("frames", self.frames, "LabelMask")
         if not frames:
             raise ValueError("a frame sequence needs at least one frame")
         for f in frames:

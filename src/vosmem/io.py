@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask
+from .core import FeatureMap, FrameSequence, LabelMask, _choice
 from .harness import TrackTrace
 from .memory import PruneOutcome
 
@@ -78,8 +78,7 @@ def atomic_write_text(path, text: str) -> None:
 
 def tensor_bytes(array: np.ndarray, dtype: str = "float64") -> bytes:
     """Serialize an array into the tensor container format."""
-    if dtype not in _CODE_FOR_NAME:
-        raise ValueError(f"unsupported dtype {dtype!r}, expected float32 or float64")
+    _choice("dtype", dtype, tuple(_CODE_FOR_NAME))
     code = _CODE_FOR_NAME[dtype]
     arr = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
     header = struct.pack("<4sHBB", TENSOR_MAGIC, TENSOR_VERSION, code, arr.ndim)

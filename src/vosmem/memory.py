@@ -17,6 +17,7 @@ harness's readout uses the same rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +51,13 @@ def _cosine(a: FeatureMap, b: FeatureMap) -> float:
 
 
 def _manhattan(a: FeatureMap, b: FeatureMap) -> float:
-    return -float(np.sum(np.abs(a.data - b.data)))
+    d = a.data - b.data
+    return -float(np.sum(np.abs(d, out=d)))
 
 
 def _euclidean(a: FeatureMap, b: FeatureMap) -> float:
     d = a.data - b.data
-    return -math.sqrt(float(np.sum(d * d)))
+    return -math.sqrt(float(np.sum(np.square(d, out=d))))
 
 
 def _dot(a: FeatureMap, b: FeatureMap) -> float:
@@ -65,11 +67,16 @@ def _dot(a: FeatureMap, b: FeatureMap) -> float:
 def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
     # Pearson correlation of two centred keys. Zero variance on either side
     # yields 0 (degenerate inputs rank as non-redundant rather than dividing
-    # by zero).
+    # by zero). A product of the variances that leaves the normal floats
+    # (underflows, even to 0.0, or overflows) is replaced by the product of
+    # their roots, which stays in range.
     (xc, vx), (yc, vy) = x, y
     if vx == 0.0 or vy == 0.0:
         return 0.0
-    return float(np.dot(xc, yc)) / math.sqrt(vx * vy)
+    vv = vx * vy
+    if sys.float_info.min <= vv <= sys.float_info.max:
+        return float(np.dot(xc, yc)) / math.sqrt(vv)
+    return float(np.dot(xc, yc)) / (math.sqrt(vx) * math.sqrt(vy))
 
 
 def _pearson(a: FeatureMap, b: FeatureMap) -> float:
@@ -225,6 +232,8 @@ class MemoryBank:
 
     def append(self, entry: MemoryEntry) -> None:
         """FIFO insert: evicts the oldest entry when the bank is full."""
+        if not isinstance(entry, MemoryEntry):
+            raise ValueError(f"entry must be a MemoryEntry, got {type(entry).__name__}")
         if self._entries and entry.frame_index <= self._entries[-1].frame_index:
             raise ValueError(
                 f"frame_index must increase: got {entry.frame_index} after "

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FrameSequence, _integer, _integers
+from .core import FrameSequence, _integer, _integers, _items
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
@@ -249,7 +249,8 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     """
     radius = _integer("radius", radius, 0)  # a plain int, so the report serializes
     _check_aligned(pred, gt)
-    requested = [metrics] if isinstance(metrics, str) else list(metrics)
+    requested = ((metrics,) if isinstance(metrics, str)
+                 else _items("metrics", metrics, "metric names"))
     unknown = [m for m in requested if m not in METRIC_NAMES]
     if unknown:
         raise ValueError(f"unknown metrics {unknown}, expected a subset of {METRIC_NAMES}")

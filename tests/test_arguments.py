@@ -4,7 +4,8 @@ An integer argument accepts ints and NumPy integers and keeps their value
 exactly; anything else (a float, even 2.0, a string, None) and a value out of
 range raise ValueError. A name argument outside its choices raises
 ValueError with the message ``unknown {what} {value!r}, expected one of
-{choices}``.
+{choices}``. An argument of the wrong kind (None for a sequence, a feature
+map for a memory entry, an unhashable name) raises ValueError naming it too.
 """
 
 import re
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vosmem.core import FeatureMap, LabelMask, make_feature_map
+from vosmem.core import FeatureMap, FrameSequence, LabelMask, make_feature_map
 from vosmem.harness import (
     OBJECT_SHAPES,
     SceneConfig,
@@ -23,6 +24,7 @@ from vosmem.harness import (
     generate_scene,
     track_sequence,
 )
+from vosmem.io import tensor_bytes
 from vosmem.memory import PRUNE_MODES, SIMILARITY_METRICS, MemoryBank, MemoryEntry, similarity
 from vosmem.metrics import boundary_f, dilate_disk, disk_footprint, evaluate
 from vosmem.sampling import (
@@ -192,3 +194,31 @@ def test_numpy_integers_are_held_as_plain_ints():
 def test_unknown_name_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FrameSequence(None), "frames must be a sequence of LabelMask, got None"),
+    (lambda: evaluate(SCENE, SCENE, metrics=None),
+     "metrics must be a sequence of metric names, got None"),
+    (lambda: evaluate(SCENE, SCENE, metrics=3),
+     "metrics must be a sequence of metric names, got 3"),
+    (lambda: MemoryBank().append(None), "entry must be a MemoryEntry, got NoneType"),
+    (lambda: MemoryBank().append(_features(0)), "entry must be a MemoryEntry, got FeatureMap"),
+    (lambda: tensor_bytes(np.zeros(2), dtype=[1]),
+     "unknown dtype [1], expected one of ('float32', 'float64')"),
+    (lambda: tensor_bytes(np.zeros(2), dtype="float16"),
+     "unknown dtype 'float16', expected one of ('float32', 'float64')"),
+], ids=["FrameSequence frames", "evaluate metrics None", "evaluate metrics int",
+        "append None", "append FeatureMap", "tensor_bytes unhashable dtype",
+        "tensor_bytes dtype"])
+def test_wrong_kind_of_argument_names_it(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_bank_is_unchanged_by_a_rejected_append():
+    bank = MemoryBank()
+    with pytest.raises(ValueError):
+        bank.append(None)
+    bank.append(MemoryEntry(0, _features(0)))
+    assert bank.frame_indices == (0,)

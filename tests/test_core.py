@@ -87,6 +87,38 @@ _RANK_VALUES = st.one_of(
 )
 
 
+def _tie_runs(*lengths):
+    """Set runs of the given lengths, at random places, to one value each."""
+    def inject(flat, rng):
+        for n in lengths:
+            at = rng.choice(flat.size, n, replace=False)
+            flat[at] = flat[at[0]]
+    return inject
+
+
+def _ends(flat, rng):
+    # a tied run at the first and one at the last sorted position
+    flat[rng.choice(flat.size, 6, replace=False)] = np.repeat([-9.0, 9.0], 3)
+
+
+def _signed_zeros(flat, rng):
+    flat[rng.choice(flat.size, 3000, replace=False)] = rng.choice([0.0, -0.0], 3000)
+
+
+def _all_equal(flat, rng):
+    flat[...] = 0.25
+
+
+_WORKLOAD_TIES = {
+    "untied": lambda flat, rng: None,
+    "runs of 2 and 3": _tie_runs(2, 2, 3, 3),
+    "run of 5000": _tie_runs(5000, 2, 3),
+    "first and last": _ends,
+    "signed zeros": _signed_zeros,
+    "all equal": _all_equal,
+}
+
+
 class TestAverageRanks:
     @given(st.lists(_RANK_VALUES, min_size=1, max_size=60))
     @settings(max_examples=300, deadline=None)
@@ -110,6 +142,16 @@ class TestAverageRanks:
     def test_flattens_row_major(self):
         x = np.array([[[3.0, 1.0], [2.0, 1.0]]])
         assert average_ranks(x).tolist() == [4.0, 1.5, 3.0, 1.5]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", _WORKLOAD_TIES)
+    def test_workload_sized_maps_match_scipy_bit_for_bit(self, case, seed):
+        # 65,536 values take NumPy's large-array sort, which 60 never reach
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((64, 32, 32), dtype=np.float32).astype(np.float64)
+        _WORKLOAD_TIES[case](x.ravel(), rng)
+        expected = rankdata(x, method="average")
+        assert average_ranks(x).tobytes() == expected.tobytes()
 
 
 class TestMakeFeatureMap:

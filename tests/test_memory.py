@@ -227,6 +227,17 @@ class TestScoreMemo:
             ba = similarity(metric, FeatureMap(1, b), FeatureMap(0, a))
             assert _bits(ab) == _bits(ba), metric
 
+    def test_variances_whose_product_underflows(self):
+        # the mean of three copies of this value rounds, so each centred key
+        # has a tiny positive variance; their product underflows to 0.0
+        a = np.full((1, 1, 3), 3.3947638435598565e-128)
+        vx = FeatureMap(0, a).centred[1]
+        assert vx > 0.0 and vx * vx == 0.0
+        for metric in SIMILARITY_METRICS:
+            ab = similarity(metric, FeatureMap(0, a), FeatureMap(1, a))
+            ba = similarity(metric, FeatureMap(1, a), FeatureMap(0, a))
+            assert math.isfinite(ab) and _bits(ab) == _bits(ba), metric
+
     @pytest.mark.parametrize("shape", [(4, 64, 64), (64, 32, 32), (3, 5, 7)])
     def test_workload_sized_maps_are_symmetric_bit_for_bit(self, shape):
         # long reductions take the vectorized paths of einsum and dot
