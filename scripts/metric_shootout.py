@@ -10,7 +10,7 @@ they are free to disagree.
 
 import numpy as np
 
-from vosmem.core import make_feature_map
+from vosmem.core import FeatureMap
 from vosmem.memory import SIMILARITY_METRICS, MemoryBank, MemoryEntry
 
 
@@ -25,7 +25,7 @@ def duplicate_bank() -> MemoryBank:
     values[12] = values[10].copy()
     bank = MemoryBank(capacity=7)
     for idx in range(10, 17):
-        bank.append(MemoryEntry(idx, make_feature_map(idx, 2, 2, 2, values[idx])))
+        bank.append(MemoryEntry(idx, FeatureMap(idx, np.reshape(values[idx], (2, 2, 2)))))
     return bank
 
 
@@ -33,17 +33,14 @@ def random_bank(seed: int = 11) -> MemoryBank:
     rng = np.random.default_rng(seed)
     bank = MemoryBank(capacity=7)
     for idx in range(10, 17):
-        bank.append(MemoryEntry(idx, make_feature_map(
-            idx, 2, 2, 2, rng.normal(size=8))))
+        bank.append(MemoryEntry(idx, FeatureMap(idx, rng.normal(size=(2, 2, 2)))))
     return bank
 
 
 def show(title: str, bank: MemoryBank) -> None:
-    short, long = bank.split()
     print(f"== {title} ==")
     print(f"bank: {list(bank.frame_indices)}   "
-          f"short ref {short.reference.frame_index}, "
-          f"long ref {long.reference.frame_index}")
+          f"short ref {bank.frame_indices[-1]}, long ref {bank.frame_indices[0]}")
     print(f"{'metric':<10} {'pruned':<10} scores (frame: value vs reference)")
     for metric in SIMILARITY_METRICS:
         outcome = bank.prune_step(metric=metric, mode="select")

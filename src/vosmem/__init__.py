@@ -21,10 +21,8 @@ from .core import (
     FeatureMap,
     FrameSequence,
     LabelMask,
-    make_feature_map,
 )
 from .harness import (
-    ENCODER_CHANNELS,
     OBJECT_ID,
     OBJECT_SHAPES,
     SceneConfig,
@@ -44,9 +42,7 @@ from .memory import (
     SIMILARITY_METRICS,
     MemoryBank,
     MemoryEntry,
-    MemoryGroup,
     PruneOutcome,
-    redundancy_scores,
     similarity,
 )
 from .metrics import (
@@ -55,7 +51,6 @@ from .metrics import (
     AggregateStat,
     MetricReport,
     boundary_f,
-    boundary_pixels,
     ciou,
     dice,
     dilate_disk,
@@ -82,8 +77,6 @@ __all__ = [
     "FeatureMap",
     "FrameSequence",
     "LabelMask",
-    "make_feature_map",
-    "ENCODER_CHANNELS",
     "OBJECT_ID",
     "OBJECT_SHAPES",
     "SceneConfig",
@@ -101,16 +94,13 @@ __all__ = [
     "SIMILARITY_METRICS",
     "MemoryBank",
     "MemoryEntry",
-    "MemoryGroup",
     "PruneOutcome",
-    "redundancy_scores",
     "similarity",
     "DEFAULT_BOUNDARY_RADIUS",
     "METRIC_NAMES",
     "AggregateStat",
     "MetricReport",
     "boundary_f",
-    "boundary_pixels",
     "ciou",
     "dice",
     "dilate_disk",

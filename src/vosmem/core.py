@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -78,7 +78,9 @@ def _integers(name: str, values, minimum: int | None = None,
 
 
 def _choice(what: str, value, choices: tuple[str, ...]) -> None:
-    if value not in choices:
+    """The library's one name rule: ``value`` must be a string in ``choices``;
+    anything else (a NumPy array or dtype, None) raises ValueError naming ``what``."""
+    if not isinstance(value, str) or value not in choices:
         raise ValueError(f"unknown {what} {value!r}, expected one of {choices}")
 
 
@@ -112,6 +114,10 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
 
 
 def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
+    # equal values centre to exact zeros: x - x.mean() would keep the rounding
+    # error of the mean, and a constant map would get a tiny variance above 0
+    if (x == x[0]).all():
+        return _freeze(np.zeros_like(x)), 0.0
     xc = x - x.mean()
     return _freeze(xc), float(np.dot(xc, xc))
 
@@ -190,23 +196,6 @@ class FeatureMap:
         # frozen, and starts without the keys and the memo (serials are per
         # process)
         return FeatureMap, (self.frame_index, self.data)
-
-
-def make_feature_map(frame_index: int, channels: int, height: int, width: int,
-                     data: Sequence[float] | np.ndarray) -> FeatureMap:
-    """Build a validated :class:`FeatureMap` from a flat row-major buffer.
-
-    Raises ValueError if the buffer length is not channels*height*width or
-    any value is non-finite (the message names the offending flat index).
-    """
-    channels, height, width = (_integer(name, value, 1) for name, value in
-                               (("channels", channels), ("height", height), ("width", width)))
-    flat = np.asarray(data, dtype=np.float64).ravel()
-    expected = channels * height * width
-    if flat.size != expected:
-        raise ValueError(
-            f"data length {flat.size} does not match channels*height*width = {expected}")
-    return FeatureMap(frame_index, flat.reshape(channels, height, width))
 
 
 @dataclass(frozen=True, eq=False)

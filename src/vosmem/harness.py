@@ -35,7 +35,6 @@ from .metrics import disk_footprint
 
 OBJECT_SHAPES = ("square", "disk")
 OBJECT_ID = 1
-ENCODER_CHANNELS = ("occupancy", "x_coord", "y_coord", "noise")
 _KEY_MAX = 2**64 - 1  # largest Philox key word
 
 

@@ -33,11 +33,12 @@ DEFAULT_MODE = "persistent"
 
 # Cosine, Pearson and Spearman read the per-frame keys that FeatureMap
 # computes once, so each pair costs one dot product. Pairs are not batched
-# across a group: a stacked reduction sums in another order, and a one-ulp
-# change can flip a tie between candidates. Each pair is scored once per
-# metric: similarity memoizes the score on one map of the pair and serves
-# it in either order, which is exact because every metric below is
-# symmetric bit for bit (products and sums commute, |a - b| = |b - a|).
+# across a group: each pair goes through similarity, so the pair memo serves
+# it and a tracer that wraps similarity sees every readout and prune score.
+# Each pair is scored once per metric: similarity memoizes the score on one
+# map of the pair and serves it in either order, which is exact because
+# every metric below is symmetric bit for bit (products and sums commute,
+# |a - b| = |b - a|).
 
 
 def _cosine(a: FeatureMap, b: FeatureMap) -> float:
@@ -164,15 +165,6 @@ class MemoryEntry:
 
 
 @dataclass(frozen=True)
-class MemoryGroup:
-    """A split half of a full bank: one reference frame plus its candidates."""
-
-    name: str  # "short" or "long"
-    reference: MemoryEntry
-    candidates: tuple[MemoryEntry, ...]
-
-
-@dataclass(frozen=True)
 class PruneOutcome:
     """Result of one prune step, as frame indices: it holds no features.
 
@@ -190,16 +182,6 @@ class PruneOutcome:
         return bool(self.pruned_frame_indices)
 
 
-def redundancy_scores(metric: str, group: MemoryGroup) -> dict[int, float]:
-    """Score each candidate against the group reference (reference excluded)."""
-    if not group.candidates:
-        raise ValueError(f"group {group.name!r} has no candidates to score")
-    return {
-        c.frame_index: similarity(metric, group.reference.features, c.features)
-        for c in group.candidates
-    }
-
-
 class MemoryBank:
     """Capacity-bounded, temporally ordered store of memory entries.
 
@@ -210,14 +192,6 @@ class MemoryBank:
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         self.capacity = _integer("capacity", capacity, 2)
         self._entries: list[MemoryEntry] = []
-
-    @property
-    def short_size(self) -> int:
-        return (self.capacity + 1) // 2
-
-    @property
-    def long_size(self) -> int:
-        return self.capacity - self.short_size
 
     @property
     def entries(self) -> tuple[MemoryEntry, ...]:
@@ -242,22 +216,6 @@ class MemoryBank:
             self._entries.pop(0)
         self._entries.append(entry)
 
-    def split(self) -> tuple[MemoryGroup, MemoryGroup]:
-        """Split a full bank into (short, long) groups.
-
-        The short group is the newest ceil(capacity/2) entries with the
-        newest entry as reference; the long group is the remaining oldest
-        entries with the oldest entry as reference.
-        """
-        if len(self._entries) != self.capacity:
-            raise ValueError(
-                f"split requires a full bank ({self.capacity} entries), have {len(self._entries)}")
-        long_part = self._entries[:self.long_size]
-        short_part = self._entries[self.long_size:]
-        short = MemoryGroup("short", reference=short_part[-1], candidates=tuple(short_part[:-1]))
-        long = MemoryGroup("long", reference=long_part[0], candidates=tuple(long_part[1:]))
-        return short, long
-
     def prune_step(self, metric: str = DEFAULT_METRIC, mode: str = DEFAULT_MODE) -> PruneOutcome:
         """Prune the most redundant candidate from each group of a full bank.
 
@@ -271,16 +229,20 @@ class MemoryBank:
         _choice("similarity metric", metric, SIMILARITY_METRICS)
         if len(self._entries) < self.capacity:
             return PruneOutcome(retained=self.frame_indices, pruned_frame_indices=())
-        short, long = self.split()
+        # the oldest capacity // 2 entries are the long group, referenced by the
+        # oldest; the newest ceil(capacity / 2) are the short group, referenced
+        # by the newest
+        cut = self.capacity // 2
+        long, short = self._entries[:cut], self._entries[cut:]
         scores: dict[str, dict[int, float]] = {}
         victims: list[int] = []
-        for group in (short, long):
-            if not group.candidates:
-                scores[group.name] = {}
-                continue
-            group_scores = redundancy_scores(metric, group)
-            scores[group.name] = group_scores
-            victims.append(argmax_frame(metric, group_scores))
+        for name, reference, candidates in (("short", short[-1], short[:-1]),
+                                            ("long", long[0], long[1:])):
+            scores[name] = group_scores = {
+                c.frame_index: similarity(metric, reference.features, c.features)
+                for c in candidates}
+            if group_scores:
+                victims.append(argmax_frame(metric, group_scores))
         kept = [e for e in self._entries if e.frame_index not in victims]
         if mode == "persistent":
             self._entries = kept

@@ -78,7 +78,7 @@ def dice(pred, gt) -> float:
     return _dice(*_overlap(*_pixel_pair(pred, gt)))
 
 
-def boundary_pixels(mask) -> np.ndarray:
+def _boundary_pixels(mask) -> np.ndarray:
     """Member pixels with a 4-connected neighbor that is a non-member or
     lies outside the image (the image border counts as exterior)."""
     m = _as_pixel_set(mask)
@@ -130,8 +130,8 @@ def boundary_f(pred, gt, radius: int = DEFAULT_BOUNDARY_RADIUS) -> float:
     """
     radius = _integer("radius", radius, 0)
     p, g = _pixel_pair(pred, gt)
-    bp = boundary_pixels(p)
-    bg = boundary_pixels(g)
+    bp = _boundary_pixels(p)
+    bg = _boundary_pixels(g)
     np_b = int(np.count_nonzero(bp))
     ng_b = int(np.count_nonzero(bg))
     if np_b == 0 and ng_b == 0:

@@ -108,9 +108,9 @@ def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> Sampli
 
 def materialize(sequence: FrameSequence, indices) -> FrameSequence:
     """Extract the subsequence at the given positions, keeping original
-    frame_index values on each frame; a position past the end is an IndexError."""
+    frame_index values on each frame; a position past the end is a ValueError."""
     indices = _integers("indices", indices, 0)
     for i in indices:
         if i >= len(sequence):
-            raise IndexError(f"index {i} out of bounds for sequence of length {len(sequence)}")
+            raise ValueError(f"index {i} out of bounds for sequence of length {len(sequence)}")
     return FrameSequence(tuple(sequence.frames[i] for i in indices))

@@ -20,7 +20,7 @@ from oracles import (
     dilate_shift_oracle,
 )
 from vosmem.cli import run_command
-from vosmem.core import FeatureMap, LabelMask, make_feature_map
+from vosmem.core import FeatureMap, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
     MaskFormatError,
@@ -100,16 +100,12 @@ def test_criterion_2_prune_structure_suite():
             bank = full_bank(7, rng, first_index=t0)
             newest, oldest = t0 + 6, t0
 
-            short, long = bank.split()
-            assert short.reference.frame_index == newest
-            assert {e.frame_index for e in (short.reference, *short.candidates)} == {
-                t0 + 3, t0 + 4, t0 + 5, t0 + 6}
-            assert long.reference.frame_index == oldest
-            assert {e.frame_index for e in (long.reference, *long.candidates)} == {
-                t0, t0 + 1, t0 + 2}
-
             metric = SIMILARITY_METRICS[trial % len(SIMILARITY_METRICS)]
             outcome = bank.prune_step(metric=metric, mode="select")
+            # the short group is the newest 4 and the long group the oldest 3;
+            # their references, the newest and the oldest, are not scored
+            assert set(outcome.scores["short"]) == {t0 + 3, t0 + 4, t0 + 5}
+            assert set(outcome.scores["long"]) == {t0 + 1, t0 + 2}
             retained = outcome.retained
             assert len(retained) == 5
             assert newest in retained and oldest in retained
@@ -147,7 +143,7 @@ def test_criterion_3_duplicate_pruning():
 
         bank = MemoryBank(capacity=7)
         for idx in range(t - 6, t + 1):
-            bank.append(MemoryEntry(idx, make_feature_map(idx, 1, 2, 4, values[idx])))
+            bank.append(MemoryEntry(idx, FeatureMap(idx, np.reshape(values[idx], (1, 2, 4)))))
 
         for metric in SIMILARITY_METRICS:
             outcome = bank.prune_step(metric=metric, mode="select")
@@ -278,7 +274,7 @@ def test_criterion_8_io_round_trips(tmp_path):
     with verdict(8, "round-trips lossless; CLI reruns byte-identical"):
         rng = np.random.default_rng(808)
 
-        fmap = make_feature_map(3, 2, 3, 4, rng.normal(size=24))
+        fmap = FeatureMap(3, rng.normal(size=(2, 3, 4)))
         write_tensor(fmap, tmp_path / "003.ften")
         back = read_tensor(tmp_path / "003.ften")
         assert back.frame_index == 3

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vosmem.core import FeatureMap, FrameSequence, LabelMask, make_feature_map
+from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import (
     OBJECT_SHAPES,
     SceneConfig,
@@ -75,10 +75,6 @@ def _plan(**fields):
 HOLDS = {
     "FeatureMap.frame_index": lambda v: _features(v).frame_index,
     "LabelMask.frame_index": lambda v: LabelMask(v, np.zeros((1, 1), np.uint8)).frame_index,
-    "make_feature_map.frame_index": lambda v: make_feature_map(v, 1, 1, 1, [0.0]).frame_index,
-    "make_feature_map.channels": lambda v: make_feature_map(0, v, 1, 1, np.zeros(3)).channels,
-    "make_feature_map.height": lambda v: make_feature_map(0, 1, v, 1, np.zeros(3)).height,
-    "make_feature_map.width": lambda v: make_feature_map(0, 1, 1, v, np.zeros(3)).width,
     "MemoryBank.capacity": _full_bank,
     "MemoryEntry.frame_index": lambda v: MemoryEntry(v, _features(3)).frame_index,
     "encode_frame.frame_index": lambda v: encode_frame(SCENE[0], NOISY, 0, v).frame_index,
@@ -208,9 +204,21 @@ def test_unknown_name_message(call, message):
      "unknown dtype [1], expected one of ('float32', 'float64')"),
     (lambda: tensor_bytes(np.zeros(2), dtype="float16"),
      "unknown dtype 'float16', expected one of ('float32', 'float64')"),
+    # a name must be a str: an array or a dtype that compares equal to a
+    # choice is rejected by the same message
+    (lambda: tensor_bytes(np.zeros(2), dtype=np.dtype("float32")),
+     f"unknown dtype {np.dtype('float32')!r}, expected one of ('float32', 'float64')"),
+    (lambda: tensor_bytes(np.zeros(2), dtype=np.array(["float32", "x"])),
+     f"unknown dtype {np.array(['float32', 'x'])!r}, expected one of ('float32', 'float64')"),
+    (lambda: similarity(np.array(["cosine", "dot"]), _features(0), _features(1)),
+     f"unknown similarity metric {np.array(['cosine', 'dot'])!r}, "
+     f"expected one of {SIMILARITY_METRICS}"),
+    (lambda: MemoryBank().prune_step(mode=None),
+     f"unknown prune mode None, expected one of {PRUNE_MODES}"),
 ], ids=["FrameSequence frames", "evaluate metrics None", "evaluate metrics int",
         "append None", "append FeatureMap", "tensor_bytes unhashable dtype",
-        "tensor_bytes dtype"])
+        "tensor_bytes dtype", "tensor_bytes numpy dtype", "tensor_bytes array dtype",
+        "similarity array metric", "prune_step mode None"])
 def test_wrong_kind_of_argument_names_it(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

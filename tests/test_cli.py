@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import vosmem
 from vosmem.cli import build_parser, run_command
-from vosmem.core import FrameSequence, LabelMask, make_feature_map
+from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
 from vosmem.io import tensor_bytes, write_mask_dir, write_tensor
 from vosmem.memory import DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE
@@ -89,7 +89,7 @@ def write_duplicate_features(directory):
     rows[10] = oldest
     rows[11] = oldest.copy()
     for idx, values in rows.items():
-        write_tensor(make_feature_map(idx, 2, 2, 2, values), directory / f"{idx:03d}.ften")
+        write_tensor(FeatureMap(idx, np.reshape(values, (2, 2, 2))), directory / f"{idx:03d}.ften")
 
 
 class TestPruneCommand:
@@ -241,7 +241,7 @@ class TestErrorHandling:
     def test_overflowing_scores_exit_1_with_one_error_line(self, tmp_path, capacity):
         # finite features near +-1e308 whose euclidean distances overflow
         for i in range(8):
-            write_tensor(make_feature_map(i, 1, 1, 2, [(-1.0) ** i * 1e308, 1.0]),
+            write_tensor(FeatureMap(i, np.reshape([(-1.0) ** i * 1e308, 1.0], (1, 1, 2))),
                          tmp_path / f"{i:03d}.ften")
         proc = run_cli_process("-m", "vosmem.cli", "prune", "--features", str(tmp_path),
                                "--metric", "euclidean", "--capacity", capacity)

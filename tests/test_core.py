@@ -5,8 +5,9 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 from vosmem.core import (
@@ -16,7 +17,6 @@ from vosmem.core import (
     LabelMask,
     _Adopted,
     average_ranks,
-    make_feature_map,
 )
 
 
@@ -79,6 +79,24 @@ class TestMemoryKeys:
         assert centred.tolist() == [1.25, 2.25, -1.75, -1.75] and sq == 12.75
         ranks, sq = fm.centred_ranks
         assert ranks.tolist() == [0.5, 1.5, -1.0, -1.0] and sq == 4.5
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, -7.0, 3.3947638435598565e-128])
+    def test_constant_map_centres_to_exact_zeros(self, value):
+        # x - x.mean() keeps the rounding error of the mean (about -1.4e-17
+        # for a map of 0.1), which would give a constant map a variance
+        fm = FeatureMap(0, np.full((4, 8, 8), value))
+        for centred, sq in (fm.centred, fm.centred_ranks):
+            assert not centred.any() and sq == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+                  elements=st.floats(-1e6, 1e6)))
+    def test_non_constant_key_is_the_mean_centred_data(self, x):
+        assume(not (x == x.flat[0]).all())
+        flat = FeatureMap(0, x).data.ravel()
+        centred, sq = FeatureMap(0, x).centred
+        xc = flat - flat.mean()
+        assert centred.tobytes() == xc.tobytes() and sq == float(np.dot(xc, xc))
 
 
 _RANK_VALUES = st.one_of(
@@ -152,21 +170,6 @@ class TestAverageRanks:
         _WORKLOAD_TIES[case](x.ravel(), rng)
         expected = rankdata(x, method="average")
         assert average_ranks(x).tobytes() == expected.tobytes()
-
-
-class TestMakeFeatureMap:
-    def test_reshapes_flat_buffer_row_major(self):
-        fm = make_feature_map(0, 2, 2, 3, list(range(12)))
-        assert fm.data[0, 0, 2] == 2.0
-        assert fm.data[1, 0, 0] == 6.0
-
-    def test_length_mismatch_message_names_expected_count(self):
-        with pytest.raises(ValueError, match=r"data length 5 .* = 8"):
-            make_feature_map(0, 2, 2, 2, [0.0] * 5)
-
-    def test_rejects_nonpositive_dims(self):
-        with pytest.raises(ValueError, match="channels must be >= 1, got 0"):
-            make_feature_map(0, 0, 2, 2, [])
 
 
 class TestLabelMask:

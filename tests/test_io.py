@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vosmem.core import FrameSequence, LabelMask, make_feature_map
+from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
     TENSOR_MAGIC,
@@ -38,7 +38,7 @@ from vosmem.memory import MemoryBank, MemoryEntry
 
 def fmap(idx=0, shape=(2, 3, 4), seed=0):
     rng = np.random.default_rng(seed)
-    return make_feature_map(idx, *shape, rng.normal(size=shape).ravel())
+    return FeatureMap(idx, rng.normal(size=shape))
 
 
 class TestTensorFormat:
@@ -52,13 +52,13 @@ class TestTensorFormat:
 
     def test_float32_round_trip_of_representable_values(self, tmp_path):
         data = np.float64(np.float32(np.random.default_rng(1).normal(size=(1, 2, 2))))
-        fm = make_feature_map(4, 1, 2, 2, data.ravel())
+        fm = FeatureMap(4, data)
         path = tmp_path / "004.ften"
         write_tensor(fm, path, dtype="float32")
         assert np.array_equal(fm.data, read_tensor(path).data)
 
     def test_header_layout(self):
-        fm = make_feature_map(0, 1, 1, 2, [1.0, 2.0])
+        fm = FeatureMap(0, np.reshape([1.0, 2.0], (1, 1, 2)))
         blob = tensor_bytes(fm.data)
         magic, version, code, ndim = struct.unpack_from("<4sHBB", blob, 0)
         assert magic == b"FTEN"

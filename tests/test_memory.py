@@ -1,4 +1,4 @@
-"""Memory bank behavior: FIFO, splitting, similarity scoring, pruning."""
+"""Memory bank behavior: FIFO, short/long groups, similarity scoring, pruning."""
 
 import copy
 import gc
@@ -15,16 +15,14 @@ from scipy.stats import rankdata
 
 from oracles import METRIC_ORACLES
 from vosmem import memory
-from vosmem.core import FeatureMap, make_feature_map
+from vosmem.core import FeatureMap
 from vosmem.memory import (
     DEFAULT_CAPACITY,
     PRUNE_MODES,
     SIMILARITY_METRICS,
     MemoryBank,
     MemoryEntry,
-    MemoryGroup,
     argmax_frame,
-    redundancy_scores,
     similarity,
 )
 
@@ -33,7 +31,7 @@ def fmap(frame_index, values, channels=1, h=1, w=None):
     values = list(values)
     if w is None:
         w = len(values) // (channels * h)
-    return make_feature_map(frame_index, channels, h, w, values)
+    return FeatureMap(frame_index, np.reshape(values, (channels, h, w)))
 
 
 def entry(frame_index, values, **kw):
@@ -41,9 +39,7 @@ def entry(frame_index, values, **kw):
 
 
 def random_entry(rng, frame_index, shape=(2, 3, 3)):
-    data = rng.normal(size=shape)
-    return MemoryEntry(frame_index,
-                       make_feature_map(frame_index, *shape, data.ravel()))
+    return MemoryEntry(frame_index, FeatureMap(frame_index, rng.normal(size=shape)))
 
 
 def full_bank(rng, capacity=DEFAULT_CAPACITY, start=0, step=1):
@@ -56,7 +52,7 @@ def full_bank(rng, capacity=DEFAULT_CAPACITY, start=0, step=1):
 class TestSimilarityExamples:
     def test_cosine_self_similarity_is_channel_count(self):
         rng = np.random.default_rng(0)
-        a = make_feature_map(0, 4, 3, 3, rng.normal(size=36))
+        a = FeatureMap(0, rng.normal(size=(4, 3, 3)))
         assert similarity("cosine", a, a) == pytest.approx(4.0, abs=1e-12)
 
     def test_cosine_two_channel_hand_case(self):
@@ -97,6 +93,13 @@ class TestSimilarityExamples:
         other = fmap(1, [1.0, 2.0, 3.0])
         assert similarity("pearson", const, other) == 0.0
 
+    @pytest.mark.parametrize("metric", ["pearson", "spearman"])
+    def test_two_constant_maps_score_zero(self, metric):
+        # zero variance on both sides, however the mean of each map rounds
+        a = FeatureMap(0, np.full((4, 8, 8), 0.3))
+        b = FeatureMap(1, np.full((4, 8, 8), 0.7))
+        assert similarity(metric, a, b) == 0.0
+
     def test_spearman_monotone_but_nonlinear_is_one(self):
         a = fmap(0, [1.0, 2.0, 3.0, 4.0])
         b = fmap(1, [1.0, 8.0, 27.0, 64.0])
@@ -132,8 +135,7 @@ class TestSimilarityAgainstOracles:
             w = int(rng.integers(1, 9))
             a = rng.normal(size=(c, h, w))
             b = rng.normal(size=(c, h, w))
-            fa = make_feature_map(0, c, h, w, a.ravel())
-            fb = make_feature_map(1, c, h, w, b.ravel())
+            fa, fb = FeatureMap(0, a), FeatureMap(1, b)
             assert similarity(metric, fa, fb) == pytest.approx(
                 oracle(a.tolist(), b.tolist()), abs=1e-9)
 
@@ -150,8 +152,7 @@ class TestSimilarityAgainstOracles:
             a = rng.integers(-3, 4, size=shape).astype(float)
             b = rng.integers(-3, 4, size=shape).astype(float)
             a[0] = 0.0  # a zero-norm channel
-            fa = make_feature_map(0, *shape, a.ravel())
-            fb = make_feature_map(1, *shape, b.ravel())
+            fa, fb = FeatureMap(0, a), FeatureMap(1, b)
             if warm:
                 for fm in (fa, fb):
                     fm.channel_norms, fm.centred, fm.centred_ranks
@@ -177,8 +178,7 @@ class TestSimilarityAgainstOracles:
         for shape in [(64, 8, 8), (4, 16, 16), (3, 5, 7)]:
             a = rng.normal(size=shape).astype(np.float32).astype(float)
             b = a + 0.1 * rng.normal(size=shape)
-            fa = make_feature_map(0, *shape, a.ravel())
-            fb = make_feature_map(1, *shape, b.ravel())
+            fa, fb = FeatureMap(0, a), FeatureMap(1, b)
             assert similarity(metric, fa, fb) == per_pair(a, b)
 
     def test_cosine_positive_channel_scale_invariance(self):
@@ -187,9 +187,7 @@ class TestSimilarityAgainstOracles:
         b = rng.normal(size=(3, 4, 4))
         scales = rng.uniform(0.01, 100.0, size=3)
         scaled = b * scales[:, None, None]
-        fa = make_feature_map(0, 3, 4, 4, a.ravel())
-        fb = make_feature_map(1, 3, 4, 4, b.ravel())
-        fs = make_feature_map(2, 3, 4, 4, scaled.ravel())
+        fa, fb, fs = FeatureMap(0, a), FeatureMap(1, b), FeatureMap(2, scaled)
         assert similarity("cosine", fa, fb) == pytest.approx(
             similarity("cosine", fa, fs), abs=1e-9)
 
@@ -228,9 +226,9 @@ class TestScoreMemo:
             assert _bits(ab) == _bits(ba), metric
 
     def test_variances_whose_product_underflows(self):
-        # the mean of three copies of this value rounds, so each centred key
-        # has a tiny positive variance; their product underflows to 0.0
-        a = np.full((1, 1, 3), 3.3947638435598565e-128)
+        # values this small have a tiny positive variance; the product of two
+        # such variances underflows to 0.0
+        a = np.reshape([1.0, 2.0, 4.0], (1, 1, 3)) * 1e-130
         vx = FeatureMap(0, a).centred[1]
         assert vx > 0.0 and vx * vx == 0.0
         for metric in SIMILARITY_METRICS:
@@ -342,73 +340,67 @@ class TestAppend:
             MemoryBank(capacity=1)
 
 
-class TestSplit:
-    def test_default_capacity_sizes(self):
-        bank = MemoryBank(capacity=7)
-        assert bank.short_size == 4
-        assert bank.long_size == 3
+def group_scores(bank, metric="cosine"):
+    """The short and long groups' scores of one select-mode prune step."""
+    return bank.prune_step(metric=metric, mode="select").scores
 
-    def test_split_frames_10_to_16(self):
+
+class TestGroups:
+    # the groups show in the scores: each maps its candidates, never its
+    # reference, and the short group is scored first
+    def test_groups_of_frames_10_to_16(self):
         bank = MemoryBank(capacity=7)
         for i in range(10, 17):
             bank.append(entry(i, [float(i)]))
-        short, long_ = bank.split()
-        assert short.name == "short" and long_.name == "long"
-        assert short.reference.frame_index == 16
-        assert {c.frame_index for c in short.candidates} == {15, 14, 13}
-        assert long_.reference.frame_index == 10
-        assert {c.frame_index for c in long_.candidates} == {12, 11}
+        scores = group_scores(bank)
+        assert list(scores) == ["short", "long"]
+        assert set(scores["short"]) == {13, 14, 15}
+        assert set(scores["long"]) == {11, 12}
 
-    def test_split_requires_full_bank(self):
-        bank = MemoryBank(capacity=7)
-        for i in range(6):
-            bank.append(entry(i, [float(i)]))
-        with pytest.raises(ValueError, match="full bank"):
-            bank.split()
-
-    def test_capacity_four_split(self):
+    def test_capacity_four_groups(self):
         bank = MemoryBank(capacity=4)
         for i in range(4):
             bank.append(entry(i, [float(i)]))
-        short, long_ = bank.split()
-        assert short.reference.frame_index == 3
-        assert {c.frame_index for c in short.candidates} == {2}
-        assert long_.reference.frame_index == 0
-        assert {c.frame_index for c in long_.candidates} == {1}
+        scores = group_scores(bank)
+        assert set(scores["short"]) == {2}
+        assert set(scores["long"]) == {1}
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_group_sizes_cover_every_capacity(self, n):
-        bank = MemoryBank(capacity=n)
-        assert bank.short_size == -(-n // 2)
-        assert bank.long_size == n - bank.short_size
-        assert bank.short_size + bank.long_size == n
+        # the newest ceil(n/2) entries are short, the oldest floor(n/2) long;
+        # each group less its reference is scored
+        scores = group_scores(full_bank(np.random.default_rng(n), capacity=n))
+        assert set(scores["short"]) == set(range(n // 2, n - 1))
+        assert set(scores["long"]) == set(range(1, n // 2))
+        assert len(scores["short"]) == -(-n // 2) - 1
+        assert len(scores["long"]) == n // 2 - 1
 
+    @pytest.mark.parametrize("metric", SIMILARITY_METRICS)
+    def test_reference_excluded_from_scores(self, metric):
+        bank = full_bank(np.random.default_rng(1), start=10)
+        scores = group_scores(bank, metric)
+        assert set(scores["short"]) == {13, 14, 15}
+        assert set(scores["long"]) == {11, 12}
 
-class TestRedundancyScores:
-    def test_reference_excluded_from_scores(self):
-        rng = np.random.default_rng(1)
-        bank = full_bank(rng, start=10)
-        short, _ = bank.split()
-        scores = redundancy_scores("cosine", short)
-        assert set(scores) == {13, 14, 15}
+    def test_short_group_is_scored_against_the_newest(self):
+        # 15 duplicates the newest frame 16; 14 is orthogonal to the oldest, 13
+        bank = MemoryBank(capacity=4)
+        for i, values in zip(range(13, 17), ([1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 2.0, 0.0],
+                                             [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])):
+            bank.append(entry(i, values, channels=2, h=1, w=2))
+        scores = group_scores(bank)
+        assert scores["short"][15] == pytest.approx(2.0, abs=1e-12)
+        assert scores["long"][14] == pytest.approx(0.0, abs=1e-12)
 
-    def test_duplicate_of_reference_scores_channel_count(self):
-        ref = entry(16, [1.0, 2.0, 3.0, 4.0], channels=2, h=1, w=2)
-        dup = entry(15, [1.0, 2.0, 3.0, 4.0], channels=2, h=1, w=2)
-        group = MemoryGroup("short", reference=ref, candidates=(dup,))
-        assert redundancy_scores("cosine", group)[15] == pytest.approx(2.0, abs=1e-12)
-
-    def test_orthogonal_candidate_scores_zero(self):
-        ref = entry(16, [1.0, 0.0, 0.0, 2.0], channels=2, h=1, w=2)
-        orth = entry(15, [0.0, 1.0, 2.0, 0.0], channels=2, h=1, w=2)
-        group = MemoryGroup("short", reference=ref, candidates=(orth,))
-        assert redundancy_scores("cosine", group)[15] == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty_candidates_rejected(self):
-        ref = entry(16, [1.0])
-        group = MemoryGroup("short", reference=ref, candidates=())
-        with pytest.raises(ValueError, match="no candidates"):
-            redundancy_scores("cosine", group)
+    def test_long_group_is_scored_against_the_oldest(self):
+        # 14 duplicates the oldest frame 13; 15 is orthogonal to the newest, 16
+        bank = MemoryBank(capacity=4)
+        for i, values in zip(range(13, 17), ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0],
+                                             [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 0.0, 2.0])):
+            bank.append(entry(i, values, channels=2, h=1, w=2))
+        scores = group_scores(bank)
+        assert scores["long"][14] == pytest.approx(2.0, abs=1e-12)
+        assert scores["short"][15] == pytest.approx(0.0, abs=1e-12)
 
 
 def bank_with_duplicates(indices=range(10, 17)):

@@ -24,7 +24,7 @@ from vosmem.metrics import (
     METRIC_NAMES,
     MetricReport,
     boundary_f,
-    boundary_pixels,
+    _boundary_pixels,
     ciou,
     dice,
     dilate_disk,
@@ -88,18 +88,18 @@ class TestJaccardAndDice:
 class TestBoundaryPixels:
     def test_single_pixel_is_its_own_boundary(self):
         m = grid(5, 5, [(2, 2)])
-        np.testing.assert_array_equal(boundary_pixels(m), m)
+        np.testing.assert_array_equal(_boundary_pixels(m), m)
 
     def test_full_frame_boundary_is_border_ring(self):
         m = np.ones((5, 7), dtype=bool)
-        b = boundary_pixels(m)
+        b = _boundary_pixels(m)
         expected = np.ones((5, 7), dtype=bool)
         expected[1:-1, 1:-1] = False
         np.testing.assert_array_equal(b, expected)
 
     def test_solid_square_perimeter(self):
         m = block(10, 10, 3, 3, 4)
-        b = boundary_pixels(m)
+        b = _boundary_pixels(m)
         assert int(b.sum()) == 12
         assert not b[4:6, 4:6].any()
 
@@ -108,7 +108,7 @@ class TestBoundaryPixels:
         for _ in range(25):
             m = rng.random((rng.integers(1, 12), rng.integers(1, 12))) < 0.5
             expected = np.array(boundary_oracle(m.tolist()), dtype=bool)
-            np.testing.assert_array_equal(boundary_pixels(m), expected)
+            np.testing.assert_array_equal(_boundary_pixels(m), expected)
 
 
 class TestDilateDisk:

@@ -168,7 +168,7 @@ class TestMaterialize:
         assert out[1].labels[0, 0] == 2
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(IndexError, match="out of bounds"):
+        with pytest.raises(ValueError, match="out of bounds"):
             materialize(self._seq(), [0, 6])
 
     def test_stride_one_materialization_is_identity(self):
