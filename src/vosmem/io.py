@@ -110,6 +110,10 @@ def parse_tensor_bytes(blob: bytes) -> np.ndarray:
         raise TensorFormatError(
             f"payload holds {len(blob) - dims_end} bytes but header dims {tuple(dims)} "
             f"require {expected}")
+    # an empty payload can still carry dims numpy cannot size: it counts
+    # only the nonzero ones
+    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise TensorFormatError(f"header dims {tuple(dims)} are too large to address")
     return np.frombuffer(blob, dtype, count, offset=dims_end).reshape(dims)
 
 

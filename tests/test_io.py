@@ -391,6 +391,7 @@ def _scratch_file(directory, name, blob):
 
 class TestFuzzedInputs:
     @given(tensor_blobs())
+    @example(TENSOR_MAGIC + struct.pack("<HBB5I", 1, 1, 5, 2, 0, 2**30, 0, 2**30))
     @settings(max_examples=300, deadline=None)
     def test_parse_tensor_bytes_raises_only_format_errors(self, blob):
         try:
