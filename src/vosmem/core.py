@@ -8,16 +8,14 @@ library has just built and shares with no one (a fresh encoding, a rasterized
 frame, the frozen labels of another mask) is adopted: handed over wrapped in
 :class:`_Adopted`, it is validated and frozen without a copy.
 
-A feature map's memory keys (the per-frame terms of its similarity scores)
-are computed on first use and stored read-only; a concurrent first use only
-computes the same value twice. Because a map's data never changes, the
-scores that ``memory.similarity`` computes for it are memoized on the map
-too. Pickles and copies are rebuilt through the constructor, so they are
-frozen as well and carry neither the keys nor the memo. Feature data is
-held as float64 regardless of any on-disk precision so that similarity
-sums reproduce across platforms. Feature maps and masks compare and hash
-by identity: an array has no single truth value, so field-wise equality
-would raise.
+These are values only: how maps are scored lives in :mod:`vosmem.memory`.
+A feature map carries a memo (a serial and a dict) that ``memory`` fills
+with what it derives from the map's data, which never changes. Pickles and
+copies are rebuilt through the constructor, so they are frozen as well and
+start with an empty memo. Feature data is held as float64 regardless of
+any on-disk precision so that similarity sums reproduce across platforms.
+Feature maps and masks compare and hash by identity: an array has no
+single truth value, so field-wise equality would raise.
 """
 
 from __future__ import annotations
@@ -77,6 +75,13 @@ def _integers(name: str, values, minimum: int | None = None,
     return tuple(_integer(f"{name}[{i}]", v, minimum) for i, v in enumerate(items))
 
 
+def _instance(name: str, value, cls: type) -> None:
+    """The library's one kind rule: ``value`` must be an instance of ``cls``;
+    anything else raises ValueError naming ``name`` and both types."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _choice(what: str, value, choices: tuple[str, ...]) -> None:
     """The library's one name rule: ``value`` must be a string in ``choices``;
     anything else (a NumPy array or dtype, None) raises ValueError naming ``what``."""
@@ -89,47 +94,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of a non-empty array, flattened; ties share the average
-    of their positions, as SciPy's ``rankdata(values, method="average")``.
-
-    Costs one ``argsort``, one gather, one scatter and one comparison of
-    neighbours. Only tied values look up the ends of their run (a binary
-    search each), so the tie handling grows with the number of tied values,
-    not with the size of the array."""
-    x = np.ravel(values)
-    order = np.argsort(x)
-    xs = x[order]
-    ranks = np.empty(x.size)
-    # a value alone in its run at sorted position p has rank p + 1
-    ranks[order] = np.arange(1.0, x.size + 1)
-    # a run of equal values at sorted positions lo .. hi-1 shares rank
-    # (lo + hi + 1) / 2; p + 1 above is that same float when hi = lo + 1
-    tied = np.flatnonzero(xs[1:] == xs[:-1])
-    p = np.concatenate((tied, tied + 1))
-    run = xs[p]
-    ranks[order[p]] = 0.5 * (np.searchsorted(xs, run, "left")
-                             + np.searchsorted(xs, run, "right") + 1)
-    return ranks
-
-
-def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
-    # equal values centre to exact zeros: x - x.mean() would keep the rounding
-    # error of the mean, and a constant map would get a tiny variance above 0
-    if (x == x[0]).all():
-        return _freeze(np.zeros_like(x)), 0.0
-    xc = x - x.mean()
-    return _freeze(xc), float(np.dot(xc, xc))
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureMap:
     """Per-frame feature tensor of shape (channels, height, width).
 
     Values are stored as float64 and must be finite. ``data`` is read-only
-    after construction. The memory keys ``channel_norms``, ``centred`` and
-    ``centred_ranks`` are computed on first use, once per map, and are
-    read-only too; a concurrent first use only computes the same value twice.
+    after construction.
     """
 
     frame_index: int
@@ -152,49 +122,20 @@ class FeatureMap:
         object.__setattr__(self, "data", _freeze(arr))
 
     @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
 
     @cached_property
-    def channel_norms(self) -> np.ndarray:
-        """L2 norm of each channel (the cosine key)."""
-        return _freeze(np.linalg.norm(self.data.reshape(self.channels, -1), axis=1))
-
-    @cached_property
-    def centred(self) -> tuple[np.ndarray, float]:
-        """Mean-centred flat data and its squared norm (the Pearson key)."""
-        return _centre(self.data.ravel())
-
-    @cached_property
-    def centred_ranks(self) -> tuple[np.ndarray, float]:
-        """Mean-centred average ranks of the flat data and their squared norm
-        (the Spearman key)."""
-        return _centre(average_ranks(self.data))
-
-    @cached_property
-    def _memo(self) -> tuple[int, dict[tuple[str, int], float]]:
-        """This map's serial and the scores ``memory.similarity`` memoized
-        for it against maps of higher serial: (metric, serial) -> score.
-        Serials are never reused, so the memo holds no reference to a map
-        and cannot confuse a dead map with a new one."""
+    def _memo(self) -> tuple[int, dict]:
+        """This map's serial and a dict that ``memory`` fills: the map's own
+        scoring keys and its scores against maps of higher serial. Serials
+        are never reused, so the memo holds no reference to a map and cannot
+        confuse a dead map with a new one."""
         return next(_SERIALS), {}
 
     def __reduce__(self):
         # a pickle or copy is rebuilt through __init__, so it is validated and
-        # frozen, and starts without the keys and the memo (serials are per
-        # process)
+        # frozen, and starts with an empty memo (serials are per process)
         return FeatureMap, (self.frame_index, self.data)
 
 
@@ -219,14 +160,6 @@ class LabelMask:
         if arr.dtype != np.uint8 and (arr.min() < 0 or arr.max() > MAX_OBJECT_ID):
             raise ValueError(f"label values must be in 0..{MAX_OBJECT_ID}")
         object.__setattr__(self, "labels", _freeze(arr.astype(np.uint8, copy=not adopted)))
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -260,9 +193,8 @@ class FrameSequence:
         frames = _items("frames", self.frames, "LabelMask")
         if not frames:
             raise ValueError("a frame sequence needs at least one frame")
-        for f in frames:
-            if not isinstance(f, LabelMask):
-                raise ValueError(f"frames must be LabelMask, got {type(f).__name__}")
+        for i, f in enumerate(frames):
+            _instance(f"frames[{i}]", f, LabelMask)
         first = frames[0]
         for prev, cur in zip(frames, frames[1:]):
             if cur.frame_index <= prev.frame_index:
@@ -270,10 +202,10 @@ class FrameSequence:
                     f"frame_index must be strictly increasing, got {prev.frame_index} "
                     f"then {cur.frame_index}")
         for f in frames:
-            if (f.height, f.width) != (first.height, first.width):
+            if f.shape != first.shape:
                 raise ValueError(
                     f"all frames must share spatial dimensions, got "
-                    f"{(first.height, first.width)} and {(f.height, f.width)} "
+                    f"{first.shape} and {f.shape} "
                     f"at frame {f.frame_index}")
         object.__setattr__(self, "frames", frames)
 
@@ -292,4 +224,4 @@ class FrameSequence:
 
     @property
     def spatial_shape(self) -> tuple[int, int]:
-        return self.frames[0].height, self.frames[0].width
+        return self.frames[0].shape

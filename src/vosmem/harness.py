@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask, _Adopted, _choice, _integer, _integers
+from .core import (FeatureMap, FrameSequence, LabelMask, _Adopted, _choice, _instance, _integer,
+                   _integers)
 from .memory import (
     DEFAULT_CAPACITY,
     DEFAULT_METRIC,
@@ -115,6 +116,7 @@ def _rasterize(config: SceneConfig, t: int) -> np.ndarray:
 
 def generate_scene(config: SceneConfig) -> FrameSequence:
     """Render the configured object at frames 0..n_frames-1."""
+    _instance("config", config, SceneConfig)
     frames = [LabelMask(frame_index=t, labels=_Adopted(_rasterize(config, t)))
               for t in range(config.n_frames)]
     return FrameSequence(frames)
@@ -152,6 +154,8 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
     Each key word is 64 bits, so ``seed`` and ``frame_index`` must lie in
     0..2**64-1; a value outside that range raises ``ValueError``.
     """
+    _instance("mask", mask, LabelMask)
+    _instance("config", config, ToyEncoderConfig)
     for name, value in (("seed", seed), ("frame_index", frame_index)):
         if not 0 <= _integer(name, value) <= _KEY_MAX:
             raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
@@ -231,6 +235,8 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
     The returned sequence starts with the prompt mask itself so that it
     aligns frame-for-frame with the observed scene.
     """
+    _instance("scene", scene, FrameSequence)
+    _instance("encoder_config", encoder_config, ToyEncoderConfig)
     if len(scene) < 2:
         raise ValueError(f"scene must have at least 2 frames, got {len(scene)}")
     _choice("prune mode", mode, PRUNE_MODES)  # even unpruned: the trace records it
@@ -278,4 +284,5 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
 
 def readout_cost(trace: TrackTrace) -> list[int]:
     """Per-step tokens consulted: retained entries times feature h*w."""
+    _instance("trace", trace, TrackTrace)
     return [s.readout_cost for s in trace.steps]

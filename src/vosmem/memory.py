@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMap, LabelMask, _choice, _integer
+from .core import FeatureMap, LabelMask, _choice, _freeze, _instance, _integer
 
 PRUNE_MODES = ("persistent", "select")
 
@@ -31,38 +31,75 @@ DEFAULT_METRIC = "cosine"
 DEFAULT_MODE = "persistent"
 
 
-# Cosine, Pearson and Spearman read the per-frame keys that FeatureMap
-# computes once, so each pair costs one dot product. Pairs are not batched
-# across a group: each pair goes through similarity, so the pair memo serves
-# it and a tracer that wraps similarity sees every readout and prune score.
-# Each pair is scored once per metric: similarity memoizes the score on one
-# map of the pair and serves it in either order, which is exact because
-# every metric below is symmetric bit for bit (products and sums commute,
-# |a - b| = |b - a|).
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a non-empty array, flattened; ties share the average
+    of their positions, as SciPy's ``rankdata(values, method="average")``.
+
+    Costs one ``argsort``, one gather, one scatter and one comparison of
+    neighbours. Only tied values look up the ends of their run (a binary
+    search each), so the tie handling grows with the number of tied values,
+    not with the size of the array."""
+    x = np.ravel(values)
+    order = np.argsort(x)
+    xs = x[order]
+    ranks = np.empty(x.size)
+    # a value alone in its run at sorted position p has rank p + 1
+    ranks[order] = np.arange(1.0, x.size + 1)
+    # a run of equal values at sorted positions lo .. hi-1 shares rank
+    # (lo + hi + 1) / 2; p + 1 above is that same float when hi = lo + 1
+    tied = np.flatnonzero(xs[1:] == xs[:-1])
+    p = np.concatenate((tied, tied + 1))
+    run = xs[p]
+    ranks[order[p]] = 0.5 * (np.searchsorted(xs, run, "left")
+                             + np.searchsorted(xs, run, "right") + 1)
+    return ranks
 
 
-def _cosine(a: FeatureMap, b: FeatureMap) -> float:
+# Each pair goes through similarity, not a batch per group, so the pair memo
+# serves it and a tracer that wraps similarity sees every score. The memo
+# serves (b, a) the score of (a, b): exact because every score below is
+# symmetric bit for bit (products and sums commute, |a - b| = |b - a|).
+
+
+def _data(data: np.ndarray) -> np.ndarray:
+    return data
+
+
+def _rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = data.reshape(data.shape[0], -1)
+    return rows, _freeze(np.linalg.norm(rows, axis=1))
+
+
+def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
+    # equal values centre to exact zeros: x - x.mean() would keep the rounding
+    # error of the mean, and a constant map would get a tiny variance above 0
+    if (x == x[0]).all():
+        return _freeze(np.zeros_like(x)), 0.0
+    xc = x - x.mean()
+    return _freeze(xc), float(np.dot(xc, xc))
+
+
+def _cosine(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> float:
     # Sum of per-channel cosines; a zero-norm channel contributes 0.
-    x = a.data.reshape(a.channels, -1)
-    y = b.data.reshape(b.channels, -1)
-    dots = np.einsum("ij,ij->i", x, y)
-    norms = a.channel_norms * b.channel_norms
+    (xr, xn), (yr, yn) = x, y
+    dots = np.einsum("ij,ij->i", xr, yr)
+    norms = xn * yn
     ok = norms > 0.0
     return float(np.sum(dots[ok] / norms[ok]))
 
 
-def _manhattan(a: FeatureMap, b: FeatureMap) -> float:
-    d = a.data - b.data
+def _manhattan(x: np.ndarray, y: np.ndarray) -> float:
+    d = x - y
     return -float(np.sum(np.abs(d, out=d)))
 
 
-def _euclidean(a: FeatureMap, b: FeatureMap) -> float:
-    d = a.data - b.data
+def _euclidean(x: np.ndarray, y: np.ndarray) -> float:
+    d = x - y
     return -math.sqrt(float(np.sum(np.square(d, out=d))))
 
 
-def _dot(a: FeatureMap, b: FeatureMap) -> float:
-    return float(np.sum(a.data * b.data))
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.sum(x * y))
 
 
 def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
@@ -80,24 +117,28 @@ def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> fl
     return float(np.dot(xc, yc)) / (math.sqrt(vx) * math.sqrt(vy))
 
 
-def _pearson(a: FeatureMap, b: FeatureMap) -> float:
-    return _correlation(a.centred, b.centred)
-
-
-def _spearman(a: FeatureMap, b: FeatureMap) -> float:
-    # Rank correlation with average ranks for ties.
-    return _correlation(a.centred_ranks, b.centred_ranks)
-
-
-_METRIC_FUNCS = {
-    "cosine": _cosine,
-    "manhattan": _manhattan,
-    "euclidean": _euclidean,
-    "dot": _dot,
-    "spearman": _spearman,
-    "pearson": _pearson,
+# metric -> (key of one map's data, score of two keys). Cosine's key is the
+# channel rows and their norms, Pearson's the centred flat data, Spearman's
+# the centred average ranks; the distances and dot score the data itself.
+_METRICS = {
+    "cosine": (_rows, _cosine),
+    "manhattan": (_data, _manhattan),
+    "euclidean": (_data, _euclidean),
+    "dot": (_data, _dot),
+    "spearman": (lambda data: _centre(average_ranks(data)), _correlation),
+    "pearson": (lambda data: _centre(data.ravel()), _correlation),
 }
-SIMILARITY_METRICS = tuple(_METRIC_FUNCS)
+SIMILARITY_METRICS = tuple(_METRICS)
+
+
+def _key(metric: str, fm: FeatureMap):
+    """``fm``'s key for ``metric``: computed on first use and kept, read-only,
+    in the map's memo; a concurrent first use only computes it twice."""
+    memo = fm._memo[1]
+    key = memo.get(metric)
+    if key is None:
+        key = memo[metric] = _METRICS[metric][0](fm.data)
+    return key
 
 
 def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
@@ -110,17 +151,19 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
     again, in either order, returns the same float without recomputing it.
     """
     _choice("similarity metric", metric, SIMILARITY_METRICS)
+    _instance("a", a, FeatureMap)
+    _instance("b", b, FeatureMap)
     if a.shape != b.shape:
         raise ValueError(f"feature shapes differ: {a.shape} vs {b.shape}")
     serial_a, memo_a = a._memo
     serial_b, memo_b = b._memo
     if serial_a < serial_b:
-        memo, key = memo_a, (metric, serial_b)
+        memo, pair = memo_a, (metric, serial_b)
     else:
-        memo, key = memo_b, (metric, serial_a)
-    score = memo.get(key)
+        memo, pair = memo_b, (metric, serial_a)
+    score = memo.get(pair)
     if score is None:
-        score = memo[key] = _METRIC_FUNCS[metric](a, b)
+        score = memo[pair] = _METRICS[metric][1](_key(metric, a), _key(metric, b))
     return score
 
 
@@ -156,6 +199,9 @@ class MemoryEntry:
 
     def __post_init__(self):
         object.__setattr__(self, "frame_index", _integer("frame_index", self.frame_index))
+        _instance("features", self.features, FeatureMap)
+        if self.mask is not None:
+            _instance("mask", self.mask, LabelMask)
         if self.features.frame_index != self.frame_index:
             raise ValueError(
                 f"features.frame_index {self.features.frame_index} != entry frame_index {self.frame_index}")
@@ -206,8 +252,7 @@ class MemoryBank:
 
     def append(self, entry: MemoryEntry) -> None:
         """FIFO insert: evicts the oldest entry when the bank is full."""
-        if not isinstance(entry, MemoryEntry):
-            raise ValueError(f"entry must be a MemoryEntry, got {type(entry).__name__}")
+        _instance("entry", entry, MemoryEntry)
         if self._entries and entry.frame_index <= self._entries[-1].frame_index:
             raise ValueError(
                 f"frame_index must increase: got {entry.frame_index} after "

@@ -14,12 +14,13 @@ was hallucinated); when exactly one side is empty they return 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FrameSequence, _integer, _integers, _items
+from .core import FrameSequence, _instance, _integer, _integers, _items
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
@@ -147,16 +148,20 @@ def boundary_f(pred, gt, radius: int = DEFAULT_BOUNDARY_RADIUS) -> float:
 
 def j_and_f(j: float, f: float) -> float:
     """Arithmetic mean of region similarity J and boundary accuracy F."""
-    if not 0.0 <= j <= 1.0:
-        raise ValueError(f"J must be in [0, 1], got {j}")
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"F must be in [0, 1], got {f}")
+    for name, value in (("J", j), ("F", f)):
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
     return (j + f) / 2.0
 
 
-def ciou(pred_seq: Sequence, gt_seq: Sequence) -> float:
+def ciou(pred_seq: Iterable, gt_seq: Iterable) -> float:
     """Sequence-level IoU: sum of per-frame intersections over sum of
-    per-frame unions; 1.0 when every frame pair is empty."""
+    per-frame unions; 1.0 when every frame pair is empty. Either sequence
+    may be any iterable of pixel sets."""
+    pred_seq = _items("pred_seq", pred_seq, "pixel sets")
+    gt_seq = _items("gt_seq", gt_seq, "pixel sets")
     if len(pred_seq) != len(gt_seq):
         raise ValueError(
             f"sequence lengths differ: {len(pred_seq)} vs {len(gt_seq)}")
@@ -248,6 +253,8 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     over all frames first.
     """
     radius = _integer("radius", radius, 0)  # a plain int, so the report serializes
+    _instance("pred", pred, FrameSequence)
+    _instance("gt", gt, FrameSequence)
     _check_aligned(pred, gt)
     requested = ((metrics,) if isinstance(metrics, str)
                  else _items("metrics", metrics, "metric names"))

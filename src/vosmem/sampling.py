@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import FrameSequence, _choice, _integer, _integers
+from .core import FrameSequence, _choice, _instance, _integer, _integers
 
 PHASE_POLICIES = ("zero", "all")
 DEFAULT_STRIDES = (1, 2)
@@ -96,6 +96,7 @@ def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> Sampli
     the clip yields only the phases that exist).
     """
     length = _integer("clip length", length, 1)
+    _instance("config", config, SamplingConfig)
     views = []
     for s in sorted(config.strides):
         phases = range(min(s, length)) if config.phase_policy == "all" else (0,)
@@ -109,6 +110,7 @@ def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> Sampli
 def materialize(sequence: FrameSequence, indices) -> FrameSequence:
     """Extract the subsequence at the given positions, keeping original
     frame_index values on each frame; a position past the end is a ValueError."""
+    _instance("sequence", sequence, FrameSequence)
     indices = _integers("indices", indices, 0)
     for i in indices:
         if i >= len(sequence):

@@ -3,7 +3,10 @@
 Everything here is written with explicit loops and elementary arithmetic,
 deliberately independent of the library's vectorized code paths, so that
 the two can agree only by both being correct. These run slowly and exist
-only for tests.
+only for tests. The tracker oracle at the end is the exception that proves
+the rule: it takes features from the encoder and scores from
+``memory.similarity``, which the oracles above pin, and rewrites only the
+streaming loop around them.
 """
 
 from __future__ import annotations
@@ -256,3 +259,63 @@ def block_mean_oracle(labels, h: int, w: int) -> list[list[float]]:
             row.append(count / (bh * bw))
         out.append(row)
     return out
+
+
+# ---------------------------------------------------------------------------
+# tracker oracle
+
+
+def track_oracle(scene, encoder_config, capacity: int, metric: str, mode: str,
+                 prune_enabled: bool, seed: int):
+    """The streaming loop of ``harness.track_sequence`` over plain lists.
+
+    The bank is a list of (frame_index, features, mask rows), oldest first.
+    Returns the predicted masks as nested lists and one tuple per step:
+    (step, frame_index, bank before, bank after, retained, pruned, scores by
+    group, selected frame, readout cost).
+    """
+    from vosmem.harness import encode_frame
+    from vosmem.memory import similarity
+
+    def best(scores):
+        # the highest score; a tie goes to the smallest frame index
+        winner = None
+        for i in sorted(scores):
+            if winner is None or scores[i] > scores[winner]:
+                winner = i
+        return winner
+
+    def entry(frame, mask):
+        return frame.frame_index, encode_frame(frame, encoder_config, seed, frame.frame_index), mask
+
+    frames = list(scene)
+    prompt = frames[0].labels.tolist()
+    bank = [entry(frames[0], prompt)]
+    predicted = [prompt]
+    steps = []
+    for t in range(1, len(frames)):
+        current = entry(frames[t], None)
+        before = [e[0] for e in bank]
+        retained, pruned, scores = list(bank), [], {}
+        if prune_enabled and len(bank) == capacity:
+            n_short = -(-capacity // 2)  # the newest ceil(n/2) are short-term
+            short, long = bank[capacity - n_short:], bank[:capacity - n_short]
+            for name, reference, candidates in (("short", short[-1], short[:-1]),
+                                                ("long", long[0], long[1:])):
+                scores[name] = {c[0]: similarity(metric, reference[1], c[1])
+                                for c in candidates}
+                if candidates:
+                    pruned.append(best(scores[name]))
+            retained = [e for e in bank if e[0] not in pruned]
+            if mode == "persistent":
+                bank = list(retained)
+        selected = best({e[0]: similarity(metric, e[1], current[1]) for e in retained})
+        mask = [e[2] for e in retained if e[0] == selected][0]
+        bank.append((current[0], current[1], mask))
+        if len(bank) > capacity:
+            bank.pop(0)
+        predicted.append(mask)
+        h, w = encoder_config.feature_resolution
+        steps.append((t, current[0], before, [e[0] for e in bank], [e[0] for e in retained],
+                      sorted(pruned), scores, selected, len(retained) * h * w))
+    return predicted, steps

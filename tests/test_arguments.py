@@ -5,7 +5,9 @@ exactly; anything else (a float, even 2.0, a string, None) and a value out of
 range raise ValueError. A name argument outside its choices raises
 ValueError with the message ``unknown {what} {value!r}, expected one of
 {choices}``. An argument of the wrong kind (None for a sequence, a feature
-map for a memory entry, an unhashable name) raises ValueError naming it too.
+map for a memory entry, an unhashable name) raises ValueError naming it too;
+one of the library's types in the wrong place raises ``{name} must be a
+{type}, got {type}``.
 """
 
 import re
@@ -22,6 +24,7 @@ from vosmem.harness import (
     ToyEncoderConfig,
     encode_frame,
     generate_scene,
+    readout_cost,
     track_sequence,
 )
 from vosmem.io import tensor_bytes
@@ -215,10 +218,31 @@ def test_unknown_name_message(call, message):
      f"expected one of {SIMILARITY_METRICS}"),
     (lambda: MemoryBank().prune_step(mode=None),
      f"unknown prune mode None, expected one of {PRUNE_MODES}"),
+    # the kind rule: an argument that must be one of the library's types
+    (lambda: FrameSequence((SCENE[0], None)), "frames[1] must be a LabelMask, got NoneType"),
+    (lambda: MemoryEntry(0, None), "features must be a FeatureMap, got NoneType"),
+    (lambda: MemoryEntry(0, _features(0), mask="x"), "mask must be a LabelMask, got str"),
+    (lambda: similarity("dot", None, _features(1)), "a must be a FeatureMap, got NoneType"),
+    (lambda: similarity("dot", _features(0), SCENE[0]), "b must be a FeatureMap, got LabelMask"),
+    (lambda: evaluate(None, SCENE), "pred must be a FrameSequence, got NoneType"),
+    (lambda: evaluate(SCENE, list(SCENE)), "gt must be a FrameSequence, got list"),
+    (lambda: track_sequence(list(SCENE), NOISY), "scene must be a FrameSequence, got list"),
+    (lambda: track_sequence(SCENE, None),
+     "encoder_config must be a ToyEncoderConfig, got NoneType"),
+    (lambda: encode_frame(None, NOISY, 0, 0), "mask must be a LabelMask, got NoneType"),
+    (lambda: encode_frame(SCENE[0], None, 0, 0), "config must be a ToyEncoderConfig, got NoneType"),
+    (lambda: generate_scene(None), "config must be a SceneConfig, got NoneType"),
+    (lambda: build_plan(5, "zero"), "config must be a SamplingConfig, got str"),
+    (lambda: materialize(list(SCENE), [0]), "sequence must be a FrameSequence, got list"),
+    (lambda: readout_cost(None), "trace must be a TrackTrace, got NoneType"),
 ], ids=["FrameSequence frames", "evaluate metrics None", "evaluate metrics int",
         "append None", "append FeatureMap", "tensor_bytes unhashable dtype",
         "tensor_bytes dtype", "tensor_bytes numpy dtype", "tensor_bytes array dtype",
-        "similarity array metric", "prune_step mode None"])
+        "similarity array metric", "prune_step mode None", "FrameSequence frames[i]",
+        "MemoryEntry features", "MemoryEntry mask", "similarity a", "similarity b",
+        "evaluate pred", "evaluate gt", "track_sequence scene", "track_sequence encoder_config",
+        "encode_frame mask", "encode_frame config", "generate_scene config",
+        "build_plan config", "materialize sequence", "readout_cost trace"])
 def test_wrong_kind_of_argument_names_it(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -1,14 +1,10 @@
-"""Value-type construction, validation, and average ranks."""
+"""Value-type construction and validation."""
 
 import copy
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-from scipy.stats import rankdata
 
 from vosmem.core import (
     MAX_OBJECT_ID,
@@ -16,7 +12,6 @@ from vosmem.core import (
     FrameSequence,
     LabelMask,
     _Adopted,
-    average_ranks,
 )
 
 
@@ -25,7 +20,6 @@ class TestFeatureMap:
         fm = FeatureMap(3, np.zeros((2, 4, 5)))
         assert fm.frame_index == 3
         assert fm.shape == (2, 4, 5)
-        assert fm.channels == 2 and fm.height == 4 and fm.width == 5
         assert fm.data.dtype == np.float64
 
     def test_data_is_read_only(self):
@@ -58,118 +52,6 @@ class TestFeatureMap:
         fm = FeatureMap(0, src)
         src[0, 0, 0] = 9.0
         assert fm.data[0, 0, 0] == 1.0
-
-
-class TestMemoryKeys:
-    def test_keys_are_read_only_and_computed_once(self):
-        fm = FeatureMap(0, np.arange(12.0).reshape(3, 2, 2))
-        centred, _ = fm.centred
-        ranks, _ = fm.centred_ranks
-        for key in (fm.channel_norms, centred, ranks):
-            with pytest.raises(ValueError):
-                key[0] = 5.0
-        assert fm.channel_norms is fm.channel_norms
-        assert fm.centred is fm.centred
-        assert fm.centred_ranks is fm.centred_ranks
-
-    def test_key_values(self):
-        fm = FeatureMap(0, np.array([[[3.0, 4.0]], [[0.0, 0.0]]]))
-        assert fm.channel_norms.tolist() == [5.0, 0.0]
-        centred, sq = fm.centred
-        assert centred.tolist() == [1.25, 2.25, -1.75, -1.75] and sq == 12.75
-        ranks, sq = fm.centred_ranks
-        assert ranks.tolist() == [0.5, 1.5, -1.0, -1.0] and sq == 4.5
-
-    @pytest.mark.parametrize("value", [0.1, 0.3, -7.0, 3.3947638435598565e-128])
-    def test_constant_map_centres_to_exact_zeros(self, value):
-        # x - x.mean() keeps the rounding error of the mean (about -1.4e-17
-        # for a map of 0.1), which would give a constant map a variance
-        fm = FeatureMap(0, np.full((4, 8, 8), value))
-        for centred, sq in (fm.centred, fm.centred_ranks):
-            assert not centred.any() and sq == 0.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
-                  elements=st.floats(-1e6, 1e6)))
-    def test_non_constant_key_is_the_mean_centred_data(self, x):
-        assume(not (x == x.flat[0]).all())
-        flat = FeatureMap(0, x).data.ravel()
-        centred, sq = FeatureMap(0, x).centred
-        xc = flat - flat.mean()
-        assert centred.tobytes() == xc.tobytes() and sq == float(np.dot(xc, xc))
-
-
-_RANK_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
-
-
-def _tie_runs(*lengths):
-    """Set runs of the given lengths, at random places, to one value each."""
-    def inject(flat, rng):
-        for n in lengths:
-            at = rng.choice(flat.size, n, replace=False)
-            flat[at] = flat[at[0]]
-    return inject
-
-
-def _ends(flat, rng):
-    # a tied run at the first and one at the last sorted position
-    flat[rng.choice(flat.size, 6, replace=False)] = np.repeat([-9.0, 9.0], 3)
-
-
-def _signed_zeros(flat, rng):
-    flat[rng.choice(flat.size, 3000, replace=False)] = rng.choice([0.0, -0.0], 3000)
-
-
-def _all_equal(flat, rng):
-    flat[...] = 0.25
-
-
-_WORKLOAD_TIES = {
-    "untied": lambda flat, rng: None,
-    "runs of 2 and 3": _tie_runs(2, 2, 3, 3),
-    "run of 5000": _tie_runs(5000, 2, 3),
-    "first and last": _ends,
-    "signed zeros": _signed_zeros,
-    "all equal": _all_equal,
-}
-
-
-class TestAverageRanks:
-    @given(st.lists(_RANK_VALUES, min_size=1, max_size=60))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_scipy_rankdata_bit_for_bit(self, values):
-        x = np.array(values)
-        expected = rankdata(x, method="average")
-        got = average_ranks(x)
-        assert got.dtype == expected.dtype
-        assert got.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("values", [
-        [7.0],
-        [2.0] * 9,
-        [0.0, -0.0, 0.0, -0.0],
-        [3.0, -0.0, 1.0, 0.0, 3.0, 3.0],
-    ])
-    def test_edge_cases(self, values):
-        x = np.array(values)
-        assert average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
-
-    def test_flattens_row_major(self):
-        x = np.array([[[3.0, 1.0], [2.0, 1.0]]])
-        assert average_ranks(x).tolist() == [4.0, 1.5, 3.0, 1.5]
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("case", _WORKLOAD_TIES)
-    def test_workload_sized_maps_match_scipy_bit_for_bit(self, case, seed):
-        # 65,536 values take NumPy's large-array sort, which 60 never reach
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((64, 32, 32), dtype=np.float32).astype(np.float64)
-        _WORKLOAD_TIES[case](x.ravel(), rng)
-        expected = rankdata(x, method="average")
-        assert average_ranks(x).tobytes() == expected.tobytes()
 
 
 class TestLabelMask:

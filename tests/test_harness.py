@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import block_mean_oracle
+from oracles import block_mean_oracle, track_oracle
 
 from vosmem import harness, memory
 from vosmem.core import FrameSequence, LabelMask
 from vosmem.harness import (
     OBJECT_ID,
+    OBJECT_SHAPES,
     SceneConfig,
     ToyEncoderConfig,
     encode_frame,
@@ -21,6 +22,7 @@ from vosmem.harness import (
     readout_cost,
     track_sequence,
 )
+from vosmem.memory import PRUNE_MODES, SIMILARITY_METRICS
 from vosmem.metrics import dice
 
 
@@ -396,3 +398,53 @@ class TestReadoutCost:
         config = ToyEncoderConfig(feature_resolution=(8, 8))
         _, trace = track_sequence(scene, config, prune_enabled=False)
         assert readout_cost(trace)[-1] == 7 * 64
+
+
+@st.composite
+def _tracking_runs(draw):
+    """A small scene, an encoder whose resolution divides its grid, and the
+    keyword arguments of one tracking run."""
+    fh, fw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    h, w = fh * draw(st.integers(1, 16 // fh)), fw * draw(st.integers(1, 16 // fw))
+    shape = draw(st.sampled_from(OBJECT_SHAPES))
+    if shape == "square":
+        size = draw(st.integers(1, min(h, w)))
+        extent = size
+    else:
+        size = draw(st.integers(0, (min(h, w) - 1) // 2))
+        extent = 2 * size + 1
+    gaps = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=2))
+    scene = generate_scene(SceneConfig(
+        grid=(h, w), shape=shape, size=size,
+        velocity=(draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
+        n_frames=draw(st.integers(2, 14)),
+        gaps=tuple((lo, lo + n) for lo, n in gaps),
+        start=(draw(st.integers(0, w - extent)), draw(st.integers(0, h - extent)))))
+    encoder = ToyEncoderConfig(feature_resolution=(fh, fw),
+                               noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.5])))
+    run = {"bank_capacity": draw(st.integers(2, 10)),
+           "metric": draw(st.sampled_from(SIMILARITY_METRICS)),
+           "mode": draw(st.sampled_from(PRUNE_MODES)),
+           "prune_enabled": draw(st.booleans()),
+           "seed": draw(st.integers(0, 2**64 - 1))}
+    return scene, encoder, run
+
+
+class TestAgainstTrackOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_tracking_runs())
+    def test_traces_and_predictions_match_frame_for_frame(self, drawn):
+        scene, encoder, run = drawn
+        predicted, trace = track_sequence(scene, encoder, **run)
+        masks, steps = track_oracle(scene, encoder, run["bank_capacity"], run["metric"],
+                                    run["mode"], run["prune_enabled"], run["seed"])
+        assert (trace.metric, trace.mode) == (run["metric"], run["mode"])
+        assert len(trace.steps) == len(steps) and len(predicted) == len(masks)
+        assert predicted[0].labels.tolist() == masks[0]
+        for s, step, mask in zip(trace.steps, steps, masks[1:]):
+            o = s.outcome
+            assert (s.step, s.frame_index, list(s.bank_before), list(s.bank_after),
+                    list(o.retained), list(o.pruned_frame_indices), o.scores,
+                    s.selected_frame_index, s.readout_cost) == step
+            assert list(o.scores) == list(step[6])  # the short group first
+            assert predicted[s.step].labels.tolist() == mask

@@ -1,4 +1,4 @@
-"""Memory bank behavior: FIFO, short/long groups, similarity scoring, pruning."""
+"""Memory bank behavior: FIFO, short/long groups, similarity keys and scores, pruning."""
 
 import copy
 import gc
@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
@@ -23,6 +23,7 @@ from vosmem.memory import (
     MemoryBank,
     MemoryEntry,
     argmax_frame,
+    average_ranks,
     similarity,
 )
 
@@ -155,7 +156,7 @@ class TestSimilarityAgainstOracles:
             fa, fb = FeatureMap(0, a), FeatureMap(1, b)
             if warm:
                 for fm in (fa, fb):
-                    fm.channel_norms, fm.centred, fm.centred_ranks
+                    memory._key(metric, fm)
             assert similarity(metric, fa, fb) == oracle(a.tolist(), b.tolist())
             assert similarity(metric, fb, fa) == oracle(b.tolist(), a.tolist())
 
@@ -229,7 +230,7 @@ class TestScoreMemo:
         # values this small have a tiny positive variance; the product of two
         # such variances underflows to 0.0
         a = np.reshape([1.0, 2.0, 4.0], (1, 1, 3)) * 1e-130
-        vx = FeatureMap(0, a).centred[1]
+        vx = memory._key("pearson", FeatureMap(0, a))[1]
         assert vx > 0.0 and vx * vx == 0.0
         for metric in SIMILARITY_METRICS:
             ab = similarity(metric, FeatureMap(0, a), FeatureMap(1, a))
@@ -253,9 +254,9 @@ class TestScoreMemo:
         x, y = rng.normal(size=(2, 3, 4, 4))
         a, b = FeatureMap(0, x), FeatureMap(1, y)
         computed = []
-        score = memory._METRIC_FUNCS[metric]
-        monkeypatch.setitem(memory._METRIC_FUNCS, metric,
-                            lambda p, q: computed.append((p, q)) or score(p, q))
+        key, score = memory._METRICS[metric]
+        monkeypatch.setitem(memory._METRICS, metric,
+                            (key, lambda p, q: computed.append((p, q)) or score(p, q)))
         first = similarity(metric, a, b)
         again = similarity(metric, a, b)
         swapped = similarity(metric, b, a)
@@ -299,9 +300,143 @@ class TestScoreMemo:
         scores = {m: similarity(m, a, b) for m in SIMILARITY_METRICS}
         a2, b2 = clone(a), clone(b)
         assert a2.frame_index == 0 and a2.data.tobytes() == a.data.tobytes()
+        assert a2._memo[1] == {} and b2._memo[1] == {}  # neither keys nor scores
         for m in SIMILARITY_METRICS:
             assert _bits(similarity(m, a2, b2)) == _bits(scores[m])
             assert _bits(similarity(m, b, a2)) == _bits(scores[m])
+
+
+class TestMemoryKeys:
+    def test_keys_are_read_only_and_computed_once(self):
+        fm = FeatureMap(0, np.arange(12.0).reshape(3, 2, 2))
+        rows, norms = memory._key("cosine", fm)
+        centred, _ = memory._key("pearson", fm)
+        ranks, _ = memory._key("spearman", fm)
+        for key in (rows, norms, centred, ranks):
+            with pytest.raises(ValueError):
+                key[0] = 5.0
+        for metric in SIMILARITY_METRICS:
+            assert memory._key(metric, fm) is memory._key(metric, fm)
+
+    def test_key_values(self):
+        fm = FeatureMap(0, np.array([[[3.0, 4.0]], [[0.0, 0.0]]]))
+        rows, norms = memory._key("cosine", fm)
+        assert rows.tolist() == [[3.0, 4.0], [0.0, 0.0]] and norms.tolist() == [5.0, 0.0]
+        centred, sq = memory._key("pearson", fm)
+        assert centred.tolist() == [1.25, 2.25, -1.75, -1.75] and sq == 12.75
+        ranks, sq = memory._key("spearman", fm)
+        assert ranks.tolist() == [0.5, 1.5, -1.0, -1.0] and sq == 4.5
+        for metric in ("manhattan", "euclidean", "dot"):
+            assert memory._key(metric, fm) is fm.data
+
+    def test_cosine_key_has_a_row_per_channel(self):
+        rows, norms = memory._key("cosine", FeatureMap(3, np.zeros((2, 4, 5))))
+        assert rows.shape == (2, 20) and norms.shape == (2,)
+
+    @pytest.mark.parametrize("value", [0.1, 0.3, -7.0, 3.3947638435598565e-128])
+    def test_constant_map_centres_to_exact_zeros(self, value):
+        # x - x.mean() keeps the rounding error of the mean (about -1.4e-17
+        # for a map of 0.1), which would give a constant map a variance
+        fm = FeatureMap(0, np.full((4, 8, 8), value))
+        for metric in ("pearson", "spearman"):
+            centred, sq = memory._key(metric, fm)
+            assert not centred.any() and sq == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+                  elements=st.floats(-1e6, 1e6)))
+    def test_non_constant_key_is_the_mean_centred_data(self, x):
+        assume(not (x == x.flat[0]).all())
+        flat = FeatureMap(0, x).data.ravel()
+        centred, sq = memory._key("pearson", FeatureMap(0, x))
+        xc = flat - flat.mean()
+        assert centred.tobytes() == xc.tobytes() and sq == float(np.dot(xc, xc))
+
+    @pytest.mark.parametrize("metric", SIMILARITY_METRICS)
+    def test_each_map_key_is_computed_once_across_partners(self, metric, monkeypatch):
+        computed = []
+        key, score = memory._METRICS[metric]
+        monkeypatch.setitem(memory._METRICS, metric,
+                            (lambda data: computed.append(data) or key(data), score))
+        rng = np.random.default_rng(4)
+        maps = [FeatureMap(i, x) for i, x in enumerate(rng.normal(size=(3, 2, 3, 3)))]
+        for p in maps:
+            for q in maps:
+                similarity(metric, p, q)
+        assert len(computed) == 3
+
+
+_RANK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _tie_runs(*lengths):
+    """Set runs of the given lengths, at random places, to one value each."""
+    def inject(flat, rng):
+        for n in lengths:
+            at = rng.choice(flat.size, n, replace=False)
+            flat[at] = flat[at[0]]
+    return inject
+
+
+def _ends(flat, rng):
+    # a tied run at the first and one at the last sorted position
+    flat[rng.choice(flat.size, 6, replace=False)] = np.repeat([-9.0, 9.0], 3)
+
+
+def _signed_zeros(flat, rng):
+    flat[rng.choice(flat.size, 3000, replace=False)] = rng.choice([0.0, -0.0], 3000)
+
+
+def _all_equal(flat, rng):
+    flat[...] = 0.25
+
+
+_WORKLOAD_TIES = {
+    "untied": lambda flat, rng: None,
+    "runs of 2 and 3": _tie_runs(2, 2, 3, 3),
+    "run of 5000": _tie_runs(5000, 2, 3),
+    "first and last": _ends,
+    "signed zeros": _signed_zeros,
+    "all equal": _all_equal,
+}
+
+
+class TestAverageRanks:
+    @given(st.lists(_RANK_VALUES, min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_rankdata_bit_for_bit(self, values):
+        x = np.array(values)
+        expected = rankdata(x, method="average")
+        got = average_ranks(x)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [7.0],
+        [2.0] * 9,
+        [0.0, -0.0, 0.0, -0.0],
+        [3.0, -0.0, 1.0, 0.0, 3.0, 3.0],
+    ])
+    def test_edge_cases(self, values):
+        x = np.array(values)
+        assert average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    def test_flattens_row_major(self):
+        x = np.array([[[3.0, 1.0], [2.0, 1.0]]])
+        assert average_ranks(x).tolist() == [4.0, 1.5, 3.0, 1.5]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", _WORKLOAD_TIES)
+    def test_workload_sized_maps_match_scipy_bit_for_bit(self, case, seed):
+        # 65,536 values take NumPy's large-array sort, which 60 never reach
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((64, 32, 32), dtype=np.float32).astype(np.float64)
+        _WORKLOAD_TIES[case](x.ravel(), rng)
+        expected = rankdata(x, method="average")
+        assert average_ranks(x).tobytes() == expected.tobytes()
 
 
 class TestMemoryEntry:

@@ -264,6 +264,15 @@ class TestJAndF:
         with pytest.raises(ValueError, match="F"):
             j_and_f(0.5, -0.1)
 
+    @pytest.mark.parametrize("j, f, message", [
+        ("a", 0.5, "J must be a real number, got 'a'"),
+        (0.5, None, "F must be a real number, got None"),
+        (0.5, [0.5], "F must be a real number, got [0.5]"),
+    ])
+    def test_non_number_rejected_naming_it(self, j, f, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            j_and_f(j, f)
+
 
 class TestCiou:
     def test_single_frame_equals_jaccard(self):
@@ -289,6 +298,17 @@ class TestCiou:
         e = grid(4, 4)
         with pytest.raises(ValueError, match="lengths"):
             ciou([e], [e, e])
+
+    def test_iterables_score_as_lists(self):
+        a1, b1 = block(4, 8, 1, 2, 2), block(4, 8, 1, 3, 2)
+        a2 = block(4, 8, 0, 0, 2)
+        expected = ciou([a1, a2], [b1, a2])
+        assert ciou((m for m in [a1, a2]), iter([b1, a2])) == expected
+        assert ciou((a1, a2), map(np.asarray, [b1, a2])) == expected
+
+    def test_non_iterable_rejected_naming_it(self):
+        with pytest.raises(ValueError, match=r"^gt_seq must be a sequence of pixel sets, got None$"):
+            ciou([grid(2, 2)], None)
 
     def test_slab_identity_against_3d_oracle(self):
         rng = np.random.default_rng(12)
