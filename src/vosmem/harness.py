@@ -237,6 +237,7 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
     """
     _instance("scene", scene, FrameSequence)
     _instance("encoder_config", encoder_config, ToyEncoderConfig)
+    _instance("prune_enabled", prune_enabled, bool)
     if len(scene) < 2:
         raise ValueError(f"scene must have at least 2 frames, got {len(scene)}")
     _choice("prune mode", mode, PRUNE_MODES)  # even unpruned: the trace records it

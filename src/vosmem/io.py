@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask, _choice
+from .core import FeatureMap, FrameSequence, LabelMask, _choice, _instance
 from .harness import TrackTrace
 from .memory import PruneOutcome
 
@@ -77,10 +77,16 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def tensor_bytes(array: np.ndarray, dtype: str = "float64") -> bytes:
-    """Serialize an array into the tensor container format."""
+    """Serialize an array of real numbers, of any rank, into the tensor
+    container format. Anything else (None, strings, complex or object
+    arrays) raises ValueError."""
     _choice("dtype", dtype, tuple(_CODE_FOR_NAME))
     code = _CODE_FOR_NAME[dtype]
-    arr = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
+    arr = np.asarray(array)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"array must hold real numbers, got {type(array).__name__} "
+                         f"of dtype {arr.dtype}")
+    arr = arr.astype(_DTYPE_CODES[code], copy=False)  # keeps rank 0, unlike ascontiguousarray
     header = struct.pack("<4sHBB", TENSOR_MAGIC, TENSOR_VERSION, code, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + dims + arr.tobytes(order="C")
@@ -90,6 +96,7 @@ def parse_tensor_bytes(blob: bytes) -> np.ndarray:
     """Inverse of tensor_bytes; rejects bad magic, unknown versions or dtype
     codes, truncated headers, and payload/header size mismatches. Returns a
     read-only view of ``blob`` in the file's dtype, without copying."""
+    _instance("blob", blob, bytes)
     if len(blob) < 8:
         raise TensorFormatError(f"truncated tensor header: {len(blob)} bytes")
     magic, version, code, ndim = struct.unpack_from("<4sHBB", blob, 0)
@@ -118,6 +125,7 @@ def parse_tensor_bytes(blob: bytes) -> np.ndarray:
 
 
 def write_tensor(fmap: FeatureMap, path, dtype: str = "float64") -> None:
+    _instance("fmap", fmap, FeatureMap)
     atomic_write_bytes(path, tensor_bytes(fmap.data, dtype=dtype))
 
 
@@ -155,6 +163,7 @@ def frame_index_from_stem(stem: str) -> int:
 
 
 def mask_bytes(mask: LabelMask) -> bytes:
+    _instance("mask", mask, LabelMask)
     h, w = mask.labels.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + mask.labels.tobytes(order="C")
 
@@ -214,6 +223,7 @@ def write_mask(mask: LabelMask, path) -> None:
 
 def write_mask_dir(sequence: FrameSequence, directory) -> None:
     """Write one PGM per frame, named by its three-digit zero-padded index."""
+    _instance("sequence", sequence, FrameSequence)
     out = Path(directory)
     for frame in sequence:
         write_mask(frame, out / f"{frame.frame_index:03d}.pgm")
@@ -308,12 +318,14 @@ def _decision(outcome: PruneOutcome, mode: str, metric: str) -> dict:
 def prune_record(step: int, bank_before: tuple[int, ...], outcome: PruneOutcome,
                  mode: str, metric: str) -> dict:
     """One JSON-lines record of a prune step (bank state it ran on)."""
+    _instance("outcome", outcome, PruneOutcome)
     return _stamped({"step": step, "bank_before": list(bank_before),
                      **_decision(outcome, mode, metric)})
 
 
 def track_records(trace: TrackTrace) -> list[dict]:
     """JSON-lines records for a tracking run, one per step."""
+    _instance("trace", trace, TrackTrace)
     return [_stamped({
         "step": s.step,
         "frame_index": s.frame_index,

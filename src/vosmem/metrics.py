@@ -14,13 +14,14 @@ was hallucinated); when exactly one side is empty they return 0.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FrameSequence, _instance, _integer, _integers, _items
+from .core import FrameSequence, _freeze, _instance, _integer, _integers, _items
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
@@ -90,34 +91,88 @@ def _boundary_pixels(mask) -> np.ndarray:
     return m & ~interior
 
 
+@functools.lru_cache(maxsize=32)
+def _half_widths(radius: int) -> np.ndarray:
+    """The integer Euclidean ball's half-width at each row offset g = 0..radius:
+    the largest dx with g^2 + dx^2 <= radius^2, that is isqrt(radius^2 - g^2).
+    The float square root can be one off only past 2**52; both steps fix that.
+    Read-only and cached: a dilation at the usual radius costs a few
+    microseconds less."""
+    g2 = radius * radius - np.arange(radius + 1, dtype=np.int64) ** 2
+    s = np.sqrt(g2).astype(np.int64)
+    s -= s * s > g2
+    s += (s + 1) * (s + 1) <= g2
+    return _freeze(s)
+
+
 def disk_footprint(radius: int) -> np.ndarray:
     """Integer Euclidean ball: offsets (dy, dx) with dy^2 + dx^2 <= radius^2."""
     radius = _integer("radius", radius, 0)
-    yy, xx = np.ogrid[-radius:radius + 1, -radius:radius + 1]
-    return yy * yy + xx * xx <= radius * radius
+    offsets = np.abs(np.arange(-radius, radius + 1))
+    return offsets <= _half_widths(radius)[offsets, None]  # |dx| <= half-width at |dy|
 
 
 def dilate_disk(pixels, radius: int) -> np.ndarray:
     """Dilate a pixel set by the disk of the given radius, clipped to the image.
 
-    The disk is one horizontal run per row offset (Urbach & Wilkinson, IEEE
-    TIP 2008). With prefix sums along the rows of the padded set, one
-    subtraction tells whether a run covers a member, so the work is
-    O(h*w*r). A disk that spans the image diagonal covers the whole image
-    from any member, so such a radius costs no more than a fill.
+    A thresholded separable distance transform (the two passes of Meijster,
+    Roerdink & Hesselink, 2000), in integers throughout:
+
+    1. Crop to the members' bounding box grown by r and clipped to the
+       image; nothing outside it is covered.
+    2. Row gaps: running maxima along each row, and along the mirrored row,
+       give gap[y, x], the distance from x to the nearest member of row y.
+    3. Reach: d = isqrt(r^2 - gap^2) for gap <= r, and -1 (reaches no row)
+       for a larger gap or a row without members.
+    4. Column running maxima: (y, x) is covered iff max over y' <= y of
+       d[y', x] + y' is at least y, or max over y' >= y of d[y', x] - y' is
+       at least -y.
+
+    This is exact: (y, x) is covered iff some member (y', x') has
+    (y - y')^2 + (x - x')^2 <= r^2, iff some row y' has
+    (y - y')^2 + gap[y', x]^2 <= r^2, iff |y - y'| <= d[y', x]. A fixed
+    number of whole-array passes over the box does the work, so the cost is
+    O(box area) whatever r is, and at most two int32 box-sized arrays are
+    alive at once. A disk that spans the image diagonal covers the whole
+    image from any member, so such a radius costs no more than a fill.
     """
     r = _integer("radius", radius, 0)
     m = _as_pixel_set(pixels)
     h, w = m.shape
     if r * r >= (h - 1) ** 2 + (w - 1) ** 2:
         return np.full_like(m, m.any())
-    half_widths = np.count_nonzero(disk_footprint(r), axis=1) // 2
-    band = np.zeros((h + 2 * r, w + 2 * r + 1), dtype=np.int32)
-    np.cumsum(np.pad(m, r), axis=1, out=band[:, 1:])
-    out = np.zeros_like(m)
-    for top, k in enumerate(half_widths):
-        rows = band[top:top + h]
-        out |= rows[:, r + k + 1:r + k + 1 + w] > rows[:, r - k:r - k + w]
+    out = np.zeros((h, w), dtype=bool)
+    rows = m.any(axis=1).nonzero()[0]
+    if rows.size == 0:
+        return out
+    cols = m.any(axis=0).nonzero()[0]
+    y0, y1 = max(rows[0] - r, 0), min(rows[-1] + r + 1, h)
+    x0, x1 = max(cols[0] - r, 0), min(cols[-1] + r + 1, w)
+    box = m[y0:y1, x0:x1]
+    bh, bw = box.shape
+    # x + r + 1 at members and 0 elsewhere, so that the running maximum
+    # subtracted from x + r + 1 is the gap to the last member at or left of
+    # x, and more than r where there is none
+    xs = np.arange(r + 1, bw + r + 1, dtype=np.int32)
+    gap = np.multiply(box, xs)
+    np.maximum.accumulate(gap, axis=1, out=gap)
+    np.subtract(xs, gap, out=gap)
+    right = np.multiply(box[:, ::-1], xs)
+    np.maximum.accumulate(right, axis=1, out=right)
+    np.subtract(xs, right, out=right)
+    np.minimum(gap, right[:, ::-1], out=gap)
+    del right  # before the lookup, so that two int32 boxes are the peak
+    reach = np.full(bw + r + 1, -1, dtype=np.int32)  # every gap is below bw + r + 1
+    reach[:r + 1] = _half_widths(r)
+    d = reach[gap]
+    ys = np.arange(bh, dtype=np.int32)[:, None]
+    down = np.add(d, ys, out=gap)
+    np.maximum.accumulate(down, axis=0, out=down)
+    cover = out[y0:y1, x0:x1]
+    np.greater_equal(down, ys, out=cover)
+    np.subtract(d, ys, out=d)
+    np.maximum.accumulate(d[::-1], axis=0, out=d[::-1])
+    cover |= d >= -ys
     return out
 
 

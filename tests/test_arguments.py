@@ -229,6 +229,8 @@ def test_unknown_name_message(call, message):
     (lambda: track_sequence(list(SCENE), NOISY), "scene must be a FrameSequence, got list"),
     (lambda: track_sequence(SCENE, None),
      "encoder_config must be a ToyEncoderConfig, got NoneType"),
+    (lambda: track_sequence(SCENE, NOISY, prune_enabled="no"),
+     "prune_enabled must be a bool, got str"),
     (lambda: encode_frame(None, NOISY, 0, 0), "mask must be a LabelMask, got NoneType"),
     (lambda: encode_frame(SCENE[0], None, 0, 0), "config must be a ToyEncoderConfig, got NoneType"),
     (lambda: generate_scene(None), "config must be a SceneConfig, got NoneType"),
@@ -241,6 +243,7 @@ def test_unknown_name_message(call, message):
         "similarity array metric", "prune_step mode None", "FrameSequence frames[i]",
         "MemoryEntry features", "MemoryEntry mask", "similarity a", "similarity b",
         "evaluate pred", "evaluate gt", "track_sequence scene", "track_sequence encoder_config",
+        "track_sequence prune_enabled",
         "encode_frame mask", "encode_frame config", "generate_scene config",
         "build_plan config", "materialize sequence", "readout_cost trace"])
 def test_wrong_kind_of_argument_names_it(call, message):

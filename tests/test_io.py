@@ -135,6 +135,22 @@ class TestTensorFormat:
         arr = rng.normal(size=shape)
         assert np.array_equal(parse_tensor_bytes(tensor_bytes(arr)), arr)
 
+    def test_zero_d_array_round_trips_with_rank_zero(self):
+        blob = tensor_bytes(np.float64(2.5))
+        assert struct.unpack_from("<4sHBB", blob, 0)[3] == 0
+        back = parse_tensor_bytes(blob)
+        assert back.shape == ()
+        assert back == 2.5
+
+    @pytest.mark.parametrize("array, kind", [
+        (None, "NoneType of dtype object"),
+        ([1.0, None], "list of dtype object"),
+        ("1.5", "str of dtype <U3"),
+        (np.array([1j]), "ndarray of dtype complex128"),
+    ], ids=["None", "object list", "str", "complex"])
+    def test_input_that_is_not_real_numbers_rejected(self, array, kind):
+        with pytest.raises(ValueError, match=f"^array must hold real numbers, got {kind}$"):
+            tensor_bytes(array)
 
     def test_read_copies_once_into_float64(self, tmp_path):
         arr = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
@@ -148,6 +164,27 @@ class TestTensorFormat:
         assert data.dtype == np.float64
         assert data.flags.c_contiguous and not data.flags.writeable
         np.testing.assert_array_equal(data, arr)
+
+
+class TestArgumentKinds:
+    """Entry points that read one of the library's types (or bytes) name
+    the argument in a ValueError when handed anything else."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType"),
+        (lambda d: write_tensor(None, d / "0.ften"), "fmap must be a FeatureMap, got NoneType"),
+        (lambda d: mask_bytes(None), "mask must be a LabelMask, got NoneType"),
+        (lambda d: write_mask(None, d / "0.pgm"), "mask must be a LabelMask, got NoneType"),
+        (lambda d: write_mask_dir(None, d), "sequence must be a FrameSequence, got NoneType"),
+        (lambda d: prune_record(0, (), None, "keep", "cosine"),
+         "outcome must be a PruneOutcome, got NoneType"),
+        (lambda d: track_records(None), "trace must be a TrackTrace, got NoneType"),
+    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_mask",
+            "write_mask_dir", "prune_record", "track_records"])
+    def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestStemDecoding:

@@ -1,5 +1,6 @@
 """Segmentation metrics: overlap, boundary agreement, reports."""
 
+import math
 import re
 import tracemalloc
 
@@ -25,6 +26,7 @@ from vosmem.metrics import (
     MetricReport,
     boundary_f,
     _boundary_pixels,
+    _half_widths,
     ciou,
     dice,
     dilate_disk,
@@ -111,6 +113,17 @@ class TestBoundaryPixels:
             np.testing.assert_array_equal(_boundary_pixels(m), expected)
 
 
+@st.composite
+def sparse_masks(draw):
+    """Images up to 48x48 holding at most eight members, with coordinates
+    drawn often from the first and last row and column."""
+    h = draw(st.integers(1, 48))
+    w = draw(st.integers(1, 48))
+    ys = st.one_of(st.sampled_from([0, h - 1]), st.integers(0, h - 1))
+    xs = st.one_of(st.sampled_from([0, w - 1]), st.integers(0, w - 1))
+    return grid(h, w, draw(st.lists(st.tuples(ys, xs), max_size=8)))
+
+
 class TestDilateDisk:
     def test_radius_zero_is_identity(self):
         m = block(6, 6, 1, 1, 2)
@@ -163,6 +176,47 @@ class TestDilateDisk:
         # radii up to 20 reach past every image of at most 9x9
         expected = np.array(dilate_oracle(m.tolist(), radius), dtype=bool)
         np.testing.assert_array_equal(dilate_disk(m, radius), expected)
+
+    @given(sparse_masks(), st.integers(0, 30))
+    @example(grid(48, 48), 30)
+    @example(np.ones((40, 48), dtype=bool), 2)
+    @example(np.ones((1, 48), dtype=bool), 30)
+    @example(grid(48, 48, [(0, 0), (0, 47), (47, 0), (47, 47)]), 5)
+    @example(grid(48, 48, [(0, 20), (30, 47)]), 13)
+    @example(grid(48, 17, [(47, 16)]), 30)
+    @settings(max_examples=200, deadline=None)
+    def test_cropped_box_matches_loop_oracle_in_larger_images(self, m, radius):
+        # a few members in images up to 48x48 leave the members' box grown by
+        # r a strict part of the image, with its sides on the border or not
+        expected = np.array(dilate_oracle(m.tolist(), radius), dtype=bool)
+        np.testing.assert_array_equal(dilate_disk(m, radius), expected)
+
+    def test_half_widths_are_integer_square_roots(self):
+        for radius in [*range(60), 1000, 4099]:
+            widths = _half_widths(radius)
+            assert widths.tolist() == [math.isqrt(radius * radius - g * g)
+                                       for g in range(radius + 1)]
+            assert not widths.flags.writeable
+
+    @pytest.mark.parametrize("pixels", ["filled", "boundary"])
+    def test_full_frame_memory_is_two_int32_boxes(self, pixels):
+        # 480x854 at r = 14 with the box the whole frame: two int32 box-sized
+        # arrays, the output and bool temporaries peak near 10 bytes a pixel
+        # (about 4.2 MB); the row-run dilation this replaced peaked at 4.0 MB,
+        # and the bound is 1.5 times that
+        m = np.ones((480, 854), dtype=bool)
+        expected = m
+        if pixels == "boundary":
+            m = _boundary_pixels(m)
+            expected = ~np.pad(np.ones((450, 824), dtype=bool), 15)
+        tracemalloc.start()
+        try:
+            out = dilate_disk(m, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out, expected)
+        assert peak <= 1.5 * 4.04e6
 
     def test_radius_beyond_image_is_bounded_by_it(self):
         m = grid(5, 7, [(0, 0)])
