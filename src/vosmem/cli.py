@@ -1,8 +1,9 @@
 """Command-line surface: ``sample``, ``prune``, ``eval``, ``simulate``.
 
 Every run is explicit (no environment variables) and reproducible: given
-the same inputs, flags, and seed, output files are byte-identical. All
-file writes go through the atomic writers in :mod:`vosmem.io`.
+the same inputs, flags, and seed, output files are byte-identical. Masks
+and tensors are written by :mod:`vosmem.io`; every JSON document or
+JSON-lines text goes through :func:`_emit`.
 """
 
 from __future__ import annotations
@@ -89,11 +90,12 @@ def _metric_names(text: str) -> tuple[str, ...]:
     return names
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | Path | None) -> None:
+    """Send ``text`` to stdout, or to the file ``out`` through the atomic writer."""
     if out is None:
         sys.stdout.write(text)
     else:
-        vio.atomic_write_text(out, text)
+        vio.atomic_write_bytes(out, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +129,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(pred, gt, radius=args.radius, metrics=args.metrics)
     sys.stdout.write(report.format_table() + "\n")
     if args.out is not None:
-        vio.write_json(report.to_dict(include_per_frame=args.per_frame), args.out)
+        _emit(vio.json_text(report.to_dict(include_per_frame=args.per_frame)), args.out)
     return 0
 
 
@@ -147,8 +149,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     vio.write_mask_dir(scene, out / "gt")
     vio.write_mask_dir(predicted, out / "pred")
-    vio.write_jsonl(vio.track_records(trace), out / "trace.jsonl")
-    vio.write_json(report.to_dict(), out / "report.json")
+    _emit(vio.jsonl_text(vio.track_records(trace)), out / "trace.jsonl")
+    _emit(vio.json_text(report.to_dict()), out / "report.json")
     sys.stdout.write(report.format_table() + "\n")
     return 0
 

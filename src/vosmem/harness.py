@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FeatureMap, FrameSequence, LabelMask, _Adopted, _choice, _instance, _integer,
-                   _integers)
+                   _integers, _items)
 from .memory import (
     DEFAULT_CAPACITY,
     DEFAULT_METRIC,
@@ -67,16 +67,16 @@ class SceneConfig:
             object.__setattr__(self, name, _integers(name, getattr(self, name), minimum, count=2))
         h, w = self.grid
         _choice("shape", self.shape, OBJECT_SHAPES)
-        _integer(f"{self.shape} size", self.size, 1 if self.shape == "square" else 0)
-        _integer("n_frames", self.n_frames, 1)
-        try:
-            gaps = [_integers(f"gaps[{i}]", gap, count=2) for i, gap in enumerate(self.gaps)]
-        except TypeError:
-            raise ValueError(f"gaps must be a sequence of pairs, got {self.gaps!r}") from None
+        object.__setattr__(self, "size", _integer(f"{self.shape} size", self.size,
+                                                  1 if self.shape == "square" else 0))
+        object.__setattr__(self, "n_frames", _integer("n_frames", self.n_frames, 1))
+        gaps = tuple(_integers(f"gaps[{i}]", gap, count=2)
+                     for i, gap in enumerate(_items("gaps", self.gaps, "pairs")))
         for lo, hi in gaps:
             if lo < 0 or hi < lo:
                 raise ValueError(f"gap interval ({lo}, {hi}) is not a valid frame range")
-        _integer("seed", self.seed)
+        object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         eh, ew = self.extent
         x0, y0 = self.start
         if x0 < 0 or y0 < 0 or y0 + eh > h or x0 + ew > w:

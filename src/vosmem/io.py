@@ -8,12 +8,15 @@ Two small on-disk formats keep the toolchain dependency-free:
   a parsed payload is a read-only view in the file's dtype, and
   :class:`~vosmem.core.FeatureMap` makes the one float64 copy;
 * mask files: binary PGM (``P5``) with maxval 255, one byte per pixel
-  holding the object id; the filename stem encodes the frame index as
-  leading decimal digits.
+  holding the object id.
 
-All writers are atomic (write to a temp file in the target directory,
-then rename) and byte-reproducible: JSON keys are emitted in a fixed
-order and no timestamps enter any payload.
+Neither format stores a frame index: every reader decodes it from the
+leading decimal digits of the filename stem and raises its own format
+error for a stem without them.
+
+Every file is written through :func:`atomic_write_bytes` (a temp file in
+the target directory, then a rename) and is byte-reproducible: JSON keys
+are emitted in a fixed order and no timestamps enter any payload.
 """
 
 from __future__ import annotations
@@ -66,10 +69,6 @@ def atomic_write_bytes(path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -129,21 +128,14 @@ def write_tensor(fmap: FeatureMap, path, dtype: str = "float64") -> None:
     atomic_write_bytes(path, tensor_bytes(fmap.data, dtype=dtype))
 
 
-def read_tensor(path, frame_index: int | None = None) -> FeatureMap:
-    """Read a 3-D tensor file as a FeatureMap.
-
-    The container itself does not store a frame index; when none is given
-    it is decoded from leading digits of the filename stem, defaulting to 0.
-    """
-    blob = Path(path).read_bytes()
-    arr = parse_tensor_bytes(blob)
+def read_tensor(path) -> FeatureMap:
+    """Read a 3-D tensor file as a FeatureMap whose frame index is the
+    leading decimal digits of the filename stem; a stem without them
+    raises TensorFormatError."""
+    frame_index = _stem_frame_index(path, TensorFormatError)
+    arr = parse_tensor_bytes(Path(path).read_bytes())
     if arr.ndim != 3:
         raise TensorFormatError(f"feature maps are 3-D, file holds a {arr.ndim}-D tensor")
-    if frame_index is None:
-        try:
-            frame_index = frame_index_from_stem(Path(path).stem)
-        except ValueError:
-            frame_index = 0
     try:
         return FeatureMap(frame_index=frame_index, data=arr)
     except ValueError as exc:  # e.g. a zero dimension or a non-finite value
@@ -160,6 +152,15 @@ def frame_index_from_stem(stem: str) -> int:
     if m is None:
         raise ValueError(f"cannot decode a frame index from filename stem {stem!r}")
     return int(m.group(0))
+
+
+def _stem_frame_index(path, error: type[ValueError]) -> int:
+    """The frame index a reader gives the file at ``path``; a stem without
+    leading digits raises the reader's format ``error``."""
+    try:
+        return frame_index_from_stem(Path(path).stem)
+    except ValueError as exc:
+        raise error(str(exc)) from None
 
 
 def mask_bytes(mask: LabelMask) -> bytes:
@@ -182,9 +183,12 @@ def _header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return m.group(1), m.end()
 
 
-def read_mask(path, frame_index: int | None = None) -> LabelMask:
-    """Read a binary PGM mask; header comments are allowed, maxval must be
-    255, and the payload must hold exactly width*height bytes."""
+def read_mask(path) -> LabelMask:
+    """Read a binary PGM mask whose frame index is the leading decimal
+    digits of the filename stem; a stem without them raises MaskFormatError.
+    Header comments are allowed, maxval must be 255, and the payload must
+    hold exactly width*height bytes."""
+    frame_index = _stem_frame_index(path, MaskFormatError)
     with open(path, "rb") as f:  # a few microseconds less than Path.read_bytes
         data = f.read()
     magic, pos = _header_token(data, 0)
@@ -208,11 +212,6 @@ def read_mask(path, frame_index: int | None = None) -> LabelMask:
         raise MaskFormatError(
             f"payload holds {len(data) - pos} bytes but header claims "
             f"{width}x{height} = {width * height}")
-    if frame_index is None:
-        try:
-            frame_index = frame_index_from_stem(Path(path).stem)
-        except ValueError as exc:
-            raise MaskFormatError(str(exc)) from None
     labels = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)
     return LabelMask(frame_index=frame_index, labels=labels)
 
@@ -230,10 +229,11 @@ def write_mask_dir(sequence: FrameSequence, directory) -> None:
 
 
 def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:
-    """Read every file matching ``patterns`` with ``read(path, frame_index=i)``,
-    ordered by the frame index i decoded from each filename stem. A missing or
-    empty directory, a stem without leading digits, a duplicate frame index
-    and items of different shapes raise ``error``."""
+    """Read every file matching ``patterns`` with ``read(path)``, ordered by
+    each item's ``frame_index``, which ``read`` takes from the filename stem.
+    A missing or empty directory, a duplicate frame index and items of
+    different shapes raise ``error``; a stem without leading digits raises
+    the reader's own format error."""
     root = Path(directory)
     if not root.is_dir():
         raise error(f"not a directory: {root}")
@@ -242,14 +242,12 @@ def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:
         raise error(f"no {kind} files in {root} (expected {', '.join(patterns)})")
     by_index: dict[int, tuple[Path, object]] = {}
     for path in files:
-        try:
-            index = frame_index_from_stem(path.stem)
-        except ValueError as exc:
-            raise error(str(exc)) from None
+        item = read(path)
+        index = item.frame_index
         if index in by_index:
             raise error(f"duplicate frame index {index}: "
                         f"{by_index[index][0].name} and {path.name}")
-        by_index[index] = (path, read(path, frame_index=index))
+        by_index[index] = (path, item)
     items = [by_index[i][1] for i in sorted(by_index)]
     shapes = {item.shape for item in items}
     if len(shapes) > 1:
@@ -291,14 +289,6 @@ def json_text(obj: dict) -> str:
 
 def jsonl_text(records: Iterable[dict]) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
-
-
-def write_json(obj: dict, path) -> None:
-    atomic_write_text(path, json_text(obj))
-
-
-def write_jsonl(records: Iterable[dict], path) -> None:
-    atomic_write_text(path, jsonl_text(records))
 
 
 def _decision(outcome: PruneOutcome, mode: str, metric: str) -> dict:

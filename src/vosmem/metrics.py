@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FrameSequence, _freeze, _instance, _integer, _integers, _items
+from .core import FrameSequence, _freeze, _instance, _integer, _items
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
@@ -59,15 +59,6 @@ def _dice(i: int, u: int) -> float:
 def _ciou(counts: list[tuple[int, int]]) -> float:
     """Sequence IoU from per-frame (intersection, union) pixel counts."""
     return _ratio(sum(i for i, _ in counts), sum(u for _, u in counts))
-
-
-def _check_object_ids(object_ids: Sequence[int]) -> list[int]:
-    """Requested ids as sorted plain ints; a non-integer or repeated id raises."""
-    ids = _integers("object_ids", object_ids)
-    for k, oid in enumerate(ids):
-        if oid in ids[:k]:
-            raise ValueError(f"object id {oid} requested more than once")
-    return sorted(ids)
 
 
 def jaccard(pred, gt) -> float:
@@ -296,14 +287,13 @@ def _check_aligned(pred: FrameSequence, gt: FrameSequence) -> None:
 
 def evaluate(pred: FrameSequence, gt: FrameSequence,
              radius: int = DEFAULT_BOUNDARY_RADIUS,
-             metrics: str | Sequence[str] = METRIC_NAMES,
-             object_ids: Sequence[int] | None = None) -> MetricReport:
+             metrics: str | Sequence[str] = METRIC_NAMES) -> MetricReport:
     """Score aligned mask sequences per object id and aggregate over objects.
 
-    Masks are binarized per object id before any metric; background is
-    never scored. Ids default to every id present in the ground truth;
-    explicitly requested ids must be distinct integers that appear in at
-    least one ground-truth frame. J, F, and Dice are per-frame values
+    Every object id present in at least one ground-truth frame is scored,
+    as the DAVIS protocol does; background is never scored, and a ground
+    truth without any object raises ValueError. Masks are binarized per
+    object id before any metric. J, F, and Dice are per-frame values
     averaged over the sequence; the sequence-level IoU accumulates counts
     over all frames first.
     """
@@ -319,13 +309,9 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     if not requested:
         raise ValueError("no metrics requested")
 
-    gt_ids = sorted({i for frame in gt for i in frame.object_ids()})
-    ids = gt_ids if object_ids is None else _check_object_ids(object_ids)
+    ids = sorted({i for frame in gt for i in frame.object_ids()})
     if not ids:
         raise ValueError("no objects to score")
-    missing = [i for i in ids if i not in gt_ids]
-    if missing:
-        raise ValueError(f"object ids {missing} absent from every ground-truth frame")
 
     need_j = bool({"J", "J&F"} & set(requested))
     need_f = bool({"F", "J&F"} & set(requested))

@@ -10,6 +10,8 @@ one of the library's types in the wrong place raises ``{name} must be a
 {type}, got {type}``.
 """
 
+import dataclasses
+import json
 import re
 
 import numpy as np
@@ -74,7 +76,7 @@ def _plan(**fields):
 # Each case calls one entry point with v in one integer position. A case in
 # HOLDS returns the integer the result holds for v, which must be v itself as
 # a plain int; a case in CALLS returns nothing to compare. None is the
-# documented default of max_frames and object_ids.
+# documented default of max_frames.
 HOLDS = {
     "FeatureMap.frame_index": lambda v: _features(v).frame_index,
     "LabelMask.frame_index": lambda v: LabelMask(v, np.zeros((1, 1), np.uint8)).frame_index,
@@ -87,7 +89,6 @@ HOLDS = {
     "build_plan.length": lambda v: build_plan(v).clip_length,
     "sample_indices.phase": lambda v: sample_indices(5, 1, v)[0],
     "evaluate.radius": lambda v: evaluate(SCENE, SCENE, radius=v).radius,
-    "evaluate.object_ids[0]": lambda v: list(evaluate(SCENE, SCENE, object_ids=[v]).per_object)[0],
 }
 CALLS = {
     "SceneConfig.grid[0]": lambda v: _scene(grid=(v, 6)),
@@ -121,7 +122,6 @@ CALLS = {
     "disk_footprint.radius": lambda v: disk_footprint(v),
     "dilate_disk.radius": lambda v: dilate_disk(PIXELS, v),
     "boundary_f.radius": lambda v: boundary_f(PIXELS, PIXELS, v),
-    "evaluate.object_ids": lambda v: evaluate(SCENE, SCENE, object_ids=v),
 }
 
 
@@ -136,7 +136,7 @@ def test_integer_arguments_are_exact_or_value_error(case, value):
         result = CASES[case](value)
     except ValueError:
         return
-    if value is None and case in ("SamplingConfig.max_frames", "evaluate.object_ids"):
+    if value is None and case == "SamplingConfig.max_frames":
         return
     # accepted: only an integer may pass, and the result keeps its value
     assert isinstance(value, (int, np.integer)), f"{case} accepted {value!r}"
@@ -173,6 +173,16 @@ def test_numpy_integers_are_held_as_plain_ints():
     assert type(bank.capacity) is int and bank.capacity == 7
     config = SamplingConfig(strides=(np.int32(1), np.uint8(2)), max_frames=np.int64(3))
     assert config.strides == (1, 2) and type(config.max_frames) is int
+
+
+def test_scene_config_holds_plain_ints_and_a_tuple_of_int_pairs():
+    config = SceneConfig(size=np.int64(3), n_frames=np.int32(5), gaps=[[1, np.uint8(2)]],
+                         seed=np.uint64(7))
+    plain = SceneConfig(size=3, n_frames=5, gaps=((1, 2),), seed=7)
+    assert config == plain and hash(config) == hash(plain)
+    assert config.gaps == ((1, 2),)
+    assert [type(v) for v in (config.size, config.n_frames, config.seed, *config.gaps[0])] == [int] * 5
+    assert json.loads(json.dumps(dataclasses.asdict(config)))["n_frames"] == 5
 
 
 @pytest.mark.parametrize("call, message", [

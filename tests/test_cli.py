@@ -276,6 +276,28 @@ class TestErrorHandling:
         assert run_command(["sample"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sample", "--length", "5", "--strides", "1,x"],
+         "argument --strides: expected comma-separated integers, got '1,x'"),
+        (["simulate", "--out", "o", "--velocity", "1"],
+         "argument --velocity: expected two integers 'a,b', got '1'"),
+        (["simulate", "--out", "o", "--grid", "3"],
+         "argument --grid: expected dimensions 'HxW', got '3'"),
+        (["simulate", "--out", "o", "--grid", "3xa"],
+         "argument --grid: expected dimensions 'HxW', got '3xa'"),
+        (["simulate", "--out", "o", "--gaps", "a:b"],
+         "argument --gaps: expected gaps as 'lo:hi,lo:hi,...', got 'a:b'"),
+    ], ids=["strides", "velocity", "grid parts", "grid integers", "gaps"])
+    def test_malformed_flag_value_exits_2_with_one_error_line(self, capsys, argv, message):
+        assert run_command(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"vosmem {argv[0]}: error: {message}"
+        assert "Traceback" not in captured.err
+
+    def test_empty_gaps_flag_means_no_gaps(self):
+        assert build_parser().parse_args(["simulate", "--out", "o", "--gaps", ""]).gaps == ()
+
     def test_domain_error_exits_1_with_message(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"
         assert run_command(["eval", "--pred", str(missing), "--gt", str(missing)]) == 1

@@ -162,6 +162,7 @@ class TestIntake:
 
     @pytest.mark.parametrize("labels, match", [
         (np.zeros((2, 2, 2), dtype=np.uint8), "2-D"),
+        (np.zeros((0, 3), dtype=np.uint8), r"mask dimensions must be >= 1, got \(0, 3\)"),
         (np.zeros((2, 2)), "integer"),
         (np.array([[MAX_OBJECT_ID + 1]]), "0..255"),
         (np.array([[-1]], dtype=np.int8), "0..255"),

@@ -17,8 +17,10 @@ from vosmem.io import (
     TENSOR_MAGIC,
     MaskFormatError,
     TensorFormatError,
+    atomic_write_bytes,
     frame_index_from_stem,
     json_text,
+    jsonl_text,
     mask_bytes,
     parse_tensor_bytes,
     prune_record,
@@ -28,7 +30,6 @@ from vosmem.io import (
     read_tensor,
     tensor_bytes,
     track_records,
-    write_jsonl,
     write_mask,
     write_mask_dir,
     write_tensor,
@@ -198,6 +199,21 @@ class TestStemDecoding:
         with pytest.raises(ValueError, match="frame index"):
             frame_index_from_stem("mask")
 
+    @pytest.mark.parametrize("write, read_file, read_dir, name, error", [
+        (lambda path: write_tensor(fmap(), path), read_tensor, read_feature_dir,
+         "frame.ften", TensorFormatError),
+        (lambda path: write_mask(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)), path),
+         read_mask, read_mask_dir, "mask.pgm", MaskFormatError),
+    ], ids=["tensor", "mask"])
+    def test_stem_without_digits_raises_the_readers_format_error(
+            self, tmp_path, write, read_file, read_dir, name, error):
+        write(tmp_path / name)
+        message = f"filename stem {Path(name).stem!r}"
+        with pytest.raises(error, match=message):
+            read_file(tmp_path / name)
+        with pytest.raises(error, match=message):
+            read_dir(tmp_path)
+
 
 class TestMaskFormat:
     def _mask(self, idx=0):
@@ -328,9 +344,16 @@ class TestAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
         write_mask(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)), tmp_path / "000.pgm")
         write_tensor(fmap(), tmp_path / "000.ften")
-        write_jsonl([{"a": 1}], tmp_path / "t.jsonl")
+        atomic_write_bytes(tmp_path / "t.jsonl", jsonl_text([{"a": 1}]).encode())
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "000.ften", "000.pgm", "t.jsonl"]
+
+    def test_failed_write_raises_and_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            atomic_write_bytes(tmp_path / "taken", b"data")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any((tmp_path / "taken").iterdir())
 
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "000.pgm"
@@ -364,7 +387,7 @@ class TestTraceRecords:
         records = track_records(trace)
         assert len(records) == 9
         path = tmp_path / "trace.jsonl"
-        write_jsonl(records, path)
+        atomic_write_bytes(path, jsonl_text(records).encode())
         lines = path.read_text().splitlines()
         assert len(lines) == 9
         first = json.loads(lines[0])

@@ -15,7 +15,7 @@ from scipy.stats import rankdata
 
 from oracles import METRIC_ORACLES
 from vosmem import memory
-from vosmem.core import FeatureMap
+from vosmem.core import FeatureMap, LabelMask
 from vosmem.memory import (
     DEFAULT_CAPACITY,
     PRUNE_MODES,
@@ -440,9 +440,12 @@ class TestAverageRanks:
 
 
 class TestMemoryEntry:
-    def test_frame_index_must_match_features(self):
-        with pytest.raises(ValueError, match="frame_index"):
+    def test_frame_index_must_match_features_and_mask(self):
+        with pytest.raises(ValueError, match="^features.frame_index 4 != entry frame_index 3$"):
             MemoryEntry(3, fmap(4, [1.0]))
+        mask = LabelMask(4, np.zeros((1, 1), dtype=np.uint8))
+        with pytest.raises(ValueError, match="^mask.frame_index 4 != entry frame_index 3$"):
+            MemoryEntry(3, fmap(3, [1.0]), mask=mask)
 
     def test_mask_is_optional(self):
         e = MemoryEntry(3, fmap(3, [1.0]))

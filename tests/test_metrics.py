@@ -86,6 +86,10 @@ class TestJaccardAndDice:
         with pytest.raises(ValueError, match="shape"):
             dice(grid(4, 4), grid(5, 4))
 
+    def test_pixel_set_of_other_rank_rejected(self):
+        with pytest.raises(ValueError, match="^pixel set must be 2-D, got 3-D$"):
+            jaccard(np.zeros((1, 4, 4), bool), grid(4, 4))
+
 
 class TestBoundaryPixels:
     def test_single_pixel_is_its_own_boundary(self):
@@ -509,40 +513,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="not aligned"):
             evaluate(pred, gt)
 
-    def test_requested_object_absent_from_gt_rejected(self):
-        pred, gt = self._toy()
-        with pytest.raises(ValueError, match="absent"):
-            evaluate(pred, gt, object_ids=[9])
-
-    def test_repeated_object_id_rejected(self):
-        # two objects with J 1.0 and 0.0: counting id 1 twice would give 0.667
-        gt = _mask_seq([[[1, 2]]])
-        pred = _mask_seq([[[1, 0]]])
-        assert evaluate(pred, gt, object_ids=[1, 2]).aggregate["J"].mean == 0.5
-        with pytest.raises(ValueError, match="object id 1 requested more than once"):
-            evaluate(pred, gt, object_ids=[1, 1, 2])
-
-    @pytest.mark.parametrize("bad", [1.9, 1.0, np.float64(2.0), "1"])
-    def test_non_integer_object_id_rejected(self, bad):
-        pred, gt = self._toy()
-        with pytest.raises(ValueError, match=re.escape(f"object_ids[0] must be an integer, got {bad!r}")):
-            evaluate(pred, gt, object_ids=[bad])
-
-    def test_numpy_integer_object_ids_reported_as_plain_ints(self):
-        pred, gt = self._toy()
-        report = evaluate(pred, gt, object_ids=[np.int64(2), np.uint8(1)])
-        assert list(report.per_object) == [1, 2]
+    def test_every_ground_truth_object_and_no_other_is_scored(self):
+        # id 2 is in one ground-truth frame only; id 9 is only predicted
+        gt = _mask_seq([[[1, 0]], [[1, 2]]])
+        pred = _mask_seq([[[1, 9]], [[1, 0]]])
+        report = evaluate(pred, gt, metrics="J")
+        assert {oid: vals["J"] for oid, vals in report.per_object.items()} == {1: 1.0, 2: 0.5}
         assert all(type(oid) is int for oid in report.per_object)
+        assert report.aggregate["J"].mean == 0.75
 
     def test_empty_gt_rejected(self):
         blank = _mask_seq([np.zeros((4, 4), int)])
         with pytest.raises(ValueError, match="no objects"):
             evaluate(blank, blank)
-
-    def test_empty_object_ids_rejected(self):
-        pred, gt = self._toy()
-        with pytest.raises(ValueError, match="no objects to score"):
-            evaluate(pred, gt, object_ids=[])
 
     def test_report_dict_casts_to_plain_types(self):
         import json
