@@ -127,9 +127,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     pred = vio.read_mask_dir(args.pred)
     gt = vio.read_mask_dir(args.gt)
     report = evaluate(pred, gt, radius=args.radius, metrics=args.metrics)
-    sys.stdout.write(report.format_table() + "\n")
+    # written before the table is printed, so a failed write prints nothing
     if args.out is not None:
         _emit(vio.json_text(report.to_dict(include_per_frame=args.per_frame)), args.out)
+    sys.stdout.write(report.format_table() + "\n")
     return 0
 
 
@@ -147,6 +148,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = evaluate(predicted, scene, radius=args.radius)
 
     out = Path(args.out)
+    # both checked before either is replaced, so a refused pred/ keeps gt/ too
+    for name in ("gt", "pred"):
+        vio.check_mask_dir_target(out / name)
     vio.write_mask_dir(scene, out / "gt")
     vio.write_mask_dir(predicted, out / "pred")
     _emit(vio.jsonl_text(vio.track_records(trace)), out / "trace.jsonl")

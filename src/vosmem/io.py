@@ -14,9 +14,12 @@ Neither format stores a frame index: every reader decodes it from the
 leading decimal digits of the filename stem and raises its own format
 error for a stem without them.
 
-Every file is written through :func:`atomic_write_bytes` (a temp file in
-the target directory, then a rename) and is byte-reproducible: JSON keys
-are emitted in a fixed order and no timestamps enter any payload.
+A mask directory is written whole by :func:`write_mask_dir`: every frame
+goes into a staged directory beside the target, which then replaces the
+target in one rename, so no frame of an earlier run survives. Every other file is written
+through :func:`atomic_write_bytes` (a temp file in the target directory,
+then a rename). Every output is byte-reproducible: JSON keys are emitted in
+a fixed order and no timestamps enter any payload.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -64,7 +68,10 @@ def atomic_write_bytes(path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as exc:  # name the target, not the random temp file
+            raise type(exc)(exc.errno, exc.strerror, str(target)) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -216,16 +223,65 @@ def read_mask(path) -> LabelMask:
     return LabelMask(frame_index=frame_index, labels=labels)
 
 
-def write_mask(mask: LabelMask, path) -> None:
-    atomic_write_bytes(path, mask_bytes(mask))
+_FRAME_FILE = re.compile(r"\d+\.pgm")
+
+
+def check_mask_dir_target(directory) -> None:
+    """Raise FileExistsError, naming the path and its first offending entry,
+    unless ``directory`` is absent or a real directory that holds only
+    regular files named ``<digits>.pgm``: the only kind of directory
+    :func:`write_mask_dir` may delete."""
+    target = Path(directory)
+    if target.is_symlink():
+        raise FileExistsError(f"refusing to replace {target}: it is a symlink")
+    if not target.exists():
+        return
+    if not target.is_dir():
+        raise FileExistsError(f"refusing to replace {target}: not a directory")
+    with os.scandir(target) as entries:
+        foreign = sorted(e.name for e in entries
+                         if not (e.is_file(follow_symlinks=False)
+                                 and _FRAME_FILE.fullmatch(e.name)))
+    if foreign:
+        raise FileExistsError(f"refusing to replace {target}: it holds {foreign[0]!r}, "
+                              f"which is not a NNN.pgm frame file")
 
 
 def write_mask_dir(sequence: FrameSequence, directory) -> None:
-    """Write one PGM per frame, named by its three-digit zero-padded index."""
+    """Replace ``directory`` whole with one PGM per frame, named by its
+    three-digit zero-padded index.
+
+    The frames are written into a staged sibling directory, which a rename
+    puts in place of the target (the old target is renamed aside, then
+    deleted), so no frame of an earlier run survives and a failed write
+    leaves the old directory as it was. A target that
+    :func:`check_mask_dir_target` refuses raises FileExistsError before
+    anything is written; missing parent directories are created.
+    """
     _instance("sequence", sequence, FrameSequence)
-    out = Path(directory)
-    for frame in sequence:
-        write_mask(frame, out / f"{frame.frame_index:03d}.pgm")
+    check_mask_dir_target(directory)
+    target = Path(os.path.abspath(directory))  # "." has no name to stage beside
+    target.parent.mkdir(parents=True, exist_ok=True)
+    # one private holder keeps both the staged and the old directory out of
+    # sight; os.mkdir gives the staged one the mode a plain mkdir would
+    holder = tempfile.mkdtemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    try:
+        staged, old = os.path.join(holder, "new"), os.path.join(holder, "old")
+        os.mkdir(staged)
+        for frame in sequence:
+            with open(os.path.join(staged, f"{frame.frame_index:03d}.pgm"), "wb") as f:
+                f.write(mask_bytes(frame))
+        replacing = target.is_dir()
+        if replacing:
+            os.rename(target, old)
+        try:
+            os.rename(staged, target)
+        except BaseException:
+            if replacing:
+                os.rename(old, target)
+            raise
+    finally:
+        shutil.rmtree(holder)
 
 
 def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:

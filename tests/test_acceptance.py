@@ -25,6 +25,7 @@ from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_
 from vosmem.io import (
     MaskFormatError,
     TensorFormatError,
+    atomic_write_bytes,
     jsonl_text,
     mask_bytes,
     parse_tensor_bytes,
@@ -32,7 +33,6 @@ from vosmem.io import (
     read_tensor,
     tensor_bytes,
     track_records,
-    write_mask,
     write_tensor,
 )
 from vosmem.memory import SIMILARITY_METRICS, MemoryBank, MemoryEntry, similarity
@@ -281,7 +281,7 @@ def test_criterion_8_io_round_trips(tmp_path):
         assert np.array_equal(fmap.data, back.data)
 
         labels = rng.integers(0, 4, size=(9, 7)).astype(np.uint8)
-        write_mask(LabelMask(5, labels), tmp_path / "005.pgm")
+        atomic_write_bytes(tmp_path / "005.pgm", mask_bytes(LabelMask(5, labels)))
         round_tripped = read_mask(tmp_path / "005.pgm")
         assert round_tripped.frame_index == 5
         assert np.array_equal(round_tripped.labels, labels)

@@ -1,6 +1,7 @@
 """Command-line interface: wiring, exit codes, reproducible outputs."""
 
 import contextlib
+import errno
 import io
 import json
 import os
@@ -221,6 +222,58 @@ class TestSimulateCommand:
         # capacity 7 FIFO: after step 9 the bank holds the 7 newest frames
         assert records[-1]["bank_after"] == [3, 4, 5, 6, 7, 8, 9]
 
+    def test_rerun_with_fewer_frames_leaves_only_its_own(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        for frames in ("30", "10"):
+            assert run_command(["simulate", "--out", str(out), "--frames", frames]) == 0
+        report = tmp_path / "eval.json"
+        assert run_command(["eval", "--pred", str(out / "pred"), "--gt", str(out / "gt"),
+                            "--per-frame", "--out", str(report)]) == 0
+        capsys.readouterr()
+        frames = [f"{i:03d}.pgm" for i in range(10)]
+        assert sorted(p.name for p in (out / "gt").iterdir()) == frames
+        assert sorted(p.name for p in (out / "pred").iterdir()) == frames
+        rows = json.loads(report.read_text())["per_frame"]["1"]
+        assert [row["frame_index"] for row in rows] == list(range(10))
+
+    @pytest.mark.parametrize("foreign", ["file", "subdirectory", "symlink"])
+    def test_pred_holding_other_entries_is_refused_and_nothing_replaced(
+            self, tmp_path, capsys, foreign):
+        out = tmp_path / "run"
+        assert run_command(self.ARGS + ["--out", str(out)]) == 0
+        pred = out / "pred"
+        if foreign == "file":
+            (pred / "notes.txt").write_text("keep me\n")
+            reason = "it holds 'notes.txt', which is not a NNN.pgm frame file"
+        elif foreign == "subdirectory":
+            (pred / "masks").mkdir()
+            (pred / "masks" / "000.pgm").write_bytes(b"mine")
+            reason = "it holds 'masks', which is not a NNN.pgm frame file"
+        else:
+            pred.rename(tmp_path / "elsewhere")
+            pred.symlink_to(tmp_path / "elsewhere", target_is_directory=True)
+            reason = "it is a symlink"
+        before = tree_snapshot(tmp_path)
+        capsys.readouterr()
+        assert run_command(["simulate", "--out", str(out), "--frames", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: refusing to replace {pred}: {reason}"]
+        assert tree_snapshot(tmp_path) == before
+
+
+def tree_snapshot(root) -> dict:
+    """Every entry under ``root``, symlinks not followed: a file's bytes, a
+    symlink's target, or None for a directory."""
+    snapshot = {}
+    for path in sorted(Path(root).rglob("*")):
+        key = str(path.relative_to(root))
+        if path.is_symlink():
+            snapshot[key] = ("link", os.readlink(path))
+        else:
+            snapshot[key] = None if path.is_dir() else path.read_bytes()
+    return snapshot
+
 
 def run_cli_process(*args, preexec_fn=None):
     """Run ``python -m vosmem.cli`` or ``python -c`` in a fresh interpreter."""
@@ -318,6 +371,22 @@ class TestErrorHandling:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: radius must be >= 0, got -5"]
         assert not out.exists()
+
+    def test_eval_out_onto_a_directory_prints_nothing_and_names_it(self, tmp_path, capsys):
+        gt = tmp_path / "gt"
+        write_mask_dir(generate_scene(SceneConfig(n_frames=3)), gt)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        argv = ["eval", "--pred", str(gt), "--gt", str(gt), "--out", str(taken)]
+        errors = []
+        for _ in range(2):
+            assert run_command(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        message = f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{taken}'\n"
+        assert errors == [message, message]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt", "taken"]
 
     def test_negative_radius_simulate_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,7 +1,10 @@
 """On-disk formats: tensor container, PGM masks, JSON traces, atomicity."""
 
+import errno
 import json
 import math
+import os
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vosmem.io
 from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
@@ -30,7 +34,6 @@ from vosmem.io import (
     read_tensor,
     tensor_bytes,
     track_records,
-    write_mask,
     write_mask_dir,
     write_tensor,
 )
@@ -175,13 +178,12 @@ class TestArgumentKinds:
         (lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType"),
         (lambda d: write_tensor(None, d / "0.ften"), "fmap must be a FeatureMap, got NoneType"),
         (lambda d: mask_bytes(None), "mask must be a LabelMask, got NoneType"),
-        (lambda d: write_mask(None, d / "0.pgm"), "mask must be a LabelMask, got NoneType"),
         (lambda d: write_mask_dir(None, d), "sequence must be a FrameSequence, got NoneType"),
         (lambda d: prune_record(0, (), None, "keep", "cosine"),
          "outcome must be a PruneOutcome, got NoneType"),
         (lambda d: track_records(None), "trace must be a TrackTrace, got NoneType"),
-    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_mask",
-            "write_mask_dir", "prune_record", "track_records"])
+    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_mask_dir",
+            "prune_record", "track_records"])
     def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(tmp_path)
@@ -202,7 +204,8 @@ class TestStemDecoding:
     @pytest.mark.parametrize("write, read_file, read_dir, name, error", [
         (lambda path: write_tensor(fmap(), path), read_tensor, read_feature_dir,
          "frame.ften", TensorFormatError),
-        (lambda path: write_mask(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)), path),
+        (lambda path: atomic_write_bytes(
+            path, mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)))),
          read_mask, read_mask_dir, "mask.pgm", MaskFormatError),
     ], ids=["tensor", "mask"])
     def test_stem_without_digits_raises_the_readers_format_error(
@@ -223,7 +226,7 @@ class TestMaskFormat:
     def test_round_trip(self, tmp_path):
         mask = self._mask(7)
         path = tmp_path / "007.pgm"
-        write_mask(mask, path)
+        atomic_write_bytes(path, mask_bytes(mask))
         back = read_mask(path)
         assert back.frame_index == 7
         np.testing.assert_array_equal(back.labels, mask.labels)
@@ -282,7 +285,7 @@ class TestMaskFormat:
 class TestMaskDir:
     def _write(self, tmp_path, idx, shape=(4, 4)):
         labels = np.full(shape, idx % 7, dtype=np.uint8)
-        write_mask(LabelMask(idx, labels), tmp_path / f"{idx:03d}.pgm")
+        atomic_write_bytes(tmp_path / f"{idx:03d}.pgm", mask_bytes(LabelMask(idx, labels)))
 
     def test_reads_sorted_by_frame_index(self, tmp_path):
         for idx in (2, 0, 1):
@@ -293,7 +296,7 @@ class TestMaskDir:
     def test_duplicate_frame_index_rejected(self, tmp_path):
         self._write(tmp_path, 0)
         mask = LabelMask(0, np.zeros((4, 4), dtype=np.uint8))
-        write_mask(mask, tmp_path / "000_copy.pgm")
+        atomic_write_bytes(tmp_path / "000_copy.pgm", mask_bytes(mask))
         with pytest.raises(MaskFormatError, match="duplicate frame index 0"):
             read_mask_dir(tmp_path)
 
@@ -309,11 +312,58 @@ class TestMaskDir:
 
     def test_write_mask_dir_round_trip(self, tmp_path):
         scene = generate_scene(SceneConfig(n_frames=4, velocity=(1, 0)))
-        write_mask_dir(scene, tmp_path)
-        back = read_mask_dir(tmp_path)
+        target = tmp_path / "missing" / "parents" / "gt"
+        write_mask_dir(scene, target)
+        back = read_mask_dir(target)
         assert back.frame_indices == scene.frame_indices
         for a, b in zip(back, scene):
             np.testing.assert_array_equal(a.labels, b.labels)
+        (tmp_path / "plain").mkdir()
+        assert stat.S_IMODE(target.stat().st_mode) == \
+            stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+
+    @pytest.mark.parametrize("make, reason", [
+        (lambda target: target.write_bytes(b"mine"), "not a directory"),
+        (lambda target: (target.mkdir(), (target / "001.pgm").symlink_to("000.pgm"),
+                         (target / "000.pgm").write_bytes(b"mine")),
+         "it holds '001.pgm', which is not a NNN.pgm frame file"),
+        (lambda target: (target.mkdir(), (target / "000.PGM").write_bytes(b"mine")),
+         "it holds '000.PGM', which is not a NNN.pgm frame file"),
+    ], ids=["file", "symlinked frame", "other suffix"])
+    def test_refused_target_is_left_as_it_was(self, tmp_path, make, reason):
+        def files():
+            return sorted((p.name, p.is_symlink(), p.read_bytes())
+                          for p in tmp_path.rglob("*") if p.is_file())
+
+        target = tmp_path / "pred"
+        make(target)
+        before = files()
+        with pytest.raises(FileExistsError, match=f"^refusing to replace {target}: {reason}$"):
+            write_mask_dir(generate_scene(SceneConfig(n_frames=2)), target)
+        assert files() == before
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["replacing", "new"])
+    def test_failed_write_leaves_previous_directory_and_no_temp(
+            self, tmp_path, monkeypatch, existing):
+        target = tmp_path / "pred"
+        if existing:
+            write_mask_dir(generate_scene(SceneConfig(n_frames=4)), target)
+        before = {p.name: p.read_bytes() for p in target.iterdir()} if existing else None
+        written = []
+
+        def third_frame_fails(mask):
+            written.append(mask.frame_index)
+            if len(written) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return mask_bytes(mask)
+
+        monkeypatch.setattr(vosmem.io, "mask_bytes", third_frame_fails)
+        with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+            write_mask_dir(generate_scene(SceneConfig(n_frames=6, velocity=(1, 0))), target)
+        assert written == [0, 1, 2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["pred"] if existing else [])
+        if existing:
+            assert {p.name: p.read_bytes() for p in target.iterdir()} == before
 
 
 class TestFeatureDir:
@@ -342,7 +392,8 @@ class TestFeatureDir:
 
 class TestAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
-        write_mask(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)), tmp_path / "000.pgm")
+        atomic_write_bytes(tmp_path / "000.pgm",
+                           mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8))))
         write_tensor(fmap(), tmp_path / "000.ften")
         atomic_write_bytes(tmp_path / "t.jsonl", jsonl_text([{"a": 1}]).encode())
         assert sorted(p.name for p in tmp_path.iterdir()) == [
@@ -357,8 +408,8 @@ class TestAtomicity:
 
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "000.pgm"
-        write_mask(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)), path)
-        write_mask(LabelMask(0, np.ones((2, 2), dtype=np.uint8)), path)
+        atomic_write_bytes(path, mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8))))
+        atomic_write_bytes(path, mask_bytes(LabelMask(0, np.ones((2, 2), dtype=np.uint8))))
         assert read_mask(path).labels.max() == 1
 
 
