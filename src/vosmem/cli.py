@@ -148,11 +148,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = evaluate(predicted, scene, radius=args.radius)
 
     out = Path(args.out)
-    # both checked before either is replaced, so a refused pred/ keeps gt/ too
-    for name in ("gt", "pred"):
-        vio.check_mask_dir_target(out / name)
-    vio.write_mask_dir(scene, out / "gt")
-    vio.write_mask_dir(predicted, out / "pred")
+    # both staged before either is replaced, so a failed pred/ keeps gt/ too
+    vio.write_mask_dirs({out / "gt": scene, out / "pred": predicted})
     _emit(vio.jsonl_text(vio.track_records(trace)), out / "trace.jsonl")
     _emit(vio.json_text(report.to_dict()), out / "report.json")
     sys.stdout.write(report.format_table() + "\n")

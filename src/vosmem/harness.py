@@ -15,6 +15,7 @@ encoder's noise channel is drawn from a counter-based generator keyed by
 from __future__ import annotations
 
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,21 @@ from .metrics import disk_footprint
 OBJECT_SHAPES = ("square", "disk")
 OBJECT_ID = 1
 _KEY_MAX = 2**64 - 1  # largest Philox key word
+_ZEROS4 = np.zeros(4, dtype=np.uint64)  # a Philox counter or buffer, all zero
+_NOISE = threading.local()  # each thread's own noise generator
+
+
+def _noise_generator(key: np.ndarray) -> np.random.Generator:
+    """This thread's Philox generator, set to key ``key``, counter 0 and an
+    empty buffer: the state ``Philox(key=key)`` starts in, without building
+    a bit generator and its unused SeedSequence for every frame."""
+    rng = getattr(_NOISE, "rng", None)
+    if rng is None:
+        rng = _NOISE.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 @dataclass(frozen=True)
@@ -146,11 +162,14 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
     the narrowest unsigned type that holds a whole block and divided once
     by the block size, so it equals the float64 block mean bit for bit.
 
-    The noise channel is drawn in place from a Philox generator keyed by
-    (seed, frame_index) and equals ``Generator(Philox(key=k)).normal(0.0,
-    noise_sigma, (h, w))`` bit for bit, with ``k`` the uint64 array
-    ``[seed, frame_index]``. The same (mask, seed, frame_index) always yields
-    identical features, regardless of how many frames were encoded before.
+    The noise channel is drawn in place from the calling thread's own
+    Philox generator, which every call re-keys to (seed, frame_index) with
+    counter 0 and an empty buffer. So it still equals
+    ``Generator(Philox(key=k)).normal(0.0, noise_sigma, (h, w))`` bit for
+    bit, with ``k`` the uint64 array ``[seed, frame_index]``, and no two
+    threads share a generator. The same (mask, seed, frame_index) always
+    yields identical features, regardless of how many frames were encoded
+    before, in this thread or any other.
     Each key word is 64 bits, so ``seed`` and ``frame_index`` must lie in
     0..2**64-1; a value outside that range raises ``ValueError``.
     """
@@ -179,8 +198,7 @@ def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
     if config.noise_sigma > 0.0:
         # a plain list with a word past 2**63 would pass through float64
         key = np.array([seed, frame_index], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        noise = rng.standard_normal(out=data[3])
+        noise = _noise_generator(key).standard_normal(out=data[3])
         # normal(0, s) is 0.0 + s * z over the same z; the + 0.0 turns the
         # -0.0 of an underflowing product into +0.0 as normal() does. An
         # overflow to inf is left for FeatureMap to reject.

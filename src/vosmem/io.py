@@ -14,12 +14,14 @@ Neither format stores a frame index: every reader decodes it from the
 leading decimal digits of the filename stem and raises its own format
 error for a stem without them.
 
-A mask directory is written whole by :func:`write_mask_dir`: every frame
-goes into a staged directory beside the target, which then replaces the
-target in one rename, so no frame of an earlier run survives. Every other file is written
-through :func:`atomic_write_bytes` (a temp file in the target directory,
-then a rename). Every output is byte-reproducible: JSON keys are emitted in
-a fixed order and no timestamps enter any payload.
+Mask directories are written whole by :func:`write_mask_dirs`: every frame
+of every directory goes into a staged directory beside its target, and only
+then does each staged directory replace its target by renames, so no frame
+of an earlier run survives and a failed write replaces none of them. Every
+other file is written through :func:`atomic_write_bytes` (a temp file in the
+target directory, then a rename). Files and directories get the mode a plain
+``open`` or ``mkdir`` would give them. Every output is byte-reproducible:
+JSON keys are emitted in a fixed order and no timestamps enter any payload.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import shutil
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -61,10 +63,15 @@ class MaskFormatError(ValueError):
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via temp file + rename so readers never observe partial files."""
+    """Write via temp file + rename so readers never observe partial files.
+
+    The file gets the mode a plain ``open(path, "wb")`` would give it."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    # mkstemp would make the file 0600; mode 0o666 lets the umask decide, as
+    # open() does. The random name and O_EXCL keep concurrent writers apart.
+    tmp = os.path.join(target.parent, f"{target.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -226,11 +233,11 @@ def read_mask(path) -> LabelMask:
 _FRAME_FILE = re.compile(r"\d+\.pgm")
 
 
-def check_mask_dir_target(directory) -> None:
+def _check_mask_dir_target(directory) -> None:
     """Raise FileExistsError, naming the path and its first offending entry,
     unless ``directory`` is absent or a real directory that holds only
     regular files named ``<digits>.pgm``: the only kind of directory
-    :func:`write_mask_dir` may delete."""
+    :func:`write_mask_dirs` may delete."""
     target = Path(directory)
     if target.is_symlink():
         raise FileExistsError(f"refusing to replace {target}: it is a symlink")
@@ -247,41 +254,64 @@ def check_mask_dir_target(directory) -> None:
                               f"which is not a NNN.pgm frame file")
 
 
-def write_mask_dir(sequence: FrameSequence, directory) -> None:
-    """Replace ``directory`` whole with one PGM per frame, named by its
-    three-digit zero-padded index.
+def write_mask_dirs(outputs: Mapping) -> None:
+    """Replace each directory of ``outputs``, a mapping of directory to
+    :class:`~vosmem.core.FrameSequence`, whole with one PGM per frame, named
+    by its three-digit zero-padded index.
 
-    The frames are written into a staged sibling directory, which a rename
-    puts in place of the target (the old target is renamed aside, then
-    deleted), so no frame of an earlier run survives and a failed write
-    leaves the old directory as it was. A target that
-    :func:`check_mask_dir_target` refuses raises FileExistsError before
-    anything is written; missing parent directories are created.
+    Every directory's frames are written into a staged sibling directory
+    first. Only then is each target renamed aside and its staged directory
+    renamed into its place, and the old targets are deleted. So no frame of
+    an earlier run survives, and a write or a rename that fails leaves every
+    target as it was. A target that is a symlink, is not a directory, or
+    holds anything but ``NNN.pgm`` regular files raises FileExistsError,
+    and two targets that are one directory or one inside the other raise
+    ValueError, before anything is written. Missing parent directories are
+    created.
     """
-    _instance("sequence", sequence, FrameSequence)
-    check_mask_dir_target(directory)
-    target = Path(os.path.abspath(directory))  # "." has no name to stage beside
-    target.parent.mkdir(parents=True, exist_ok=True)
-    # one private holder keeps both the staged and the old directory out of
-    # sight; os.mkdir gives the staged one the mode a plain mkdir would
-    holder = tempfile.mkdtemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+    _instance("outputs", outputs, Mapping)
+    targets = []
+    for directory, sequence in outputs.items():
+        _instance("sequence", sequence, FrameSequence)
+        _check_mask_dir_target(directory)
+        # "." has no name to stage beside
+        targets.append((Path(os.path.abspath(directory)), sequence))
+    for i, (a, _) in enumerate(targets):
+        for b, _ in targets[:i]:
+            if a == b or a in b.parents or b in a.parents:
+                raise ValueError(f"mask directories {b} and {a} overlap: "
+                                 f"one would replace the other")
+    # each target's private holder keeps its staged and its old directory out
+    # of sight; os.mkdir gives the staged one the mode a plain mkdir would
+    holders = []
     try:
-        staged, old = os.path.join(holder, "new"), os.path.join(holder, "old")
-        os.mkdir(staged)
-        for frame in sequence:
-            with open(os.path.join(staged, f"{frame.frame_index:03d}.pgm"), "wb") as f:
-                f.write(mask_bytes(frame))
-        replacing = target.is_dir()
-        if replacing:
-            os.rename(target, old)
+        for target, sequence in targets:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            holders.append(tempfile.mkdtemp(dir=target.parent, prefix=target.name + ".",
+                                            suffix=".tmp"))
+            staged = os.path.join(holders[-1], "new")
+            os.mkdir(staged)
+            for frame in sequence:
+                with open(os.path.join(staged, f"{frame.frame_index:03d}.pgm"), "wb") as f:
+                    f.write(mask_bytes(frame))
+        moved = []  # (target, holder, replaced) of every target moved so far
         try:
-            os.rename(staged, target)
+            for (target, _), holder in zip(targets, holders):
+                replaced = target.is_dir()
+                if replaced:
+                    os.rename(target, os.path.join(holder, "old"))
+                moved.append((target, holder, replaced))
+                os.rename(os.path.join(holder, "new"), target)
         except BaseException:
-            if replacing:
-                os.rename(old, target)
+            for target, holder, replaced in reversed(moved):
+                if not os.path.exists(os.path.join(holder, "new")):
+                    os.rename(target, os.path.join(holder, "new"))
+                if replaced:
+                    os.rename(os.path.join(holder, "old"), target)
             raise
     finally:
-        shutil.rmtree(holder)
+        for holder in holders:
+            shutil.rmtree(holder)
 
 
 def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:

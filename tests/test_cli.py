@@ -6,6 +6,7 @@ import io
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import vosmem
 from vosmem.cli import build_parser, run_command
 from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
-from vosmem.io import tensor_bytes, write_mask_dir, write_tensor
+from vosmem.io import tensor_bytes, write_mask_dirs, write_tensor
 from vosmem.memory import DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE
 from vosmem.metrics import DEFAULT_BOUNDARY_RADIUS
 from vosmem.sampling import DEFAULT_STRIDES, SamplingConfig
@@ -131,8 +132,7 @@ class TestEvalCommand:
     def _dirs(self, tmp_path):
         scene = generate_scene(SceneConfig(n_frames=5, velocity=(1, 1)))
         gt, pred = tmp_path / "gt", tmp_path / "pred"
-        write_mask_dir(scene, gt)
-        write_mask_dir(scene, pred)
+        write_mask_dirs({gt: scene, pred: scene})
         return pred, gt
 
     def test_perfect_agreement_prints_table(self, tmp_path, capsys):
@@ -261,6 +261,43 @@ class TestSimulateCommand:
         assert captured.err.splitlines() == [f"error: refusing to replace {pred}: {reason}"]
         assert tree_snapshot(tmp_path) == before
 
+    def test_failed_pred_write_leaves_the_whole_first_run(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert run_command(self.ARGS + ["--out", str(out)]) == 0
+        before = tree_snapshot(tmp_path)
+        capsys.readouterr()
+        staged, mask_bytes = [], vosmem.io.mask_bytes
+
+        def second_pred_frame_fails(mask):
+            # gt/ is staged first: with 6 frames, call 8 is pred/'s frame 1
+            staged.append(mask.frame_index)
+            if len(staged) == 8:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return mask_bytes(mask)
+
+        monkeypatch.setattr(vosmem.io, "mask_bytes", second_pred_frame_fails)
+        assert run_command(["simulate", "--out", str(out), "--frames", "6",
+                            "--velocity", "0,1"]) == 1
+        assert staged == [0, 1, 2, 3, 4, 5, 0, 1]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert tree_snapshot(tmp_path) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_output_files_get_a_plain_files_mode(self, tmp_path, capsys):
+        out, report = tmp_path / "run", tmp_path / "eval.json"
+        assert run_command(self.ARGS + ["--out", str(out)]) == 0
+        assert run_command(["eval", "--pred", str(out / "pred"), "--gt", str(out / "gt"),
+                            "--out", str(report)]) == 0
+        capsys.readouterr()
+        for path in (out / "report.json", out / "trace.jsonl", report):
+            with open(path.parent / "plain", "wb"):
+                pass
+            assert stat.S_IMODE(path.stat().st_mode) == \
+                stat.S_IMODE((path.parent / "plain").stat().st_mode), path
+
 
 def tree_snapshot(root) -> dict:
     """Every entry under ``root``, symlinks not followed: a file's bytes, a
@@ -361,9 +398,8 @@ class TestErrorHandling:
         # an empty prediction scores F = 0 without dilating any boundary, so
         # only an up-front check catches the radius
         scene = generate_scene(SceneConfig(n_frames=3))
-        write_mask_dir(scene, tmp_path / "gt")
         blank = [LabelMask(f.frame_index, np.zeros_like(f.labels)) for f in scene]
-        write_mask_dir(FrameSequence(blank), tmp_path / "pred")
+        write_mask_dirs({tmp_path / "gt": scene, tmp_path / "pred": FrameSequence(blank)})
         out = tmp_path / "report.json"
         assert run_command(["eval", "--pred", str(tmp_path / "pred"), "--gt",
                             str(tmp_path / "gt"), "--radius", "-5", "--out", str(out)]) == 1
@@ -374,7 +410,7 @@ class TestErrorHandling:
 
     def test_eval_out_onto_a_directory_prints_nothing_and_names_it(self, tmp_path, capsys):
         gt = tmp_path / "gt"
-        write_mask_dir(generate_scene(SceneConfig(n_frames=3)), gt)
+        write_mask_dirs({gt: generate_scene(SceneConfig(n_frames=3))})
         taken = tmp_path / "taken"
         taken.mkdir()
         argv = ["eval", "--pred", str(gt), "--gt", str(gt), "--out", str(taken)]
@@ -562,10 +598,9 @@ def argvs(draw, paths):
 def fuzz_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     scene = generate_scene(SceneConfig(grid=(12, 12), size=3, n_frames=4, velocity=(1, 1)))
-    write_mask_dir(scene, root / "gt")
     shifted = generate_scene(SceneConfig(grid=(12, 12), size=3, n_frames=4, start=(2, 1)))
-    write_mask_dir(shifted, root / "pred")
-    write_mask_dir(generate_scene(SceneConfig(grid=(8, 8), n_frames=4)), root / "small")
+    write_mask_dirs({root / "gt": scene, root / "pred": shifted,
+                     root / "small": generate_scene(SceneConfig(grid=(8, 8), n_frames=4))})
     features = root / "features"
     features.mkdir()
     write_duplicate_features(features)

@@ -1,8 +1,10 @@
 """Synthetic tracker: scene kinematics, encoder determinism, streaming loop."""
 
 import gc
+import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -206,6 +208,51 @@ class TestEncodeFrame:
             with pytest.raises(ValueError,
                                match=rf"^non-finite feature value at flat index {first_inf}$"):
                 encode_frame(mask, config, seed=0, frame_index=5)
+
+    @staticmethod
+    def _fresh_noise(seed, frame_index, sigma, shape):
+        key = np.array([seed, frame_index], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key)).normal(0.0, sigma, shape)
+
+    def test_alternating_keys_each_give_a_fresh_generators_noise(self):
+        mask = self._mask(np.zeros((8, 8), int))
+        config = ToyEncoderConfig(feature_resolution=(4, 8), noise_sigma=0.5)
+        for seed, frame_index in [(3, 7), (2**64 - 1, 0), (3, 7)]:
+            noise = encode_frame(mask, config, seed=seed, frame_index=frame_index).data[3]
+            assert noise.tobytes() == self._fresh_noise(seed, frame_index, 0.5, (4, 8)).tobytes()
+
+    def test_threads_encoding_at_once_match_serial_encodings(self, monkeypatch):
+        mask = self._mask(np.zeros((8, 8), int))
+        config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
+        keys = [[(thread, frame) for frame in range(30)] for thread in range(4)]
+        serial = [[encode_frame(mask, config, *key).data.tobytes() for key in mine]
+                  for mine in keys]
+        # every thread re-keys its generator, then all of them draw: a generator
+        # shared between threads would give each the last thread's key
+        rekeyed = threading.Barrier(len(keys), timeout=60)
+        noise_generator = harness._noise_generator
+
+        def rekey_then_wait(key):
+            rng = noise_generator(key)
+            rekeyed.wait()
+            return rng
+
+        monkeypatch.setattr(harness, "_noise_generator", rekey_then_wait)
+        with ThreadPoolExecutor(max_workers=len(keys)) as pool:
+            encoded = list(pool.map(
+                lambda mine: [encode_frame(mask, config, *key).data.tobytes() for key in mine],
+                keys))
+        assert encoded == serial
+
+    def test_call_after_an_overflow_still_gives_a_fresh_generators_noise(self):
+        mask = self._mask(np.zeros((8, 8), int))
+        with pytest.raises(ValueError, match="^non-finite feature value"):
+            encode_frame(mask, ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=1e308),
+                         seed=0, frame_index=5)
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.5)
+        for frame_index in (5, 6):
+            noise = encode_frame(mask, config, seed=0, frame_index=frame_index).data[3]
+            assert noise.tobytes() == self._fresh_noise(0, frame_index, 0.5, (8, 8)).tobytes()
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_noise_sigma_must_be_finite_and_non_negative(self, sigma):

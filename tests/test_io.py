@@ -34,7 +34,7 @@ from vosmem.io import (
     read_tensor,
     tensor_bytes,
     track_records,
-    write_mask_dir,
+    write_mask_dirs,
     write_tensor,
 )
 from vosmem.memory import MemoryBank, MemoryEntry
@@ -178,12 +178,14 @@ class TestArgumentKinds:
         (lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType"),
         (lambda d: write_tensor(None, d / "0.ften"), "fmap must be a FeatureMap, got NoneType"),
         (lambda d: mask_bytes(None), "mask must be a LabelMask, got NoneType"),
-        (lambda d: write_mask_dir(None, d), "sequence must be a FrameSequence, got NoneType"),
+        (lambda d: write_mask_dirs(None), "outputs must be a Mapping, got NoneType"),
+        (lambda d: write_mask_dirs({d / "gt": None}),
+         "sequence must be a FrameSequence, got NoneType"),
         (lambda d: prune_record(0, (), None, "keep", "cosine"),
          "outcome must be a PruneOutcome, got NoneType"),
         (lambda d: track_records(None), "trace must be a TrackTrace, got NoneType"),
-    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_mask_dir",
-            "prune_record", "track_records"])
+    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_mask_dirs outputs",
+            "write_mask_dirs", "prune_record", "track_records"])
     def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(tmp_path)
@@ -313,7 +315,7 @@ class TestMaskDir:
     def test_write_mask_dir_round_trip(self, tmp_path):
         scene = generate_scene(SceneConfig(n_frames=4, velocity=(1, 0)))
         target = tmp_path / "missing" / "parents" / "gt"
-        write_mask_dir(scene, target)
+        write_mask_dirs({target: scene})
         back = read_mask_dir(target)
         assert back.frame_indices == scene.frame_indices
         for a, b in zip(back, scene):
@@ -339,7 +341,7 @@ class TestMaskDir:
         make(target)
         before = files()
         with pytest.raises(FileExistsError, match=f"^refusing to replace {target}: {reason}$"):
-            write_mask_dir(generate_scene(SceneConfig(n_frames=2)), target)
+            write_mask_dirs({target: generate_scene(SceneConfig(n_frames=2))})
         assert files() == before
 
     @pytest.mark.parametrize("existing", [True, False], ids=["replacing", "new"])
@@ -347,7 +349,7 @@ class TestMaskDir:
             self, tmp_path, monkeypatch, existing):
         target = tmp_path / "pred"
         if existing:
-            write_mask_dir(generate_scene(SceneConfig(n_frames=4)), target)
+            write_mask_dirs({target: generate_scene(SceneConfig(n_frames=4))})
         before = {p.name: p.read_bytes() for p in target.iterdir()} if existing else None
         written = []
 
@@ -359,11 +361,45 @@ class TestMaskDir:
 
         monkeypatch.setattr(vosmem.io, "mask_bytes", third_frame_fails)
         with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
-            write_mask_dir(generate_scene(SceneConfig(n_frames=6, velocity=(1, 0))), target)
+            write_mask_dirs({target: generate_scene(SceneConfig(n_frames=6, velocity=(1, 0)))})
         assert written == [0, 1, 2]
         assert sorted(p.name for p in tmp_path.iterdir()) == (["pred"] if existing else [])
         if existing:
             assert {p.name: p.read_bytes() for p in target.iterdir()} == before
+
+    @pytest.mark.parametrize("failing", ["aside", "into place"])
+    def test_failed_rename_puts_every_target_back(self, tmp_path, monkeypatch, failing):
+        def tree():
+            return {str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
+                    for p in tmp_path.rglob("*")}
+
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        write_mask_dirs({gt: generate_scene(SceneConfig(n_frames=3)),
+                         pred: generate_scene(SceneConfig(n_frames=2))})
+        before = tree()
+        rename = os.rename
+
+        def pred_rename_fails(src, dst):
+            # the old pred/ goes aside to .../old, the staged one comes from .../new
+            if (failing == "aside" and (Path(src), Path(dst).name) == (pred, "old")) or \
+                    (failing == "into place" and (Path(src).name, Path(dst)) == ("new", pred)):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+            rename(src, dst)
+
+        monkeypatch.setattr(vosmem.io.os, "rename", pred_rename_fails)
+        later = generate_scene(SceneConfig(n_frames=5, velocity=(1, 0)))
+        with pytest.raises(OSError, match=os.strerror(errno.EACCES)):
+            write_mask_dirs({gt: later, pred: later})
+        assert tree() == before
+
+    @pytest.mark.parametrize("second", ["gt/.", "gt/inner", "."], ids=["same", "inside", "outside"])
+    def test_overlapping_targets_are_refused_before_writing(self, tmp_path, monkeypatch,
+                                                            second):
+        monkeypatch.chdir(tmp_path)
+        scene = generate_scene(SceneConfig(n_frames=2))
+        with pytest.raises(ValueError, match="overlap: one would replace the other$"):
+            write_mask_dirs({"gt": scene, second: scene})
+        assert not any(tmp_path.iterdir())
 
 
 class TestFeatureDir:
@@ -405,6 +441,13 @@ class TestAtomicity:
             atomic_write_bytes(tmp_path / "taken", b"data")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert not any((tmp_path / "taken").iterdir())
+
+    def test_file_gets_a_plain_files_mode(self, tmp_path):
+        atomic_write_bytes(tmp_path / "t.json", b"{}")
+        with open(tmp_path / "plain", "wb"):
+            pass
+        assert stat.S_IMODE((tmp_path / "t.json").stat().st_mode) == \
+            stat.S_IMODE((tmp_path / "plain").stat().st_mode)
 
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "000.pgm"

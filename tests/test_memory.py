@@ -210,6 +210,29 @@ def _map_pairs(draw):
     return a, b
 
 
+@st.composite
+def _wide_map_pairs(draw):
+    """Two same-shape maps over the whole finite range that cosine meets:
+    zero channels, subnormals, and magnitudes up to 1e200, whose squares
+    overflow."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+    values = st.one_of(st.floats(-1e200, 1e200),
+                       st.sampled_from([0.0, 5e-324, -1e-310, 1e-160, 1e154, -1e200]))
+    a, b = (draw(arrays(np.float64, shape, elements=values)) for _ in range(2))
+    for x in (a, b):
+        x[draw(arrays(bool, shape[0]))] = 0.0  # zero-norm channels
+    return a, b
+
+
+def _outcome(compute):
+    """The bytes of what ``compute()`` returns, or the type and message of
+    what it raises."""
+    try:
+        return np.asarray(compute(), dtype=np.float64).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 class TestScoreMemo:
     @settings(max_examples=150, deadline=None)
     @given(_map_pairs())
@@ -332,6 +355,32 @@ class TestMemoryKeys:
     def test_cosine_key_has_a_row_per_channel(self):
         rows, norms = memory._key("cosine", FeatureMap(3, np.zeros((2, 4, 5))))
         assert rows.shape == (2, 20) and norms.shape == (2,)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_wide_map_pairs())
+    @example((np.zeros((2, 1, 3)), np.ones((2, 1, 3))))
+    @example((np.full((1, 2, 2), 5e-324), np.full((1, 2, 2), -2.5e-310)))
+    @example((np.full((2, 2, 2), 1e200), np.full((2, 2, 2), 1.0)))
+    @example((np.full((1, 1, 2), 1e160), np.full((1, 1, 2), 1e160)))
+    def test_cosine_key_and_score_are_numpys_norm_and_sum(self, pair):
+        # both sides run under the suite's warnings-as-errors, so an overflow
+        # must raise the same RuntimeWarning on both; fresh maps each time so
+        # that nothing is memoized
+        a, b = pair
+
+        def numpy_norms(x):
+            return np.linalg.norm(x.reshape(x.shape[0], -1), axis=1)
+
+        def per_pair(x, y):  # as in test_cached_keys_reproduce_per_pair_formulas
+            x, y = x.reshape(x.shape[0], -1), y.reshape(y.shape[0], -1)
+            dots = np.einsum("ij,ij->i", x, y)
+            norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+            return float(np.sum(dots[norms > 0] / norms[norms > 0]))
+
+        assert _outcome(lambda: memory._key("cosine", FeatureMap(0, a))[1]) == \
+            _outcome(lambda: numpy_norms(a))
+        assert _outcome(lambda: similarity("cosine", FeatureMap(0, a), FeatureMap(1, b))) == \
+            _outcome(lambda: per_pair(a, b))
 
     @pytest.mark.parametrize("value", [0.1, 0.3, -7.0, 3.3947638435598565e-128])
     def test_constant_map_centres_to_exact_zeros(self, value):
