@@ -1,8 +1,9 @@
 """Command-line surface: ``sample``, ``prune``, ``eval``, ``simulate``.
 
 Every run is explicit (no environment variables) and reproducible: given
-the same inputs, flags, and seed, output files are byte-identical. Masks
-and tensors are written by :mod:`vosmem.io`; every JSON document or
+the same inputs, flags, and seed, output files are byte-identical. Only
+:mod:`vosmem.io` writes files: ``simulate`` replaces its four outputs in one
+:func:`vosmem.io.write_outputs` call, and every other JSON document or
 JSON-lines text goes through :func:`_emit`.
 """
 
@@ -148,10 +149,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     report = evaluate(predicted, scene, radius=args.radius)
 
     out = Path(args.out)
-    # both staged before either is replaced, so a failed pred/ keeps gt/ too
-    vio.write_mask_dirs({out / "gt": scene, out / "pred": predicted})
-    _emit(vio.jsonl_text(vio.track_records(trace)), out / "trace.jsonl")
-    _emit(vio.json_text(report.to_dict()), out / "report.json")
+    # all four staged before any is replaced, so a failed write keeps the old run
+    vio.write_outputs({out / "gt": scene, out / "pred": predicted,
+                       out / "trace.jsonl": vio.jsonl_text(vio.track_records(trace)).encode(),
+                       out / "report.json": vio.json_text(report.to_dict()).encode()})
     sys.stdout.write(report.format_table() + "\n")
     return 0
 

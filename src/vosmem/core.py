@@ -75,11 +75,12 @@ def _integers(name: str, values, minimum: int | None = None,
     return tuple(_integer(f"{name}[{i}]", v, minimum) for i, v in enumerate(items))
 
 
-def _instance(name: str, value, cls: type) -> None:
-    """The library's one kind rule: ``value`` must be an instance of ``cls``;
-    anything else raises ValueError naming ``name`` and both types."""
+def _instance(name: str, value, cls: type | tuple[type, ...]) -> None:
+    """The library's one kind rule: ``value`` must be an instance of ``cls``
+    or one of its types; anything else raises ValueError naming ``name``."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ValueError(f"{name} must be a {kinds}, got {type(value).__name__}")
 
 
 def _choice(what: str, value, choices: tuple[str, ...]) -> None:

@@ -14,18 +14,18 @@ Neither format stores a frame index: every reader decodes it from the
 leading decimal digits of the filename stem and raises its own format
 error for a stem without them.
 
-Mask directories are written whole by :func:`write_mask_dirs`: every frame
-of every directory goes into a staged directory beside its target, and only
-then does each staged directory replace its target by renames, so no frame
-of an earlier run survives and a failed write replaces none of them. Every
-other file is written through :func:`atomic_write_bytes` (a temp file in the
-target directory, then a rename). Files and directories get the mode a plain
+Every output, file or mask directory, is written by :func:`write_outputs`:
+each target of one call is staged beside it first, and only then does each
+staged copy replace its target by renames, so no frame of an earlier run
+survives, no reader sees a partial file, and a failed write or rename
+replaces none of the targets. Files and directories get the mode a plain
 ``open`` or ``mkdir`` would give them. Every output is byte-reproducible:
 JSON keys are emitted in a fixed order and no timestamps enter any payload.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -56,33 +56,6 @@ class TensorFormatError(ValueError):
 
 class MaskFormatError(ValueError):
     """Raised for malformed mask files or inconsistent mask directories."""
-
-
-# ---------------------------------------------------------------------------
-# atomic writers
-
-
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via temp file + rename so readers never observe partial files.
-
-    The file gets the mode a plain ``open(path, "wb")`` would give it."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    # mkstemp would make the file 0600; mode 0o666 lets the umask decide, as
-    # open() does. The random name and O_EXCL keep concurrent writers apart.
-    tmp = os.path.join(target.parent, f"{target.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        try:
-            os.replace(tmp, target)
-        except OSError as exc:  # name the target, not the random temp file
-            raise type(exc)(exc.errno, exc.strerror, str(target)) from None
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +210,7 @@ def _check_mask_dir_target(directory) -> None:
     """Raise FileExistsError, naming the path and its first offending entry,
     unless ``directory`` is absent or a real directory that holds only
     regular files named ``<digits>.pgm``: the only kind of directory
-    :func:`write_mask_dirs` may delete."""
+    :func:`write_outputs` may delete."""
     target = Path(directory)
     if target.is_symlink():
         raise FileExistsError(f"refusing to replace {target}: it is a symlink")
@@ -254,64 +227,88 @@ def _check_mask_dir_target(directory) -> None:
                               f"which is not a NNN.pgm frame file")
 
 
-def write_mask_dirs(outputs: Mapping) -> None:
-    """Replace each directory of ``outputs``, a mapping of directory to
-    :class:`~vosmem.core.FrameSequence`, whole with one PGM per frame, named
-    by its three-digit zero-padded index.
+def write_outputs(outputs: Mapping) -> None:
+    """Replace every target of ``outputs`` whole. The mapping takes each path
+    to a :class:`~vosmem.core.FrameSequence`, written as a directory of one
+    PGM per frame named by its three-digit zero-padded index, or to
+    ``bytes``, written as a file.
 
-    Every directory's frames are written into a staged sibling directory
-    first. Only then is each target renamed aside and its staged directory
-    renamed into its place, and the old targets are deleted. So no frame of
-    an earlier run survives, and a write or a rename that fails leaves every
-    target as it was. A target that is a symlink, is not a directory, or
-    holds anything but ``NNN.pgm`` regular files raises FileExistsError,
-    and two targets that are one directory or one inside the other raise
-    ValueError, before anything is written. Missing parent directories are
-    created.
+    Every target is staged first, in one private holder per parent
+    directory. Only then is each existing target renamed aside into its
+    holder and its staged copy renamed into its place, and the old targets
+    are deleted with the holders. So no frame of an earlier run survives, no
+    reader sees a partial file, and a write or a rename that fails leaves
+    every target as it was; a failed rename names its target. Before
+    anything is written, a mask-directory target that is a symlink, is not
+    a directory, or holds anything but ``NNN.pgm`` regular files raises
+    FileExistsError, a file target that is a directory raises
+    IsADirectoryError, and two targets that are one path or one inside the
+    other raise ValueError. Missing parent directories are created.
     """
     _instance("outputs", outputs, Mapping)
-    targets = []
-    for directory, sequence in outputs.items():
-        _instance("sequence", sequence, FrameSequence)
-        _check_mask_dir_target(directory)
+    targets = []  # (path as given, absolute path, content)
+    for path, content in outputs.items():
+        _instance("output", content, (FrameSequence, bytes))
+        path = Path(path)  # "" is "."
+        if not isinstance(content, bytes):
+            _check_mask_dir_target(path)
+        elif path.is_dir() and not path.is_symlink():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         # "." has no name to stage beside
-        targets.append((Path(os.path.abspath(directory)), sequence))
-    for i, (a, _) in enumerate(targets):
-        for b, _ in targets[:i]:
+        targets.append((path, Path(os.path.abspath(path)), content))
+    for i, (_, a, _) in enumerate(targets):
+        for _, b, _ in targets[:i]:
             if a == b or a in b.parents or b in a.parents:
-                raise ValueError(f"mask directories {b} and {a} overlap: "
-                                 f"one would replace the other")
-    # each target's private holder keeps its staged and its old directory out
-    # of sight; os.mkdir gives the staged one the mode a plain mkdir would
-    holders = []
+                raise ValueError(f"outputs {b} and {a} overlap: one would replace the other")
+    # each parent's private holder keeps the staged (".new") and the replaced
+    # (".old") targets out of sight; subdirectories would add a mkdir and an
+    # rmdir to every call. os.mkdir and open give the staged ones the mode a
+    # plain mkdir or open would
+    holders = {}
+    moves = []  # (path as given, target, staged, aside)
     try:
-        for target, sequence in targets:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            holders.append(tempfile.mkdtemp(dir=target.parent, prefix=target.name + ".",
-                                            suffix=".tmp"))
-            staged = os.path.join(holders[-1], "new")
+        for path, target, content in targets:
+            holder = holders.get(target.parent)
+            if holder is None:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                holder = holders[target.parent] = tempfile.mkdtemp(
+                    dir=target.parent, prefix=target.name + ".", suffix=".tmp")
+            staged = os.path.join(holder, target.name + ".new")
+            aside = os.path.join(holder, target.name + ".old")
+            moves.append((path, target, staged, aside))
+            if isinstance(content, bytes):
+                with open(staged, "wb") as f:
+                    f.write(content)
+                continue
             os.mkdir(staged)
-            for frame in sequence:
+            for frame in content:
                 with open(os.path.join(staged, f"{frame.frame_index:03d}.pgm"), "wb") as f:
                     f.write(mask_bytes(frame))
-        moved = []  # (target, holder, replaced) of every target moved so far
         try:
-            for (target, _), holder in zip(targets, holders):
-                replaced = target.is_dir()
-                if replaced:
-                    os.rename(target, os.path.join(holder, "old"))
-                moved.append((target, holder, replaced))
-                os.rename(os.path.join(holder, "new"), target)
+            for path, target, staged, aside in moves:
+                try:
+                    if os.path.lexists(target):
+                        os.rename(target, aside)
+                    os.rename(staged, target)
+                except OSError as exc:  # name the target, not a staged path
+                    raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         except BaseException:
-            for target, holder, replaced in reversed(moved):
-                if not os.path.exists(os.path.join(holder, "new")):
-                    os.rename(target, os.path.join(holder, "new"))
-                if replaced:
-                    os.rename(os.path.join(holder, "old"), target)
+            # a target whose staged copy is gone holds it; one set aside goes back
+            for _, target, staged, aside in reversed(moves):
+                if not os.path.lexists(staged):
+                    os.rename(target, staged)
+                if os.path.lexists(aside):
+                    os.rename(aside, target)
             raise
     finally:
-        for holder in holders:
+        for holder in holders.values():
             shutil.rmtree(holder)
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write one file through :func:`write_outputs`, so readers never observe
+    a partial file; it gets the mode a plain ``open(path, "wb")`` would."""
+    write_outputs({path: data})
 
 
 def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:

@@ -20,7 +20,7 @@ import vosmem
 from vosmem.cli import build_parser, run_command
 from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
-from vosmem.io import tensor_bytes, write_mask_dirs, write_tensor
+from vosmem.io import tensor_bytes, write_outputs, write_tensor
 from vosmem.memory import DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE
 from vosmem.metrics import DEFAULT_BOUNDARY_RADIUS
 from vosmem.sampling import DEFAULT_STRIDES, SamplingConfig
@@ -132,7 +132,7 @@ class TestEvalCommand:
     def _dirs(self, tmp_path):
         scene = generate_scene(SceneConfig(n_frames=5, velocity=(1, 1)))
         gt, pred = tmp_path / "gt", tmp_path / "pred"
-        write_mask_dirs({gt: scene, pred: scene})
+        write_outputs({gt: scene, pred: scene})
         return pred, gt
 
     def test_perfect_agreement_prints_table(self, tmp_path, capsys):
@@ -286,6 +286,23 @@ class TestSimulateCommand:
         assert tree_snapshot(tmp_path) == before
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.parametrize("name", ["trace.jsonl", "report.json"])
+    def test_file_output_made_a_directory_is_refused_and_nothing_replaced(
+            self, tmp_path, capsys, name):
+        out = tmp_path / "run"
+        assert run_command(["simulate", "--out", str(out), "--frames", "30"]) == 0
+        taken = out / name
+        taken.unlink()
+        taken.mkdir()
+        before = tree_snapshot(tmp_path)
+        capsys.readouterr()
+        assert run_command(["simulate", "--out", str(out), "--frames", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{taken}'"]
+        assert tree_snapshot(tmp_path) == before
+
     def test_output_files_get_a_plain_files_mode(self, tmp_path, capsys):
         out, report = tmp_path / "run", tmp_path / "eval.json"
         assert run_command(self.ARGS + ["--out", str(out)]) == 0
@@ -399,7 +416,7 @@ class TestErrorHandling:
         # only an up-front check catches the radius
         scene = generate_scene(SceneConfig(n_frames=3))
         blank = [LabelMask(f.frame_index, np.zeros_like(f.labels)) for f in scene]
-        write_mask_dirs({tmp_path / "gt": scene, tmp_path / "pred": FrameSequence(blank)})
+        write_outputs({tmp_path / "gt": scene, tmp_path / "pred": FrameSequence(blank)})
         out = tmp_path / "report.json"
         assert run_command(["eval", "--pred", str(tmp_path / "pred"), "--gt",
                             str(tmp_path / "gt"), "--radius", "-5", "--out", str(out)]) == 1
@@ -410,7 +427,7 @@ class TestErrorHandling:
 
     def test_eval_out_onto_a_directory_prints_nothing_and_names_it(self, tmp_path, capsys):
         gt = tmp_path / "gt"
-        write_mask_dirs({gt: generate_scene(SceneConfig(n_frames=3))})
+        write_outputs({gt: generate_scene(SceneConfig(n_frames=3))})
         taken = tmp_path / "taken"
         taken.mkdir()
         argv = ["eval", "--pred", str(gt), "--gt", str(gt), "--out", str(taken)]
@@ -599,7 +616,7 @@ def fuzz_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     scene = generate_scene(SceneConfig(grid=(12, 12), size=3, n_frames=4, velocity=(1, 1)))
     shifted = generate_scene(SceneConfig(grid=(12, 12), size=3, n_frames=4, start=(2, 1)))
-    write_mask_dirs({root / "gt": scene, root / "pred": shifted,
+    write_outputs({root / "gt": scene, root / "pred": shifted,
                      root / "small": generate_scene(SceneConfig(grid=(8, 8), n_frames=4))})
     features = root / "features"
     features.mkdir()

@@ -34,7 +34,7 @@ from vosmem.io import (
     read_tensor,
     tensor_bytes,
     track_records,
-    write_mask_dirs,
+    write_outputs,
     write_tensor,
 )
 from vosmem.memory import MemoryBank, MemoryEntry
@@ -178,14 +178,14 @@ class TestArgumentKinds:
         (lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType"),
         (lambda d: write_tensor(None, d / "0.ften"), "fmap must be a FeatureMap, got NoneType"),
         (lambda d: mask_bytes(None), "mask must be a LabelMask, got NoneType"),
-        (lambda d: write_mask_dirs(None), "outputs must be a Mapping, got NoneType"),
-        (lambda d: write_mask_dirs({d / "gt": None}),
-         "sequence must be a FrameSequence, got NoneType"),
+        (lambda d: write_outputs(None), "outputs must be a Mapping, got NoneType"),
+        (lambda d: write_outputs({d / "gt": None}),
+         "output must be a FrameSequence or bytes, got NoneType"),
         (lambda d: prune_record(0, (), None, "keep", "cosine"),
          "outcome must be a PruneOutcome, got NoneType"),
         (lambda d: track_records(None), "trace must be a TrackTrace, got NoneType"),
-    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_mask_dirs outputs",
-            "write_mask_dirs", "prune_record", "track_records"])
+    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_outputs outputs",
+            "write_outputs", "prune_record", "track_records"])
     def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(tmp_path)
@@ -315,7 +315,7 @@ class TestMaskDir:
     def test_write_mask_dir_round_trip(self, tmp_path):
         scene = generate_scene(SceneConfig(n_frames=4, velocity=(1, 0)))
         target = tmp_path / "missing" / "parents" / "gt"
-        write_mask_dirs({target: scene})
+        write_outputs({target: scene})
         back = read_mask_dir(target)
         assert back.frame_indices == scene.frame_indices
         for a, b in zip(back, scene):
@@ -341,7 +341,7 @@ class TestMaskDir:
         make(target)
         before = files()
         with pytest.raises(FileExistsError, match=f"^refusing to replace {target}: {reason}$"):
-            write_mask_dirs({target: generate_scene(SceneConfig(n_frames=2))})
+            write_outputs({target: generate_scene(SceneConfig(n_frames=2))})
         assert files() == before
 
     @pytest.mark.parametrize("existing", [True, False], ids=["replacing", "new"])
@@ -349,7 +349,7 @@ class TestMaskDir:
             self, tmp_path, monkeypatch, existing):
         target = tmp_path / "pred"
         if existing:
-            write_mask_dirs({target: generate_scene(SceneConfig(n_frames=4))})
+            write_outputs({target: generate_scene(SceneConfig(n_frames=4))})
         before = {p.name: p.read_bytes() for p in target.iterdir()} if existing else None
         written = []
 
@@ -361,35 +361,37 @@ class TestMaskDir:
 
         monkeypatch.setattr(vosmem.io, "mask_bytes", third_frame_fails)
         with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
-            write_mask_dirs({target: generate_scene(SceneConfig(n_frames=6, velocity=(1, 0)))})
+            write_outputs({target: generate_scene(SceneConfig(n_frames=6, velocity=(1, 0)))})
         assert written == [0, 1, 2]
         assert sorted(p.name for p in tmp_path.iterdir()) == (["pred"] if existing else [])
         if existing:
             assert {p.name: p.read_bytes() for p in target.iterdir()} == before
 
     @pytest.mark.parametrize("failing", ["aside", "into place"])
-    def test_failed_rename_puts_every_target_back(self, tmp_path, monkeypatch, failing):
+    @pytest.mark.parametrize("name", ["pred", "report.json"])
+    def test_failed_rename_puts_every_target_back(self, tmp_path, monkeypatch, name, failing):
         def tree():
             return {str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
                     for p in tmp_path.rglob("*")}
 
-        gt, pred = tmp_path / "gt", tmp_path / "pred"
-        write_mask_dirs({gt: generate_scene(SceneConfig(n_frames=3)),
-                         pred: generate_scene(SceneConfig(n_frames=2))})
+        gt, pred, report = tmp_path / "gt", tmp_path / "pred", tmp_path / "report.json"
+        write_outputs({gt: generate_scene(SceneConfig(n_frames=3)),
+                       pred: generate_scene(SceneConfig(n_frames=2)), report: b"first\n"})
         before = tree()
-        rename = os.rename
+        rename, victim = os.rename, tmp_path / name
 
-        def pred_rename_fails(src, dst):
-            # the old pred/ goes aside to .../old, the staged one comes from .../new
-            if (failing == "aside" and (Path(src), Path(dst).name) == (pred, "old")) or \
-                    (failing == "into place" and (Path(src).name, Path(dst)) == ("new", pred)):
+        def victims_rename_fails(src, dst):
+            # a target goes aside to <name>.old in its holder; its staged copy is <name>.new
+            if (failing == "aside" and (Path(src), Path(dst).name) == (victim, name + ".old")) or \
+                    (failing == "into place" and (Path(src).name, Path(dst)) ==
+                     (name + ".new", victim)):
                 raise OSError(errno.EACCES, os.strerror(errno.EACCES))
             rename(src, dst)
 
-        monkeypatch.setattr(vosmem.io.os, "rename", pred_rename_fails)
+        monkeypatch.setattr(vosmem.io.os, "rename", victims_rename_fails)
         later = generate_scene(SceneConfig(n_frames=5, velocity=(1, 0)))
-        with pytest.raises(OSError, match=os.strerror(errno.EACCES)):
-            write_mask_dirs({gt: later, pred: later})
+        with pytest.raises(PermissionError, match=f"{os.strerror(errno.EACCES)}: '{victim}'$"):
+            write_outputs({gt: later, pred: later, report: b"second\n"})
         assert tree() == before
 
     @pytest.mark.parametrize("second", ["gt/.", "gt/inner", "."], ids=["same", "inside", "outside"])
@@ -398,7 +400,7 @@ class TestMaskDir:
         monkeypatch.chdir(tmp_path)
         scene = generate_scene(SceneConfig(n_frames=2))
         with pytest.raises(ValueError, match="overlap: one would replace the other$"):
-            write_mask_dirs({"gt": scene, second: scene})
+            write_outputs({"gt": scene, second: scene})
         assert not any(tmp_path.iterdir())
 
 
@@ -435,10 +437,12 @@ class TestAtomicity:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "000.ften", "000.pgm", "t.jsonl"]
 
-    def test_failed_write_raises_and_leaves_no_temp_file(self, tmp_path):
+    @pytest.mark.parametrize("path", ["taken", "", "."], ids=["directory", "empty", "dot"])
+    def test_failed_write_raises_and_leaves_no_temp_file(self, tmp_path, monkeypatch, path):
         (tmp_path / "taken").mkdir()
-        with pytest.raises(OSError):
-            atomic_write_bytes(tmp_path / "taken", b"data")
+        monkeypatch.chdir(tmp_path / "taken" if path != "taken" else tmp_path)
+        with pytest.raises(IsADirectoryError, match=f": '{Path(path)}'$"):
+            atomic_write_bytes(path, b"data")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert not any((tmp_path / "taken").iterdir())
 
