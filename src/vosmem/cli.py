@@ -117,9 +117,8 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     records = []
     for step, fmap in enumerate(features):
         bank.append(MemoryEntry(fmap.frame_index, fmap))
-        before = bank.frame_indices
         outcome = bank.prune_step(metric=args.metric, mode=args.mode)
-        records.append(vio.prune_record(step, before, outcome, args.mode, args.metric))
+        records.append(vio.prune_record(step, outcome))
     _emit(vio.jsonl_text(records), args.out)
     return 0
 

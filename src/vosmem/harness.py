@@ -154,27 +154,28 @@ class ToyEncoderConfig:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
-def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int,
-                 frame_index: int) -> FeatureMap:
+def encode_frame(mask: LabelMask, config: ToyEncoderConfig, seed: int) -> FeatureMap:
     """Featurize one mask into the fixed 4-channel layout.
 
     Occupancy is each block's count of non-zero pixels, summed exactly in
     the narrowest unsigned type that holds a whole block and divided once
     by the block size, so it equals the float64 block mean bit for bit.
 
-    The noise channel is drawn in place from the calling thread's own
-    Philox generator, which every call re-keys to (seed, frame_index) with
-    counter 0 and an empty buffer. So it still equals
+    The features carry the mask's frame index. The noise channel is drawn
+    in place from the calling thread's own Philox generator, which every
+    call re-keys to (seed, mask.frame_index) with counter 0 and an empty
+    buffer. So it still equals
     ``Generator(Philox(key=k)).normal(0.0, noise_sigma, (h, w))`` bit for
-    bit, with ``k`` the uint64 array ``[seed, frame_index]``, and no two
-    threads share a generator. The same (mask, seed, frame_index) always
-    yields identical features, regardless of how many frames were encoded
-    before, in this thread or any other.
-    Each key word is 64 bits, so ``seed`` and ``frame_index`` must lie in
-    0..2**64-1; a value outside that range raises ``ValueError``.
+    bit, with ``k`` the uint64 array ``[seed, mask.frame_index]``, and no
+    two threads share a generator. The same (mask, seed) always yields
+    identical features, regardless of how many frames were encoded before,
+    in this thread or any other.
+    Each key word is 64 bits, so ``seed`` and ``mask.frame_index`` must lie
+    in 0..2**64-1; a value outside that range raises ``ValueError``.
     """
     _instance("mask", mask, LabelMask)
     _instance("config", config, ToyEncoderConfig)
+    frame_index = mask.frame_index
     for name, value in (("seed", seed), ("frame_index", frame_index)):
         if not 0 <= _integer(name, value) <= _KEY_MAX:
             raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
@@ -219,7 +220,6 @@ class TrackStep:
 
     step: int
     frame_index: int
-    bank_before: tuple[int, ...]
     bank_after: tuple[int, ...]
     outcome: PruneOutcome
     selected_frame_index: int
@@ -228,11 +228,10 @@ class TrackStep:
 
 @dataclass(frozen=True)
 class TrackTrace:
-    """Every step of a tracking run plus the metric and prune mode it used."""
+    """Every step of a tracking run; each step's outcome holds the metric
+    and prune mode it used."""
 
     steps: tuple[TrackStep, ...]
-    metric: str
-    mode: str
 
 
 def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
@@ -264,20 +263,19 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
 
     bank = MemoryBank(capacity=bank_capacity)
     prompt = scene[0]
-    prompt_features = encode_frame(prompt, encoder_config, seed, prompt.frame_index)
-    bank.append(MemoryEntry(prompt.frame_index, prompt_features, mask=prompt))
+    bank.append(MemoryEntry(prompt.frame_index, encode_frame(prompt, encoder_config, seed),
+                            mask=prompt))
 
     steps: list[TrackStep] = []
     predicted_frames: list[LabelMask] = [prompt]
     for t in range(1, len(scene)):
         observed = scene[t]
-        features = encode_frame(observed, encoder_config, seed, observed.frame_index)
-        bank_before = bank.frame_indices
+        features = encode_frame(observed, encoder_config, seed)
         entries = {e.frame_index: e for e in bank.entries}
         if prune_enabled:
             outcome = bank.prune_step(metric=metric, mode=mode)
         else:
-            outcome = PruneOutcome(retained=bank_before, pruned_frame_indices=())
+            outcome = PruneOutcome(bank.frame_indices, (), metric, mode)
 
         best_entry = entries[argmax_frame(metric, {
             i: similarity(metric, entries[i].features, features)
@@ -290,7 +288,6 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         steps.append(TrackStep(
             step=t,
             frame_index=observed.frame_index,
-            bank_before=bank_before,
             bank_after=bank.frame_indices,
             outcome=outcome,
             selected_frame_index=best_entry.frame_index,
@@ -298,7 +295,7 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         ))
         predicted_frames.append(predicted)
 
-    return FrameSequence(predicted_frames), TrackTrace(tuple(steps), metric, mode)
+    return FrameSequence(predicted_frames), TrackTrace(tuple(steps))
 
 
 def readout_cost(trace: TrackTrace) -> list[int]:

@@ -11,8 +11,12 @@ Two small on-disk formats keep the toolchain dependency-free:
   holding the object id.
 
 Neither format stores a frame index: every reader decodes it from the
-leading decimal digits of the filename stem and raises its own format
-error for a stem without them.
+leading decimal digits of the filename stem through one helper, which
+raises the reader's own format error for a stem without them.
+
+A JSON record reads every field of a prune decision (the bank it ran on,
+the scores, the victims, the metric and the mode) from its
+:class:`~vosmem.memory.PruneOutcome`.
 
 Every output, file or mask directory, is written by :func:`write_outputs`:
 each target of one call is staged beside it first, and only then does each
@@ -133,21 +137,15 @@ def read_tensor(path) -> FeatureMap:
 # PGM masks
 
 
-def frame_index_from_stem(stem: str) -> int:
-    """Decode the leading decimal digits of a filename stem ('012_x' -> 12)."""
+def _stem_frame_index(path, error: type[ValueError]) -> int:
+    """The frame index a reader gives the file at ``path``: the leading
+    decimal digits of its stem ('012_x' -> 12). A stem without them raises
+    the reader's format ``error``."""
+    stem = Path(path).stem
     m = re.match(r"\d+", stem)
     if m is None:
-        raise ValueError(f"cannot decode a frame index from filename stem {stem!r}")
+        raise error(f"cannot decode a frame index from filename stem {stem!r}")
     return int(m.group(0))
-
-
-def _stem_frame_index(path, error: type[ValueError]) -> int:
-    """The frame index a reader gives the file at ``path``; a stem without
-    leading digits raises the reader's format ``error``."""
-    try:
-        return frame_index_from_stem(Path(path).stem)
-    except ValueError as exc:
-        raise error(str(exc)) from None
 
 
 def mask_bytes(mask: LabelMask) -> bytes:
@@ -374,7 +372,7 @@ def jsonl_text(records: Iterable[dict]) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
-def _decision(outcome: PruneOutcome, mode: str, metric: str) -> dict:
+def _decision(outcome: PruneOutcome) -> dict:
     """The keys a record gives one prune decision, in their serialized order."""
     return {
         # [[frame_index, score], ...] keeps indices as integers (JSON object
@@ -383,17 +381,16 @@ def _decision(outcome: PruneOutcome, mode: str, metric: str) -> dict:
                    for group, s in outcome.scores.items()},
         "pruned": list(outcome.pruned_frame_indices),
         "retained": list(outcome.retained),
-        "mode": mode,
-        "metric": metric,
+        "mode": outcome.mode,
+        "metric": outcome.metric,
     }
 
 
-def prune_record(step: int, bank_before: tuple[int, ...], outcome: PruneOutcome,
-                 mode: str, metric: str) -> dict:
+def prune_record(step: int, outcome: PruneOutcome) -> dict:
     """One JSON-lines record of a prune step (bank state it ran on)."""
     _instance("outcome", outcome, PruneOutcome)
-    return _stamped({"step": step, "bank_before": list(bank_before),
-                     **_decision(outcome, mode, metric)})
+    return _stamped({"step": step, "bank_before": list(outcome.bank_before),
+                     **_decision(outcome)})
 
 
 def track_records(trace: TrackTrace) -> list[dict]:
@@ -402,9 +399,9 @@ def track_records(trace: TrackTrace) -> list[dict]:
     return [_stamped({
         "step": s.step,
         "frame_index": s.frame_index,
-        "bank_before": list(s.bank_before),
+        "bank_before": list(s.outcome.bank_before),
         "bank_after": list(s.bank_after),
-        **_decision(s.outcome, trace.mode, trace.metric),
+        **_decision(s.outcome),
         "selected": s.selected_frame_index,
         "readout_cost": s.readout_cost,
     }) for s in trace.steps]

@@ -214,20 +214,28 @@ class MemoryEntry:
 
 @dataclass(frozen=True)
 class PruneOutcome:
-    """Result of one prune step, as frame indices: it holds no features.
+    """One prune decision, as frame indices: it holds no features.
 
     retained is the temporally ordered tuple of frame indices fed to readout;
-    scores maps group name -> {candidate frame_index: redundancy score}.
-    When the bank was below capacity nothing is scored or pruned.
+    metric and mode are the ones the step ran with; scores maps group name ->
+    {candidate frame_index: redundancy score}. When the bank was below
+    capacity nothing is scored or pruned.
     """
 
     retained: tuple[int, ...]
     pruned_frame_indices: tuple[int, ...]
+    metric: str
+    mode: str
     scores: dict[str, dict[int, float]] = field(default_factory=dict)
 
     @property
     def fired(self) -> bool:
         return bool(self.pruned_frame_indices)
+
+    @property
+    def bank_before(self) -> tuple[int, ...]:
+        """The bank's frame indices when the step ran: retained and pruned."""
+        return tuple(sorted(self.retained + self.pruned_frame_indices))
 
 
 class MemoryBank:
@@ -275,7 +283,7 @@ class MemoryBank:
         _choice("prune mode", mode, PRUNE_MODES)
         _choice("similarity metric", metric, SIMILARITY_METRICS)
         if len(self._entries) < self.capacity:
-            return PruneOutcome(retained=self.frame_indices, pruned_frame_indices=())
+            return PruneOutcome(self.frame_indices, (), metric, mode)
         # the oldest capacity // 2 entries are the long group, referenced by the
         # oldest; the newest ceil(capacity / 2) are the short group, referenced
         # by the newest
@@ -293,8 +301,5 @@ class MemoryBank:
         kept = [e for e in self._entries if e.frame_index not in victims]
         if mode == "persistent":
             self._entries = kept
-        return PruneOutcome(
-            retained=tuple(e.frame_index for e in kept),
-            pruned_frame_indices=tuple(sorted(victims)),
-            scores=scores,
-        )
+        return PruneOutcome(tuple(e.frame_index for e in kept), tuple(sorted(victims)),
+                            metric, mode, scores)

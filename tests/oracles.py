@@ -286,7 +286,7 @@ def track_oracle(scene, encoder_config, capacity: int, metric: str, mode: str,
         return winner
 
     def entry(frame, mask):
-        return frame.frame_index, encode_frame(frame, encoder_config, seed, frame.frame_index), mask
+        return frame.frame_index, encode_frame(frame, encoder_config, seed), mask
 
     frames = list(scene)
     prompt = frames[0].labels.tolist()

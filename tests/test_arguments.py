@@ -64,7 +64,7 @@ def _scene(**fields):
 
 
 def _encode(feature_resolution):
-    encode_frame(SCENE[0], ToyEncoderConfig(feature_resolution=feature_resolution), 0, 0)
+    encode_frame(SCENE[0], ToyEncoderConfig(feature_resolution=feature_resolution), 0)
 
 
 def _plan(**fields):
@@ -82,7 +82,8 @@ HOLDS = {
     "LabelMask.frame_index": lambda v: LabelMask(v, np.zeros((1, 1), np.uint8)).frame_index,
     "MemoryBank.capacity": _full_bank,
     "MemoryEntry.frame_index": lambda v: MemoryEntry(v, _features(3)).frame_index,
-    "encode_frame.frame_index": lambda v: encode_frame(SCENE[0], NOISY, 0, v).frame_index,
+    "encode_frame.frame_index":
+        lambda v: encode_frame(LabelMask(v, SCENE[0].labels), NOISY, 0).frame_index,
     "SamplingConfig.strides[0]": lambda v: _plan(strides=(v,)).strides[0],
     "SamplingConfig.strides[1]": lambda v: _plan(strides=(1, v)).strides[1],
     "SamplingConfig.max_frames": lambda v: _plan(max_frames=v).max_frames,
@@ -111,7 +112,7 @@ CALLS = {
     "ToyEncoderConfig.feature_resolution[0]": lambda v: _encode((v, 1)),
     "ToyEncoderConfig.feature_resolution[1]": lambda v: _encode((1, v)),
     "ToyEncoderConfig.feature_resolution": lambda v: _encode(v),
-    "encode_frame.seed": lambda v: encode_frame(SCENE[0], NOISY, v, 0),
+    "encode_frame.seed": lambda v: encode_frame(SCENE[0], NOISY, v),
     "track_sequence.bank_capacity": lambda v: track_sequence(SCENE, NOISY, bank_capacity=v),
     "track_sequence.seed": lambda v: track_sequence(SCENE, NOISY, seed=v),
     "SamplingConfig.strides": lambda v: _plan(strides=v),
@@ -156,7 +157,7 @@ PROBES = [
     (lambda: materialize(SCENE, [1.0]), "indices[0] must be an integer, got 1.0"),
     (lambda: ToyEncoderConfig(feature_resolution=(8.0, 8.0)),
      "feature_resolution[0] must be an integer, got 8.0"),
-    (lambda: encode_frame(SCENE[0], NOISY, 1.5, 0), "seed must be an integer, got 1.5"),
+    (lambda: encode_frame(SCENE[0], NOISY, 1.5), "seed must be an integer, got 1.5"),
     (lambda: FeatureMap(1.5, np.zeros((1, 1, 1))), "frame_index must be an integer, got 1.5"),
     (lambda: SamplingConfig(strides=(2.0,)), "strides[0] must be an integer, got 2.0"),
 ]
@@ -241,8 +242,8 @@ def test_unknown_name_message(call, message):
      "encoder_config must be a ToyEncoderConfig, got NoneType"),
     (lambda: track_sequence(SCENE, NOISY, prune_enabled="no"),
      "prune_enabled must be a bool, got str"),
-    (lambda: encode_frame(None, NOISY, 0, 0), "mask must be a LabelMask, got NoneType"),
-    (lambda: encode_frame(SCENE[0], None, 0, 0), "config must be a ToyEncoderConfig, got NoneType"),
+    (lambda: encode_frame(None, NOISY, 0), "mask must be a LabelMask, got NoneType"),
+    (lambda: encode_frame(SCENE[0], None, 0), "config must be a ToyEncoderConfig, got NoneType"),
     (lambda: generate_scene(None), "config must be a SceneConfig, got NoneType"),
     (lambda: build_plan(5, "zero"), "config must be a SamplingConfig, got str"),
     (lambda: materialize(list(SCENE), [0]), "sequence must be a FrameSequence, got list"),

@@ -125,7 +125,7 @@ class TestEncodeFrame:
     def test_background_mask_fixed_channels(self):
         mask = self._mask(np.zeros((8, 8), int))
         config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.0)
-        features = encode_frame(mask, config, seed=0, frame_index=0)
+        features = encode_frame(mask, config, seed=0)
         assert features.shape == (4, 4, 4)
         assert not features.data[0].any()
         np.testing.assert_allclose(features.data[1][0], (np.arange(4) + 0.5) / 4)
@@ -137,68 +137,73 @@ class TestEncodeFrame:
         labels[0, 0] = OBJECT_ID  # one of four pixels in the top-left block
         mask = self._mask(labels)
         config = ToyEncoderConfig(feature_resolution=(2, 2))
-        features = encode_frame(mask, config, seed=0, frame_index=0)
+        features = encode_frame(mask, config, seed=0)
         np.testing.assert_allclose(features.data[0], [[0.25, 0.0], [0.0, 0.0]])
 
     def test_deterministic_for_same_key(self):
-        mask = self._mask(np.zeros((8, 8), int))
+        mask = self._mask(np.zeros((8, 8), int), 7)
         config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
-        a = encode_frame(mask, config, seed=3, frame_index=7)
-        b = encode_frame(mask, config, seed=3, frame_index=7)
+        a = encode_frame(mask, config, seed=3)
+        b = encode_frame(mask, config, seed=3)
+        assert a.frame_index == 7
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_frame_index_changes_only_noise(self):
-        mask = self._mask(np.zeros((8, 8), int))
         config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
-        a = encode_frame(mask, config, seed=3, frame_index=1)
-        b = encode_frame(mask, config, seed=3, frame_index=2)
+        a, b = (encode_frame(self._mask(np.zeros((8, 8), int), i), config, seed=3)
+                for i in (1, 2))
         np.testing.assert_array_equal(a.data[:3], b.data[:3])
         assert not np.array_equal(a.data[3], b.data[3])
 
     def test_seed_changes_noise(self):
-        mask = self._mask(np.zeros((8, 8), int))
+        mask = self._mask(np.zeros((8, 8), int), 1)
         config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
-        a = encode_frame(mask, config, seed=0, frame_index=1)
-        b = encode_frame(mask, config, seed=1, frame_index=1)
+        a = encode_frame(mask, config, seed=0)
+        b = encode_frame(mask, config, seed=1)
         assert not np.array_equal(a.data[3], b.data[3])
 
     def test_resolution_must_divide_grid(self):
         mask = self._mask(np.zeros((8, 8), int))
         config = ToyEncoderConfig(feature_resolution=(3, 4))
         with pytest.raises(ValueError, match="divide"):
-            encode_frame(mask, config, seed=0, frame_index=0)
+            encode_frame(mask, config, seed=0)
 
     @pytest.mark.parametrize("value", [-1, 2**64 - 1, 2**64])
     @pytest.mark.parametrize("name", ["seed", "frame_index"])
     def test_key_words_must_fit_64_bits(self, name, value):
-        mask = self._mask(np.zeros((8, 8), int))
         config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
         key = {"seed": 0, "frame_index": 0, name: value}
+
+        def encode():
+            mask = self._mask(np.zeros((8, 8), int), key["frame_index"])
+            return encode_frame(mask, config, key["seed"])
+
         if value == 2**64 - 1:
-            features = encode_frame(mask, config, **key)
-            assert np.isfinite(features.data).all()
+            assert np.isfinite(encode().data).all()
         else:
-            with pytest.raises(ValueError, match=rf"{name} must be in 0\.\.2\*\*64-1"):
-                encode_frame(mask, config, **key)
+            # a frame index below 0 is refused by the mask it would key
+            bound = ">= 0" if (name, value) == ("frame_index", -1) else r"in 0\.\.2\*\*64-1"
+            with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value}$"):
+                encode()
 
     @pytest.mark.parametrize("seeds", [(2**63, 2**63 + 1), (2**64 - 1, 0)])
     def test_key_words_past_63_bits_give_their_own_noise(self, seeds):
-        mask = self._mask(np.zeros((8, 8), int))
+        mask = self._mask(np.zeros((8, 8), int), 3)
         config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
-        a, b = (encode_frame(mask, config, seed=s, frame_index=3).data[3] for s in seeds)
+        a, b = (encode_frame(mask, config, seed=s).data[3] for s in seeds)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("sigma", [5e-324, 1e-310, 0.05, 1e300])
     def test_noise_channel_is_philox_normal_bit_for_bit(self, sigma):
-        mask = self._mask(np.zeros((12, 20), int))
+        mask = self._mask(np.zeros((12, 20), int), 11)
         config = ToyEncoderConfig(feature_resolution=(6, 10), noise_sigma=sigma)
-        noise = encode_frame(mask, config, seed=7, frame_index=11).data[3]
+        noise = encode_frame(mask, config, seed=7).data[3]
         key = np.array([7, 11], dtype=np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).normal(0.0, sigma, (6, 10))
         assert noise.tobytes() == expected.tobytes()
 
     def test_overflowing_noise_raises_value_error_without_warning(self):
-        mask = self._mask(np.zeros((8, 8), int))
+        mask = self._mask(np.zeros((8, 8), int), 5)
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=1e308)
         key = np.array([0, 5], dtype=np.uint64)
         noise = np.random.Generator(np.random.Philox(key=key)).normal(0.0, 1e308, (8, 8))
@@ -207,7 +212,7 @@ class TestEncodeFrame:
             warnings.simplefilter("error")
             with pytest.raises(ValueError,
                                match=rf"^non-finite feature value at flat index {first_inf}$"):
-                encode_frame(mask, config, seed=0, frame_index=5)
+                encode_frame(mask, config, seed=0)
 
     @staticmethod
     def _fresh_noise(seed, frame_index, sigma, shape):
@@ -215,17 +220,17 @@ class TestEncodeFrame:
         return np.random.Generator(np.random.Philox(key=key)).normal(0.0, sigma, shape)
 
     def test_alternating_keys_each_give_a_fresh_generators_noise(self):
-        mask = self._mask(np.zeros((8, 8), int))
         config = ToyEncoderConfig(feature_resolution=(4, 8), noise_sigma=0.5)
         for seed, frame_index in [(3, 7), (2**64 - 1, 0), (3, 7)]:
-            noise = encode_frame(mask, config, seed=seed, frame_index=frame_index).data[3]
+            mask = self._mask(np.zeros((8, 8), int), frame_index)
+            noise = encode_frame(mask, config, seed=seed).data[3]
             assert noise.tobytes() == self._fresh_noise(seed, frame_index, 0.5, (4, 8)).tobytes()
 
     def test_threads_encoding_at_once_match_serial_encodings(self, monkeypatch):
-        mask = self._mask(np.zeros((8, 8), int))
+        masks = [self._mask(np.zeros((8, 8), int), frame) for frame in range(30)]
         config = ToyEncoderConfig(feature_resolution=(4, 4), noise_sigma=0.5)
-        keys = [[(thread, frame) for frame in range(30)] for thread in range(4)]
-        serial = [[encode_frame(mask, config, *key).data.tobytes() for key in mine]
+        keys = [[(thread, mask) for mask in masks] for thread in range(4)]
+        serial = [[encode_frame(mask, config, seed).data.tobytes() for seed, mask in mine]
                   for mine in keys]
         # every thread re-keys its generator, then all of them draw: a generator
         # shared between threads would give each the last thread's key
@@ -240,18 +245,19 @@ class TestEncodeFrame:
         monkeypatch.setattr(harness, "_noise_generator", rekey_then_wait)
         with ThreadPoolExecutor(max_workers=len(keys)) as pool:
             encoded = list(pool.map(
-                lambda mine: [encode_frame(mask, config, *key).data.tobytes() for key in mine],
+                lambda mine: [encode_frame(mask, config, seed).data.tobytes()
+                              for seed, mask in mine],
                 keys))
         assert encoded == serial
 
     def test_call_after_an_overflow_still_gives_a_fresh_generators_noise(self):
-        mask = self._mask(np.zeros((8, 8), int))
         with pytest.raises(ValueError, match="^non-finite feature value"):
-            encode_frame(mask, ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=1e308),
-                         seed=0, frame_index=5)
+            encode_frame(self._mask(np.zeros((8, 8), int), 5),
+                         ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=1e308), seed=0)
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.5)
         for frame_index in (5, 6):
-            noise = encode_frame(mask, config, seed=0, frame_index=frame_index).data[3]
+            mask = self._mask(np.zeros((8, 8), int), frame_index)
+            noise = encode_frame(mask, config, seed=0).data[3]
             assert noise.tobytes() == self._fresh_noise(0, frame_index, 0.5, (8, 8)).tobytes()
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
@@ -277,7 +283,7 @@ class TestEncodeFrame:
         labels, (h, w) = case
         big_h, big_w = labels.shape
         config = ToyEncoderConfig(feature_resolution=(h, w))
-        occ = encode_frame(self._mask(labels), config, seed=0, frame_index=0).data[0]
+        occ = encode_frame(self._mask(labels), config, seed=0).data[0]
         expected = np.array(block_mean_oracle(labels.tolist(), h, w), dtype=np.float64)
         mean = (labels != 0).astype(np.float64).reshape(
             h, big_h // h, w, big_w // w).mean(axis=(1, 3))
@@ -307,8 +313,18 @@ class TestTrackSequence:
         _, trace = track_sequence(scene, config, bank_capacity=7)
         first_fired = next(s for s in trace.steps if s.outcome.fired)
         assert first_fired.step == 7
-        assert len(first_fired.bank_before) == 7
+        assert len(first_fired.outcome.bank_before) == 7
         assert len(first_fired.outcome.retained) == 5
+
+    def test_unpruned_steps_record_the_fifo_bank_with_their_metric_and_mode(self):
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
+        _, trace = track_sequence(_static_scene(10), config, bank_capacity=4, metric="dot",
+                                  mode="select", prune_enabled=False)
+        for s in trace.steps:
+            o = s.outcome
+            assert (o.metric, o.mode, o.pruned_frame_indices, o.scores) == ("dot", "select", (), {})
+            assert o.bank_before == o.retained == tuple(range(max(0, s.step - 4), s.step))
+            assert s.bank_after == tuple(range(max(0, s.step - 3), s.step + 1))
 
     def test_duplicate_invariance_pruning_on_vs_off(self):
         scene = _static_scene()
@@ -415,7 +431,7 @@ class TestTrackSequence:
         scene = _static_scene()
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
         _, trace = track_sequence(scene, config, mode="select")
-        full_steps = [s for s in trace.steps if len(s.bank_before) == 7]
+        full_steps = [s for s in trace.steps if len(s.outcome.bank_before) == 7]
         assert full_steps
         assert all(s.outcome.fired for s in full_steps)
         assert all(len(s.bank_after) == 7 for s in full_steps)
@@ -485,12 +501,12 @@ class TestAgainstTrackOracle:
         predicted, trace = track_sequence(scene, encoder, **run)
         masks, steps = track_oracle(scene, encoder, run["bank_capacity"], run["metric"],
                                     run["mode"], run["prune_enabled"], run["seed"])
-        assert (trace.metric, trace.mode) == (run["metric"], run["mode"])
         assert len(trace.steps) == len(steps) and len(predicted) == len(masks)
         assert predicted[0].labels.tolist() == masks[0]
         for s, step, mask in zip(trace.steps, steps, masks[1:]):
             o = s.outcome
-            assert (s.step, s.frame_index, list(s.bank_before), list(s.bank_after),
+            assert (o.metric, o.mode) == (run["metric"], run["mode"])
+            assert (s.step, s.frame_index, list(o.bank_before), list(s.bank_after),
                     list(o.retained), list(o.pruned_frame_indices), o.scores,
                     s.selected_frame_index, s.readout_cost) == step
             assert list(o.scores) == list(step[6])  # the short group first

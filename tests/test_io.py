@@ -22,7 +22,6 @@ from vosmem.io import (
     MaskFormatError,
     TensorFormatError,
     atomic_write_bytes,
-    frame_index_from_stem,
     json_text,
     jsonl_text,
     mask_bytes,
@@ -181,7 +180,7 @@ class TestArgumentKinds:
         (lambda d: write_outputs(None), "outputs must be a Mapping, got NoneType"),
         (lambda d: write_outputs({d / "gt": None}),
          "output must be a FrameSequence or bytes, got NoneType"),
-        (lambda d: prune_record(0, (), None, "keep", "cosine"),
+        (lambda d: prune_record(0, None),
          "outcome must be a PruneOutcome, got NoneType"),
         (lambda d: track_records(None), "trace must be a TrackTrace, got NoneType"),
     ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_outputs outputs",
@@ -192,30 +191,35 @@ class TestArgumentKinds:
         assert not any(tmp_path.iterdir())
 
 
+_READERS = pytest.mark.parametrize("write, read_file, read_dir, suffix, error", [
+    (lambda path: write_tensor(fmap(), path), read_tensor, read_feature_dir,
+     ".ften", TensorFormatError),
+    (lambda path: atomic_write_bytes(
+        path, mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)))),
+     read_mask, read_mask_dir, ".pgm", MaskFormatError),
+], ids=["tensor", "mask"])
+
+
 class TestStemDecoding:
-    def test_leading_digits(self):
-        assert frame_index_from_stem("000") == 0
-        assert frame_index_from_stem("017") == 17
-        assert frame_index_from_stem("000_copy") == 0
-        assert frame_index_from_stem("42frame") == 42
+    """Every reader takes a file's frame index from the leading decimal
+    digits of its stem, whatever the file itself holds."""
 
-    def test_no_digits_rejected(self):
-        with pytest.raises(ValueError, match="frame index"):
-            frame_index_from_stem("mask")
+    @pytest.mark.parametrize("stem, index", [("000", 0), ("017", 17), ("000_copy", 0),
+                                             ("42frame", 42)])
+    @_READERS
+    def test_leading_digits(self, tmp_path, write, read_file, read_dir, suffix, error,
+                            stem, index):
+        write(tmp_path / (stem + suffix))
+        assert read_file(tmp_path / (stem + suffix)).frame_index == index
+        assert [item.frame_index for item in read_dir(tmp_path)] == [index]
 
-    @pytest.mark.parametrize("write, read_file, read_dir, name, error", [
-        (lambda path: write_tensor(fmap(), path), read_tensor, read_feature_dir,
-         "frame.ften", TensorFormatError),
-        (lambda path: atomic_write_bytes(
-            path, mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)))),
-         read_mask, read_mask_dir, "mask.pgm", MaskFormatError),
-    ], ids=["tensor", "mask"])
+    @_READERS
     def test_stem_without_digits_raises_the_readers_format_error(
-            self, tmp_path, write, read_file, read_dir, name, error):
-        write(tmp_path / name)
-        message = f"filename stem {Path(name).stem!r}"
+            self, tmp_path, write, read_file, read_dir, suffix, error):
+        write(tmp_path / ("mask" + suffix))
+        message = "^cannot decode a frame index from filename stem 'mask'$"
         with pytest.raises(error, match=message):
-            read_file(tmp_path / name)
+            read_file(tmp_path / ("mask" + suffix))
         with pytest.raises(error, match=message):
             read_dir(tmp_path)
 
@@ -469,12 +473,12 @@ class TestTraceRecords:
         bank = MemoryBank(capacity=4)
         for i in range(4):
             bank.append(MemoryEntry(i, fmap(i, seed=i)))
-        before = bank.frame_indices
-        outcome = bank.prune_step(metric="cosine", mode="select")
-        record = prune_record(2, before, outcome, "select", "cosine")
+        outcome = bank.prune_step(metric="dot", mode="select")
+        record = prune_record(2, outcome)
         assert list(record) == ["schema_version", "step", "bank_before", "scores",
                                 "pruned", "retained", "mode", "metric"]
-        assert record["bank_before"] == [0, 1, 2, 3]
+        assert (record["bank_before"], record["mode"], record["metric"]) == (
+            [0, 1, 2, 3], "select", "dot")
         assert set(record["scores"]) == {"short", "long"}
         assert json.dumps(record)  # JSON-serializable as-is
 

@@ -719,6 +719,23 @@ class TestPruneProperties:
         assert set(outcome.pruned_frame_indices).isdisjoint(retained)
         assert set(outcome.pruned_frame_indices) | set(retained) == set(indices)
 
+    @given(st.integers(0, 2**31 - 1), st.sampled_from(SIMILARITY_METRICS),
+           st.sampled_from(PRUNE_MODES), st.integers(2, 9), st.integers(1, 20))
+    @settings(max_examples=120, deadline=None)
+    def test_outcome_records_its_bank_metric_and_mode(self, seed, metric, mode, capacity,
+                                                      appends):
+        # below capacity, full, and (persistent) shrunk by an earlier step alike
+        rng = np.random.default_rng(seed)
+        bank = MemoryBank(capacity=capacity)
+        frame_index = int(rng.integers(0, 1000))
+        for _ in range(appends):
+            frame_index += int(rng.integers(1, 4))
+            bank.append(random_entry(rng, frame_index))
+            before = bank.frame_indices
+            outcome = bank.prune_step(metric=metric, mode=mode)
+            assert outcome.bank_before == before
+            assert (outcome.metric, outcome.mode) == (metric, mode)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_victims_attain_group_maximum(self, seed):
