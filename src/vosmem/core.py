@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 from typing import Iterator
 
@@ -121,18 +120,12 @@ class FeatureMap:
             bad = int(np.flatnonzero(~finite.ravel())[0])
             raise ValueError(f"non-finite feature value at flat index {bad}")
         object.__setattr__(self, "data", _freeze(arr))
+        # memory files a pair score under the other map's serial, so no memo holds a map
+        object.__setattr__(self, "_memo", (next(_SERIALS), {}))
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    @cached_property
-    def _memo(self) -> tuple[int, dict]:
-        """This map's serial and a dict that ``memory`` fills: the map's own
-        scoring keys and its scores against maps of higher serial. Serials
-        are never reused, so the memo holds no reference to a map and cannot
-        confuse a dead map with a new one."""
-        return next(_SERIALS), {}
 
     def __reduce__(self):
         # a pickle or copy is rebuilt through __init__, so it is validated and

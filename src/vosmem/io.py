@@ -19,12 +19,13 @@ the scores, the victims, the metric and the mode) from its
 :class:`~vosmem.memory.PruneOutcome`.
 
 Every output, file or mask directory, is written by :func:`write_outputs`:
-each target of one call is staged beside it first, and only then does each
-staged copy replace its target by renames, so no frame of an earlier run
-survives, no reader sees a partial file, and a failed write or rename
-replaces none of the targets. Files and directories get the mode a plain
-``open`` or ``mkdir`` would give them. Every output is byte-reproducible:
-JSON keys are emitted in a fixed order and no timestamps enter any payload.
+the targets of one call, all in one directory, are staged beside them
+first, and only then does each staged copy replace its target by renames,
+so no frame of an earlier run survives, no reader sees a partial file, and
+a failed write or rename replaces none of the targets. Files and
+directories get the mode a plain ``open`` or ``mkdir`` would give them.
+Every output is byte-reproducible: JSON keys are emitted in a fixed order
+and no timestamps enter any payload.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import json
 import math
 import os
 import re
-import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -42,7 +42,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask, _choice, _instance
+from .core import FeatureMap, FrameSequence, LabelMask, _choice, _instance, _integer, _items
 from .harness import TrackTrace
 from .memory import PruneOutcome
 
@@ -141,6 +141,7 @@ def _stem_frame_index(path, error: type[ValueError]) -> int:
     """The frame index a reader gives the file at ``path``: the leading
     decimal digits of its stem ('012_x' -> 12). A stem without them raises
     the reader's format ``error``."""
+    _instance("path", path, (str, os.PathLike))
     stem = Path(path).stem
     m = re.match(r"\d+", stem)
     if m is None:
@@ -231,48 +232,46 @@ def write_outputs(outputs: Mapping) -> None:
     PGM per frame named by its three-digit zero-padded index, or to
     ``bytes``, written as a file.
 
-    Every target is staged first, in one private holder per parent
-    directory. Only then is each existing target renamed aside into its
-    holder and its staged copy renamed into its place, and the old targets
-    are deleted with the holders. So no frame of an earlier run survives, no
-    reader sees a partial file, and a write or a rename that fails leaves
-    every target as it was; a failed rename names its target. Before
-    anything is written, a mask-directory target that is a symlink, is not
-    a directory, or holds anything but ``NNN.pgm`` regular files raises
-    FileExistsError, a file target that is a directory raises
-    IsADirectoryError, and two targets that are one path or one inside the
-    other raise ValueError. Missing parent directories are created.
+    All targets of one call lie in one directory, created if missing. Each is
+    staged first in one private directory beside them; only then is each
+    existing target renamed aside into it and its staged copy renamed into its
+    place, and the old targets go with it. So no frame of an earlier run
+    survives, no reader sees a partial file, and a failed write or rename
+    leaves every target as it was; a failed rename names its target. Before
+    anything is written, a path that is not a ``str`` or ``os.PathLike`` and
+    two targets that are one path or lie in two directories raise ValueError,
+    a mask-directory target that is a symlink, is not a directory, or holds
+    anything but ``NNN.pgm`` regular files raises FileExistsError, and a file
+    target that is a directory raises IsADirectoryError.
     """
     _instance("outputs", outputs, Mapping)
     targets = []  # (path as given, absolute path, content)
     for path, content in outputs.items():
+        _instance("path", path, (str, os.PathLike))
         _instance("output", content, (FrameSequence, bytes))
         path = Path(path)  # "" is "."
         if not isinstance(content, bytes):
             _check_mask_dir_target(path)
         elif path.is_dir() and not path.is_symlink():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        # "." has no name to stage beside
-        targets.append((path, Path(os.path.abspath(path)), content))
-    for i, (_, a, _) in enumerate(targets):
-        for _, b, _ in targets[:i]:
-            if a == b or a in b.parents or b in a.parents:
-                raise ValueError(f"outputs {b} and {a} overlap: one would replace the other")
-    # each parent's private holder keeps the staged (".new") and the replaced
-    # (".old") targets out of sight; subdirectories would add a mkdir and an
-    # rmdir to every call. os.mkdir and open give the staged ones the mode a
-    # plain mkdir or open would
-    holders = {}
-    moves = []  # (path as given, target, staged, aside)
-    try:
+        target = Path(os.path.abspath(path))  # "." has no name to stage beside
+        if targets and target.parent != targets[0][1].parent:
+            raise ValueError(f"outputs {targets[0][1]} and {target} are in different "
+                             f"directories: one call writes into one directory")
+        if any(target == other for _, other, _ in targets):
+            raise ValueError(f"outputs {target} and {target} overlap: one would replace the other")
+        targets.append((path, target, content))
+    if not targets:
+        return
+    # os.mkdir and open give staged copies the mode a plain mkdir or open would
+    first = targets[0][1]
+    first.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=first.parent, prefix=first.name + ".",
+                                     suffix=".tmp") as staging:
+        moves = []  # (path as given, target, staged, aside)
         for path, target, content in targets:
-            holder = holders.get(target.parent)
-            if holder is None:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                holder = holders[target.parent] = tempfile.mkdtemp(
-                    dir=target.parent, prefix=target.name + ".", suffix=".tmp")
-            staged = os.path.join(holder, target.name + ".new")
-            aside = os.path.join(holder, target.name + ".old")
+            staged = os.path.join(staging, target.name + ".new")
+            aside = os.path.join(staging, target.name + ".old")
             moves.append((path, target, staged, aside))
             if isinstance(content, bytes):
                 with open(staged, "wb") as f:
@@ -298,9 +297,6 @@ def write_outputs(outputs: Mapping) -> None:
                 if os.path.lexists(aside):
                     os.rename(aside, target)
             raise
-    finally:
-        for holder in holders.values():
-            shutil.rmtree(holder)
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -315,6 +311,7 @@ def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:
     A missing or empty directory, a duplicate frame index and items of
     different shapes raise ``error``; a stem without leading digits raises
     the reader's own format error."""
+    _instance("directory", directory, (str, os.PathLike))
     root = Path(directory)
     if not root.is_dir():
         raise error(f"not a directory: {root}")
@@ -365,11 +362,12 @@ def _stamped(fields: dict) -> dict:
 
 def json_text(obj: dict) -> str:
     """A JSON document: ``obj``'s keys behind ``schema_version``."""
+    _instance("obj", obj, dict)
     return json.dumps(_stamped(obj), indent=2) + "\n"
 
 
 def jsonl_text(records: Iterable[dict]) -> str:
-    return "".join(json.dumps(r) + "\n" for r in records)
+    return "".join(json.dumps(r) + "\n" for r in _items("records", records, "dicts"))
 
 
 def _decision(outcome: PruneOutcome) -> dict:
@@ -388,6 +386,7 @@ def _decision(outcome: PruneOutcome) -> dict:
 
 def prune_record(step: int, outcome: PruneOutcome) -> dict:
     """One JSON-lines record of a prune step (bank state it ran on)."""
+    step = _integer("step", step, 0)
     _instance("outcome", outcome, PruneOutcome)
     return _stamped({"step": step, "bank_before": list(outcome.bank_before),
                      **_decision(outcome)})

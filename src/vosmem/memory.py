@@ -159,13 +159,10 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
         raise ValueError(f"feature shapes differ: {a.shape} vs {b.shape}")
     serial_a, memo_a = a._memo
     serial_b, memo_b = b._memo
-    if serial_a < serial_b:
-        memo, pair = memo_a, (metric, serial_b)
-    else:
-        memo, pair = memo_b, (metric, serial_a)
-    score = memo.get(pair)
+    score = memo_a.get((metric, serial_b))
     if score is None:
-        score = memo[pair] = _METRICS[metric][1](_key(metric, a), _key(metric, b))
+        score = _METRICS[metric][1](_key(metric, a), _key(metric, b))
+        memo_a[metric, serial_b] = memo_b[metric, serial_a] = score
     return score
 
 

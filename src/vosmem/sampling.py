@@ -63,6 +63,10 @@ class SamplingPlan:
         }
 
 
+def _clip_length(length) -> int:  # the one clip-length rule
+    return _integer("clip length", length, 1)
+
+
 def _progression(length: int, stride: int, phase: int) -> range:
     stride = _integer("stride", stride, 1)
     phase = _integer("phase", phase)
@@ -85,7 +89,7 @@ def sample_indices(length: int, stride: int, phase: int = 0) -> list[int]:
     Never empty: the phase itself is always included. A view with more
     frames than a list can index raises ``ValueError`` naming the length.
     """
-    length = _integer("length", length)
+    length = _clip_length(length)
     return _listed(_progression(length, stride, phase), length)
 
 
@@ -95,7 +99,7 @@ def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> Sampli
     Phases at or beyond the clip length are skipped (a stride larger than
     the clip yields only the phases that exist).
     """
-    length = _integer("clip length", length, 1)
+    length = _clip_length(length)
     _instance("config", config, SamplingConfig)
     views = []
     for s in sorted(config.strides):

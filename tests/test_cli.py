@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import re
 import resource
 import stat
 import subprocess
@@ -203,6 +204,14 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["schema_version"] == 1
         assert set(report["per_object"]["1"]) == {"J&F", "J", "F", "Dice", "CIoU"}
+
+    def test_readme_table_is_what_its_command_prints(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        command = re.search(r"^vosmem (simulate [^#\n]*)", readme, re.M).group(1).split()
+        block = re.search(r"^```\n(object .*?)^```$", readme, re.M | re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        assert run_command(command) == 0
+        assert capsys.readouterr().out == block
 
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):
         first, second = tmp_path / "a", tmp_path / "b"

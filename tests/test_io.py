@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import struct
 import tempfile
@@ -42,6 +43,12 @@ from vosmem.memory import MemoryBank, MemoryEntry
 def fmap(idx=0, shape=(2, 3, 4), seed=0):
     rng = np.random.default_rng(seed)
     return FeatureMap(idx, rng.normal(size=shape))
+
+
+def _tree(root):
+    """Every path under ``root`` with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
 
 
 class TestTensorFormat:
@@ -170,8 +177,9 @@ class TestTensorFormat:
 
 
 class TestArgumentKinds:
-    """Entry points that read one of the library's types (or bytes) name
-    the argument in a ValueError when handed anything else."""
+    """Entry points that read one of the library's types, bytes, a path, a
+    dict, a sequence or an integer name the argument in a ValueError when
+    handed anything else."""
 
     @pytest.mark.parametrize("call, message", [
         (lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType"),
@@ -183,8 +191,25 @@ class TestArgumentKinds:
         (lambda d: prune_record(0, None),
          "outcome must be a PruneOutcome, got NoneType"),
         (lambda d: track_records(None), "trace must be a TrackTrace, got NoneType"),
+        (lambda d: read_mask(None), "path must be a str or PathLike, got NoneType"),
+        (lambda d: read_mask(b"000.pgm"), "path must be a str or PathLike, got bytes"),
+        (lambda d: read_tensor(5), "path must be a str or PathLike, got int"),
+        (lambda d: read_mask_dir(None), "directory must be a str or PathLike, got NoneType"),
+        (lambda d: read_feature_dir(None),
+         "directory must be a str or PathLike, got NoneType"),
+        (lambda d: write_tensor(fmap(), None), "path must be a str or PathLike, got NoneType"),
+        (lambda d: atomic_write_bytes(None, b""),
+         "path must be a str or PathLike, got NoneType"),
+        (lambda d: write_outputs({1: b""}), "path must be a str or PathLike, got int"),
+        (lambda d: json_text(None), "obj must be a dict, got NoneType"),
+        (lambda d: jsonl_text(None), "records must be a sequence of dicts, got None"),
+        (lambda d: prune_record("a", MemoryBank().prune_step()),
+         "step must be an integer, got 'a'"),
     ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_outputs outputs",
-            "write_outputs", "prune_record", "track_records"])
+            "write_outputs", "prune_record", "track_records", "read_mask", "read_mask bytes",
+            "read_tensor", "read_mask_dir", "read_feature_dir", "write_tensor path",
+            "atomic_write_bytes", "write_outputs path", "json_text", "jsonl_text",
+            "prune_record step"])
     def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call(tmp_path)
@@ -374,18 +399,15 @@ class TestMaskDir:
     @pytest.mark.parametrize("failing", ["aside", "into place"])
     @pytest.mark.parametrize("name", ["pred", "report.json"])
     def test_failed_rename_puts_every_target_back(self, tmp_path, monkeypatch, name, failing):
-        def tree():
-            return {str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
-                    for p in tmp_path.rglob("*")}
-
         gt, pred, report = tmp_path / "gt", tmp_path / "pred", tmp_path / "report.json"
         write_outputs({gt: generate_scene(SceneConfig(n_frames=3)),
                        pred: generate_scene(SceneConfig(n_frames=2)), report: b"first\n"})
-        before = tree()
+        before = _tree(tmp_path)
         rename, victim = os.rename, tmp_path / name
 
         def victims_rename_fails(src, dst):
-            # a target goes aside to <name>.old in its holder; its staged copy is <name>.new
+            # a target goes aside to <name>.old in the staging directory; its
+            # staged copy is <name>.new
             if (failing == "aside" and (Path(src), Path(dst).name) == (victim, name + ".old")) or \
                     (failing == "into place" and (Path(src).name, Path(dst)) ==
                      (name + ".new", victim)):
@@ -396,16 +418,31 @@ class TestMaskDir:
         later = generate_scene(SceneConfig(n_frames=5, velocity=(1, 0)))
         with pytest.raises(PermissionError, match=f"{os.strerror(errno.EACCES)}: '{victim}'$"):
             write_outputs({gt: later, pred: later, report: b"second\n"})
-        assert tree() == before
+        assert _tree(tmp_path) == before
 
-    @pytest.mark.parametrize("second", ["gt/.", "gt/inner", "."], ids=["same", "inside", "outside"])
+    @pytest.mark.parametrize("second, message", [
+        ("gt/.", "overlap: one would replace the other"),
+        ("gt/inner", "are in different directories: one call writes into one directory"),
+        (".", "are in different directories: one call writes into one directory"),
+    ], ids=["same", "inside", "outside"])
     def test_overlapping_targets_are_refused_before_writing(self, tmp_path, monkeypatch,
-                                                            second):
+                                                            second, message):
         monkeypatch.chdir(tmp_path)
         scene = generate_scene(SceneConfig(n_frames=2))
-        with pytest.raises(ValueError, match="overlap: one would replace the other$"):
+        with pytest.raises(ValueError, match=f"{message}$"):
             write_outputs({"gt": scene, second: scene})
         assert not any(tmp_path.iterdir())
+
+    def test_targets_in_two_directories_are_refused_and_left_as_they_were(self, tmp_path):
+        first, second = tmp_path / "a" / "report.json", tmp_path / "b" / "pred"
+        atomic_write_bytes(first, b"first\n")
+        write_outputs({second: generate_scene(SceneConfig(n_frames=2))})
+        before = _tree(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"outputs {first} and {second} are in different directories")):
+            write_outputs({first: b"second\n",
+                           second: generate_scene(SceneConfig(n_frames=3, velocity=(1, 0)))})
+        assert _tree(tmp_path) == before
 
 
 class TestFeatureDir:

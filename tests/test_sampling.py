@@ -55,6 +55,14 @@ class TestSampleIndices:
         with pytest.raises(ValueError, match=r"^a view of clip length 100000000000000000000 "):
             sample_indices(10**20, 1)
 
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_empty_clip_is_refused_as_build_plan_refuses_it(self, length):
+        message = f"^clip length must be >= 1, got {length}$"
+        with pytest.raises(ValueError, match=message):
+            sample_indices(length, 1)
+        with pytest.raises(ValueError, match=message):
+            build_plan(length)
+
     @given(st.integers(1, 500), st.integers(1, 20), st.integers(0, 19))
     @settings(max_examples=120)
     def test_indices_bounded_and_arithmetic(self, length, stride, phase):
