@@ -302,24 +302,32 @@ def write_outputs(outputs: Mapping) -> None:
 def atomic_write_bytes(path, data: bytes) -> None:
     """Write one file through :func:`write_outputs`, so readers never observe
     a partial file; it gets the mode a plain ``open(path, "wb")`` would."""
+    _instance("path", path, (str, os.PathLike))  # before it keys a mapping
     write_outputs({path: data})
 
 
-def _read_indexed_dir(directory, patterns, read, error, kind: str) -> list:
-    """Read every file matching ``patterns`` with ``read(path)``, ordered by
-    each item's ``frame_index``, which ``read`` takes from the filename stem.
-    A missing or empty directory, a duplicate frame index and items of
-    different shapes raise ``error``; a stem without leading digits raises
-    the reader's own format error."""
+def _read_indexed_dir(directory, suffixes, read, error, kind: str) -> list:
+    """Read every file whose name ends with one of ``suffixes`` with
+    ``read(path)``, ordered by each item's ``frame_index``, which ``read``
+    takes from the filename stem. A missing or empty directory, a matching
+    entry that is not a regular file once symlinks are followed, a duplicate
+    frame index and items of different shapes raise ``error``; a stem
+    without leading digits raises the reader's own format error."""
     _instance("directory", directory, (str, os.PathLike))
     root = Path(directory)
     if not root.is_dir():
         raise error(f"not a directory: {root}")
-    files = [path for pattern in patterns for path in sorted(root.glob(pattern))]
-    if not files:
-        raise error(f"no {kind} files in {root} (expected {', '.join(patterns)})")
+    with os.scandir(root) as listing:
+        found = {e.name: e for e in listing if e.name.endswith(suffixes)}
+    # each suffix's matches in name order, the suffixes in their given order
+    entries = [found[name] for s in suffixes for name in sorted(found) if name.endswith(s)]
+    if not entries:
+        raise error(f"no {kind} files in {root} (expected *{', *'.join(suffixes)})")
     by_index: dict[int, tuple[Path, object]] = {}
-    for path in files:
+    for entry in entries:
+        path = root / entry.name
+        if not entry.is_file():
+            raise error(f"not a regular file: {path}")
         item = read(path)
         index = item.frame_index
         if index in by_index:
@@ -339,13 +347,13 @@ def read_mask_dir(directory) -> FrameSequence:
     Rejects duplicate frame indices, malformed files, and mixed dimensions.
     """
     return FrameSequence(
-        _read_indexed_dir(directory, ("*.pgm",), read_mask, MaskFormatError, ".pgm mask"))
+        _read_indexed_dir(directory, (".pgm",), read_mask, MaskFormatError, ".pgm mask"))
 
 
 def read_feature_dir(directory) -> list[FeatureMap]:
     """Load every .ften and .bin tensor file in a directory, ordered by
     decoded frame index; rejects as :func:`read_mask_dir` does."""
-    return _read_indexed_dir(directory, ("*.ften", "*.bin"), read_tensor,
+    return _read_indexed_dir(directory, (".ften", ".bin"), read_tensor,
                              TensorFormatError, "tensor")
 
 
@@ -361,13 +369,25 @@ def _stamped(fields: dict) -> dict:
 
 
 def json_text(obj: dict) -> str:
-    """A JSON document: ``obj``'s keys behind ``schema_version``."""
+    """A JSON document: ``obj``'s keys behind ``schema_version``, which ``obj``
+    may not hold itself."""
     _instance("obj", obj, dict)
-    return json.dumps(_stamped(obj), indent=2) + "\n"
+    if "schema_version" in obj:
+        raise ValueError("obj must not hold the key 'schema_version'")
+    try:
+        return json.dumps(_stamped(obj), indent=2) + "\n"
+    except TypeError as exc:  # a key or a value JSON cannot encode
+        raise ValueError(f"obj cannot be encoded as JSON: {exc}") from None
 
 
 def jsonl_text(records: Iterable[dict]) -> str:
-    return "".join(json.dumps(r) + "\n" for r in _items("records", records, "dicts"))
+    records = _items("records", records, "dicts")
+    for i, record in enumerate(records):
+        _instance(f"records[{i}]", record, dict)
+    try:
+        return "".join(json.dumps(r) + "\n" for r in records)
+    except TypeError as exc:  # a key or a value JSON cannot encode
+        raise ValueError(f"records cannot be encoded as JSON: {exc}") from None
 
 
 def _decision(outcome: PruneOutcome) -> dict:

@@ -31,30 +31,6 @@ DEFAULT_METRIC = "cosine"
 DEFAULT_MODE = "persistent"
 
 
-def average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of a non-empty array, flattened; ties share the average
-    of their positions, as SciPy's ``rankdata(values, method="average")``.
-
-    Costs one ``argsort``, one gather, one scatter and one comparison of
-    neighbours. Only tied values look up the ends of their run (a binary
-    search each), so the tie handling grows with the number of tied values,
-    not with the size of the array."""
-    x = np.ravel(values)
-    order = np.argsort(x)
-    xs = x[order]
-    ranks = np.empty(x.size)
-    # a value alone in its run at sorted position p has rank p + 1
-    ranks[order] = np.arange(1.0, x.size + 1)
-    # a run of equal values at sorted positions lo .. hi-1 shares rank
-    # (lo + hi + 1) / 2; p + 1 above is that same float when hi = lo + 1
-    tied = np.flatnonzero(xs[1:] == xs[:-1])
-    p = np.concatenate((tied, tied + 1))
-    run = xs[p]
-    ranks[order[p]] = 0.5 * (np.searchsorted(xs, run, "left")
-                             + np.searchsorted(xs, run, "right") + 1)
-    return ranks
-
-
 # Each pair goes through similarity, not a batch per group, so the pair memo
 # serves it and a tracer that wraps similarity sees every score. The memo
 # serves (b, a) the score of (a, b): exact because every score below is
@@ -79,6 +55,33 @@ def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
         return _freeze(np.zeros_like(x)), 0.0
     xc = x - x.mean()
     return _freeze(xc), float(np.dot(xc, xc))
+
+
+def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
+    """Spearman's key: the flat data's average ranks (as SciPy's
+    ``rankdata(method="average")``) minus their mean (n + 1) / 2, and their sum
+    of squares; zeros and 0.0 for a constant map. Costs one argsort, one
+    gather, one scatter and three map-sized buffers (order, key, positions).
+    The ranks are multiples of 0.5, so while n(n + 1)/2 < 2**52 (n below about
+    9.4e7) their mean is (n + 1) / 2 exactly and the key is ``ranks - mean``
+    bit for bit; above that it is still exactly centred."""
+    x = data.ravel()
+    order = np.argsort(x)
+    centred = np.take(x, order)  # the sorted values until the scatter below
+    if centred[0] == centred[-1]:
+        centred[...] = 0.0
+        return _freeze(centred), 0.0
+    half = 0.5 * (x.size + 1)
+    # a run of equal values at sorted positions lo .. hi-1 shares rank
+    # (lo + hi + 1) / 2; a value alone in its run at position p has rank p + 1
+    tied = np.flatnonzero(centred[1:] == centred[:-1])
+    p = np.concatenate((tied, tied + 1))
+    run = centred[p]
+    shared = 0.5 * (np.searchsorted(centred, run, "left")
+                    + np.searchsorted(centred, run, "right") + 1) - half
+    centred[order] = np.arange(1.0 - half, x.size + 1 - half)
+    centred[order[p]] = shared
+    return _freeze(centred), float(np.dot(centred, centred))
 
 
 def _cosine(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> float:
@@ -121,13 +124,14 @@ def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> fl
 
 # metric -> (key of one map's data, score of two keys). Cosine's key is the
 # channel rows and their norms, Pearson's the centred flat data, Spearman's
-# the centred average ranks; the distances and dot score the data itself.
+# the centred average ranks (one argsort, gather and scatter, three map-sized
+# buffers, exact while n(n + 1)/2 < 2**52); the distances and dot score the data.
 _METRICS = {
     "cosine": (_rows, _cosine),
     "manhattan": (_data, _manhattan),
     "euclidean": (_data, _euclidean),
     "dot": (_data, _dot),
-    "spearman": (lambda data: _centre(average_ranks(data)), _correlation),
+    "spearman": (_ranks, _correlation),
     "pearson": (lambda data: _centre(data.ravel()), _correlation),
 }
 SIMILARITY_METRICS = tuple(_METRICS)
@@ -170,16 +174,22 @@ def argmax_frame(metric: str, scores: dict[int, float]) -> int:
     """Frame index with the highest score; ties go to the smallest frame_index
     so results are deterministic across platforms.
 
-    Raises ValueError naming the metric when there are no scores, or the
-    metric and the frame when a score is not finite (an overflowed score).
+    Raises ValueError naming the metric when ``scores`` is not a dict of
+    sortable frame indices to real numbers or is empty, or the metric and the
+    frame when a score is not finite (an overflowed score).
     """
+    _instance(f"{metric} scores", scores, dict)
     if not scores:
         raise ValueError(f"no {metric} scores to choose a frame from")
-    order = sorted(scores)
-    for idx in order:
-        if not math.isfinite(scores[idx]):
-            raise ValueError(
-                f"{metric} score {scores[idx]} for frame {idx} is not finite")
+    try:
+        order = sorted(scores)
+        for idx in order:
+            if not math.isfinite(scores[idx]):
+                raise ValueError(
+                    f"{metric} score {scores[idx]} for frame {idx} is not finite")
+    except TypeError:  # from the sort or from isfinite
+        raise ValueError(f"{metric} scores must map frame indices to real numbers, "
+                         f"got {scores!r}") from None
     return max(order, key=scores.__getitem__)
 
 

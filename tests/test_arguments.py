@@ -30,7 +30,14 @@ from vosmem.harness import (
     track_sequence,
 )
 from vosmem.io import tensor_bytes
-from vosmem.memory import PRUNE_MODES, SIMILARITY_METRICS, MemoryBank, MemoryEntry, similarity
+from vosmem.memory import (
+    PRUNE_MODES,
+    SIMILARITY_METRICS,
+    MemoryBank,
+    MemoryEntry,
+    argmax_frame,
+    similarity,
+)
 from vosmem.metrics import boundary_f, dilate_disk, disk_footprint, evaluate
 from vosmem.sampling import (
     PHASE_POLICIES,
@@ -248,6 +255,13 @@ def test_unknown_name_message(call, message):
     (lambda: build_plan(5, "zero"), "config must be a SamplingConfig, got str"),
     (lambda: materialize(list(SCENE), [0]), "sequence must be a FrameSequence, got list"),
     (lambda: readout_cost(None), "trace must be a TrackTrace, got NoneType"),
+    # scores: a dict, of sortable frame indices to real numbers
+    (lambda: argmax_frame("cosine", 1.5), "cosine scores must be a dict, got float"),
+    (lambda: argmax_frame("cosine", (1,)), "cosine scores must be a dict, got tuple"),
+    (lambda: argmax_frame("dot", {0: "a"}),
+     "dot scores must map frame indices to real numbers, got {0: 'a'}"),
+    (lambda: argmax_frame("dot", {0: 1.0, "b": 2.0}),
+     "dot scores must map frame indices to real numbers, got {0: 1.0, 'b': 2.0}"),
 ], ids=["FrameSequence frames", "evaluate metrics None", "evaluate metrics int",
         "append None", "append FeatureMap", "tensor_bytes unhashable dtype",
         "tensor_bytes dtype", "tensor_bytes numpy dtype", "tensor_bytes array dtype",
@@ -256,7 +270,9 @@ def test_unknown_name_message(call, message):
         "evaluate pred", "evaluate gt", "track_sequence scene", "track_sequence encoder_config",
         "track_sequence prune_enabled",
         "encode_frame mask", "encode_frame config", "generate_scene config",
-        "build_plan config", "materialize sequence", "readout_cost trace"])
+        "build_plan config", "materialize sequence", "readout_cost trace",
+        "argmax_frame float", "argmax_frame tuple", "argmax_frame str score",
+        "argmax_frame str frame"])
 def test_wrong_kind_of_argument_names_it(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -205,13 +205,25 @@ class TestArgumentKinds:
         (lambda d: jsonl_text(None), "records must be a sequence of dicts, got None"),
         (lambda d: prune_record("a", MemoryBank().prune_step()),
          "step must be an integer, got 'a'"),
+        # the path is checked before it keys the mapping handed to write_outputs
+        (lambda d: atomic_write_bytes([], b""), "path must be a str or PathLike, got list"),
+        (lambda d: json_text({"schema_version": 7, "a": 1}),
+         "obj must not hold the key 'schema_version'"),
+        (lambda d: json_text({"a": object()}),
+         "obj cannot be encoded as JSON: Object of type object is not JSON serializable"),
+        (lambda d: jsonl_text([None, 3]), "records[0] must be a dict, got NoneType"),
+        (lambda d: jsonl_text([np.zeros(2)]), "records[0] must be a dict, got ndarray"),
+        (lambda d: jsonl_text([{"a": 1}, {"b": np.zeros(2)}]),
+         "records cannot be encoded as JSON: Object of type ndarray is not JSON serializable"),
     ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_outputs outputs",
             "write_outputs", "prune_record", "track_records", "read_mask", "read_mask bytes",
             "read_tensor", "read_mask_dir", "read_feature_dir", "write_tensor path",
             "atomic_write_bytes", "write_outputs path", "json_text", "jsonl_text",
-            "prune_record step"])
+            "prune_record step", "atomic_write_bytes list", "json_text schema_version",
+            "json_text value", "jsonl_text None record", "jsonl_text array record",
+            "jsonl_text value"])
     def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(tmp_path)
         assert not any(tmp_path.iterdir())
 
@@ -247,6 +259,33 @@ class TestStemDecoding:
             read_file(tmp_path / ("mask" + suffix))
         with pytest.raises(error, match=message):
             read_dir(tmp_path)
+
+
+class TestDirectoryEntries:
+    """A directory reader reads every matching regular file, through a
+    symlink too, and raises its format error naming a matching entry that is
+    not one."""
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.symlink_to(path.with_name("missing")),
+    ], ids=["directory", "dangling symlink"])
+    @_READERS
+    def test_entry_that_is_not_a_file_raises_the_readers_format_error(
+            self, tmp_path, write, read_file, read_dir, suffix, error, make):
+        write(tmp_path / ("0000" + suffix))
+        entry = tmp_path / ("0001" + suffix)
+        make(entry)
+        with pytest.raises(error, match=f"^{re.escape(f'not a regular file: {entry}')}$"):
+            read_dir(tmp_path)
+
+    @_READERS
+    def test_symlink_to_a_file_is_read(self, tmp_path, write, read_file, read_dir, suffix,
+                                       error):
+        (tmp_path / "frames").mkdir()
+        write(tmp_path / ("000" + suffix))
+        (tmp_path / "frames" / ("003" + suffix)).symlink_to(tmp_path / ("000" + suffix))
+        assert [item.frame_index for item in read_dir(tmp_path / "frames")] == [3]
 
 
 class TestMaskFormat:

@@ -23,7 +23,6 @@ from vosmem.memory import (
     MemoryBank,
     MemoryEntry,
     argmax_frame,
-    average_ranks,
     similarity,
 )
 
@@ -453,13 +452,21 @@ _WORKLOAD_TIES = {
 }
 
 
-class TestAverageRanks:
+def _key_as_ranks(x):
+    """Spearman's key of ``x`` as ranks: key + (n + 1) / 2 is exact, both
+    terms being multiples of 0.5. Checks the sum of squares on the way."""
+    key, sq = memory._ranks(x)
+    assert sq == float(np.dot(key, key))
+    return key + (x.size + 1) / 2
+
+
+class TestSpearmanKey:
     @given(st.lists(_RANK_VALUES, min_size=1, max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_matches_scipy_rankdata_bit_for_bit(self, values):
         x = np.array(values)
         expected = rankdata(x, method="average")
-        got = average_ranks(x)
+        got = _key_as_ranks(x)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
 
@@ -471,11 +478,11 @@ class TestAverageRanks:
     ])
     def test_edge_cases(self, values):
         x = np.array(values)
-        assert average_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
+        assert _key_as_ranks(x).tobytes() == rankdata(x, method="average").tobytes()
 
     def test_flattens_row_major(self):
         x = np.array([[[3.0, 1.0], [2.0, 1.0]]])
-        assert average_ranks(x).tolist() == [4.0, 1.5, 3.0, 1.5]
+        assert _key_as_ranks(x).tolist() == [4.0, 1.5, 3.0, 1.5]
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("case", _WORKLOAD_TIES)
@@ -485,7 +492,7 @@ class TestAverageRanks:
         x = rng.standard_normal((64, 32, 32), dtype=np.float32).astype(np.float64)
         _WORKLOAD_TIES[case](x.ravel(), rng)
         expected = rankdata(x, method="average")
-        assert average_ranks(x).tobytes() == expected.tobytes()
+        assert _key_as_ranks(x).tobytes() == expected.tobytes()
 
 
 class TestMemoryEntry:
