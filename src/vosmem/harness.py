@@ -4,8 +4,9 @@ The harness drives the full streaming loop (encode, prune, read out,
 predict, append) without any neural network, so memory dynamics are
 directly observable. The world is a single rigid object (square or disk)
 translating over a blank grid, optionally vanishing during gap intervals;
-the encoder is a fixed 4-channel featurizer; the segmenter reuses the
-stored mask of the best-matching memory entry.
+the encoder is a fixed 4-channel featurizer; the segmenter copies the
+tracker's own prediction for the retained frame whose features match best
+(the memory bank holds features only).
 
 Everything is reproducible: scene generation is pure kinematics, and the
 encoder's noise channel is drawn from a counter-based generator keyed by
@@ -241,13 +242,13 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
                    seed: int = 0) -> tuple[FrameSequence, TrackTrace]:
     """Track a scene with the nearest-template segmenter.
 
-    Frame 0's mask is the prompt: its entry goes into the bank before the
+    Frame 0's mask is the prompt: its features go into the bank before the
     first step. Each later step encodes the observed frame, runs one prune
-    step (skipped entirely when pruning is disabled), picks the retained
-    entry whose features are most similar to the current ones (ties go to
-    the smallest frame index), predicts that entry's stored mask (sharing its
-    read-only labels), and appends (current features, predicted mask) to the
-    bank.
+    step (skipped entirely when pruning is disabled), selects the retained
+    frame whose features are most similar to the current ones (ties go to
+    the smallest frame index), copies that frame's prediction (sharing its
+    read-only labels) and appends the current features to the bank, which
+    holds no masks: the predictions are kept here, keyed by frame index.
 
     The returned sequence starts with the prompt mask itself so that it
     aligns frame-for-frame with the observed scene.
@@ -263,39 +264,36 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
 
     bank = MemoryBank(capacity=bank_capacity)
     prompt = scene[0]
-    bank.append(MemoryEntry(prompt.frame_index, encode_frame(prompt, encoder_config, seed),
-                            mask=prompt))
+    bank.append(MemoryEntry(prompt.frame_index, encode_frame(prompt, encoder_config, seed)))
+    masks = {prompt.frame_index: prompt}
 
     steps: list[TrackStep] = []
-    predicted_frames: list[LabelMask] = [prompt]
     for t in range(1, len(scene)):
         observed = scene[t]
         features = encode_frame(observed, encoder_config, seed)
-        entries = {e.frame_index: e for e in bank.entries}
+        stored = {e.frame_index: e.features for e in bank.entries}
         if prune_enabled:
             outcome = bank.prune_step(metric=metric, mode=mode)
         else:
             outcome = PruneOutcome(bank.frame_indices, (), metric, mode)
 
-        best_entry = entries[argmax_frame(metric, {
-            i: similarity(metric, entries[i].features, features)
-            for i in outcome.retained})]
+        selected = argmax_frame(metric, {
+            i: similarity(metric, stored[i], features) for i in outcome.retained})
 
-        # every entry appended here carries a mask, whose labels are frozen
-        predicted = LabelMask(frame_index=observed.frame_index,
-                              labels=_Adopted(best_entry.mask.labels))
-        bank.append(MemoryEntry(observed.frame_index, features, mask=predicted))
+        # every mask in masks is frozen, so the prediction shares its labels
+        masks[observed.frame_index] = LabelMask(frame_index=observed.frame_index,
+                                                labels=_Adopted(masks[selected].labels))
+        bank.append(MemoryEntry(observed.frame_index, features))
         steps.append(TrackStep(
             step=t,
             frame_index=observed.frame_index,
             bank_after=bank.frame_indices,
             outcome=outcome,
-            selected_frame_index=best_entry.frame_index,
+            selected_frame_index=selected,
             readout_cost=len(outcome.retained) * tokens_per_entry,
         ))
-        predicted_frames.append(predicted)
 
-    return FrameSequence(predicted_frames), TrackTrace(tuple(steps))
+    return FrameSequence(tuple(masks.values())), TrackTrace(tuple(steps))
 
 
 def readout_cost(trace: TrackTrace) -> list[int]:

@@ -375,8 +375,8 @@ def json_text(obj: dict) -> str:
     if "schema_version" in obj:
         raise ValueError("obj must not hold the key 'schema_version'")
     try:
-        return json.dumps(_stamped(obj), indent=2) + "\n"
-    except TypeError as exc:  # a key or a value JSON cannot encode
+        return json.dumps(_stamped(obj), indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:  # a key or a value JSON cannot encode
         raise ValueError(f"obj cannot be encoded as JSON: {exc}") from None
 
 
@@ -385,8 +385,8 @@ def jsonl_text(records: Iterable[dict]) -> str:
     for i, record in enumerate(records):
         _instance(f"records[{i}]", record, dict)
     try:
-        return "".join(json.dumps(r) + "\n" for r in records)
-    except TypeError as exc:  # a key or a value JSON cannot encode
+        return "".join(json.dumps(r, allow_nan=False) + "\n" for r in records)
+    except (TypeError, ValueError) as exc:  # a key or a value JSON cannot encode
         raise ValueError(f"records cannot be encoded as JSON: {exc}") from None
 
 

@@ -17,12 +17,13 @@ harness's readout uses the same rule.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FeatureMap, LabelMask, _choice, _freeze, _instance, _integer
+from .core import FeatureMap, _choice, _freeze, _instance, _integer
 
 PRUNE_MODES = ("persistent", "select")
 
@@ -171,11 +172,11 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
 
 
 def argmax_frame(metric: str, scores: dict[int, float]) -> int:
-    """Frame index with the highest score; ties go to the smallest frame_index
-    so results are deterministic across platforms.
+    """Frame index, as a plain int, with the highest score; ties go to the
+    smallest frame_index so results are deterministic across platforms.
 
     Raises ValueError naming the metric when ``scores`` is not a dict of
-    sortable frame indices to real numbers or is empty, or the metric and the
+    integer frame indices to real numbers or is empty, or the metric and the
     frame when a score is not finite (an overflowed score).
     """
     _instance(f"{metric} scores", scores, dict)
@@ -184,39 +185,31 @@ def argmax_frame(metric: str, scores: dict[int, float]) -> int:
     try:
         order = sorted(scores)
         for idx in order:
+            if type(idx) is not int:
+                _integer(f"{metric} frame index", idx)
             if not math.isfinite(scores[idx]):
                 raise ValueError(
                     f"{metric} score {scores[idx]} for frame {idx} is not finite")
     except TypeError:  # from the sort or from isfinite
         raise ValueError(f"{metric} scores must map frame indices to real numbers, "
                          f"got {scores!r}") from None
-    return max(order, key=scores.__getitem__)
+    return operator.index(max(order, key=scores.__getitem__))
 
 
 @dataclass(frozen=True)
 class MemoryEntry:
-    """One stored frame: its features plus the mask predicted/observed for it.
-
-    Only the bank holds entries. The mask is what the template segmenter
-    copies at readout; it may be omitted when a bank is built from features
-    alone (e.g. the prune CLI).
-    """
+    """One stored frame, held only by the bank: its index and its features.
+    The bank holds no masks; a tracker keeps its own predictions."""
 
     frame_index: int
     features: FeatureMap
-    mask: LabelMask | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frame_index", _integer("frame_index", self.frame_index))
         _instance("features", self.features, FeatureMap)
-        if self.mask is not None:
-            _instance("mask", self.mask, LabelMask)
         if self.features.frame_index != self.frame_index:
             raise ValueError(
                 f"features.frame_index {self.features.frame_index} != entry frame_index {self.frame_index}")
-        if self.mask is not None and self.mask.frame_index != self.frame_index:
-            raise ValueError(
-                f"mask.frame_index {self.mask.frame_index} != entry frame_index {self.frame_index}")
 
 
 @dataclass(frozen=True)
@@ -263,9 +256,6 @@ class MemoryBank:
     @property
     def frame_indices(self) -> tuple[int, ...]:
         return tuple(e.frame_index for e in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def append(self, entry: MemoryEntry) -> None:
         """FIFO insert: evicts the oldest entry when the bank is full."""

@@ -97,6 +97,7 @@ HOLDS = {
     "build_plan.length": lambda v: build_plan(v).clip_length,
     "sample_indices.phase": lambda v: sample_indices(5, 1, v)[0],
     "evaluate.radius": lambda v: evaluate(SCENE, SCENE, radius=v).radius,
+    "argmax_frame.frame_index": lambda v: argmax_frame("dot", {v: 1.0}),
 }
 CALLS = {
     "SceneConfig.grid[0]": lambda v: _scene(grid=(v, 6)),
@@ -214,65 +215,98 @@ def test_unknown_name_message(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: FrameSequence(None), "frames must be a sequence of LabelMask, got None"),
-    (lambda: evaluate(SCENE, SCENE, metrics=None),
-     "metrics must be a sequence of metric names, got None"),
-    (lambda: evaluate(SCENE, SCENE, metrics=3),
-     "metrics must be a sequence of metric names, got 3"),
-    (lambda: MemoryBank().append(None), "entry must be a MemoryEntry, got NoneType"),
-    (lambda: MemoryBank().append(_features(0)), "entry must be a MemoryEntry, got FeatureMap"),
-    (lambda: tensor_bytes(np.zeros(2), dtype=[1]),
-     "unknown dtype [1], expected one of ('float32', 'float64')"),
-    (lambda: tensor_bytes(np.zeros(2), dtype="float16"),
-     "unknown dtype 'float16', expected one of ('float32', 'float64')"),
+    pytest.param(lambda: FrameSequence(None), "frames must be a sequence of LabelMask, got None",
+                 id="FrameSequence frames"),
+    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=None),
+                 "metrics must be a sequence of metric names, got None",
+                 id="evaluate metrics None"),
+    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=3),
+                 "metrics must be a sequence of metric names, got 3",
+                 id="evaluate metrics int"),
+    pytest.param(lambda: MemoryBank().append(None), "entry must be a MemoryEntry, got NoneType",
+                 id="append None"),
+    pytest.param(lambda: MemoryBank().append(_features(0)),
+                 "entry must be a MemoryEntry, got FeatureMap",
+                 id="append FeatureMap"),
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=[1]),
+                 "unknown dtype [1], expected one of ('float32', 'float64')",
+                 id="tensor_bytes unhashable dtype"),
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype="float16"),
+                 "unknown dtype 'float16', expected one of ('float32', 'float64')",
+                 id="tensor_bytes dtype"),
     # a name must be a str: an array or a dtype that compares equal to a
     # choice is rejected by the same message
-    (lambda: tensor_bytes(np.zeros(2), dtype=np.dtype("float32")),
-     f"unknown dtype {np.dtype('float32')!r}, expected one of ('float32', 'float64')"),
-    (lambda: tensor_bytes(np.zeros(2), dtype=np.array(["float32", "x"])),
-     f"unknown dtype {np.array(['float32', 'x'])!r}, expected one of ('float32', 'float64')"),
-    (lambda: similarity(np.array(["cosine", "dot"]), _features(0), _features(1)),
-     f"unknown similarity metric {np.array(['cosine', 'dot'])!r}, "
-     f"expected one of {SIMILARITY_METRICS}"),
-    (lambda: MemoryBank().prune_step(mode=None),
-     f"unknown prune mode None, expected one of {PRUNE_MODES}"),
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.dtype("float32")),
+                 f"unknown dtype {np.dtype('float32')!r}, expected one of ('float32', 'float64')",
+                 id="tensor_bytes numpy dtype"),
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.array(["float32", "x"])),
+                 f"unknown dtype {np.array(['float32', 'x'])!r}, "
+                 "expected one of ('float32', 'float64')",
+                 id="tensor_bytes array dtype"),
+    pytest.param(lambda: similarity(np.array(["cosine", "dot"]), _features(0), _features(1)),
+                 f"unknown similarity metric {np.array(['cosine', 'dot'])!r}, "
+                 f"expected one of {SIMILARITY_METRICS}",
+                 id="similarity array metric"),
+    pytest.param(lambda: MemoryBank().prune_step(mode=None),
+                 f"unknown prune mode None, expected one of {PRUNE_MODES}",
+                 id="prune_step mode None"),
     # the kind rule: an argument that must be one of the library's types
-    (lambda: FrameSequence((SCENE[0], None)), "frames[1] must be a LabelMask, got NoneType"),
-    (lambda: MemoryEntry(0, None), "features must be a FeatureMap, got NoneType"),
-    (lambda: MemoryEntry(0, _features(0), mask="x"), "mask must be a LabelMask, got str"),
-    (lambda: similarity("dot", None, _features(1)), "a must be a FeatureMap, got NoneType"),
-    (lambda: similarity("dot", _features(0), SCENE[0]), "b must be a FeatureMap, got LabelMask"),
-    (lambda: evaluate(None, SCENE), "pred must be a FrameSequence, got NoneType"),
-    (lambda: evaluate(SCENE, list(SCENE)), "gt must be a FrameSequence, got list"),
-    (lambda: track_sequence(list(SCENE), NOISY), "scene must be a FrameSequence, got list"),
-    (lambda: track_sequence(SCENE, None),
-     "encoder_config must be a ToyEncoderConfig, got NoneType"),
-    (lambda: track_sequence(SCENE, NOISY, prune_enabled="no"),
-     "prune_enabled must be a bool, got str"),
-    (lambda: encode_frame(None, NOISY, 0), "mask must be a LabelMask, got NoneType"),
-    (lambda: encode_frame(SCENE[0], None, 0), "config must be a ToyEncoderConfig, got NoneType"),
-    (lambda: generate_scene(None), "config must be a SceneConfig, got NoneType"),
-    (lambda: build_plan(5, "zero"), "config must be a SamplingConfig, got str"),
-    (lambda: materialize(list(SCENE), [0]), "sequence must be a FrameSequence, got list"),
-    (lambda: readout_cost(None), "trace must be a TrackTrace, got NoneType"),
-    # scores: a dict, of sortable frame indices to real numbers
-    (lambda: argmax_frame("cosine", 1.5), "cosine scores must be a dict, got float"),
-    (lambda: argmax_frame("cosine", (1,)), "cosine scores must be a dict, got tuple"),
-    (lambda: argmax_frame("dot", {0: "a"}),
-     "dot scores must map frame indices to real numbers, got {0: 'a'}"),
-    (lambda: argmax_frame("dot", {0: 1.0, "b": 2.0}),
-     "dot scores must map frame indices to real numbers, got {0: 1.0, 'b': 2.0}"),
-], ids=["FrameSequence frames", "evaluate metrics None", "evaluate metrics int",
-        "append None", "append FeatureMap", "tensor_bytes unhashable dtype",
-        "tensor_bytes dtype", "tensor_bytes numpy dtype", "tensor_bytes array dtype",
-        "similarity array metric", "prune_step mode None", "FrameSequence frames[i]",
-        "MemoryEntry features", "MemoryEntry mask", "similarity a", "similarity b",
-        "evaluate pred", "evaluate gt", "track_sequence scene", "track_sequence encoder_config",
-        "track_sequence prune_enabled",
-        "encode_frame mask", "encode_frame config", "generate_scene config",
-        "build_plan config", "materialize sequence", "readout_cost trace",
-        "argmax_frame float", "argmax_frame tuple", "argmax_frame str score",
-        "argmax_frame str frame"])
+    pytest.param(lambda: FrameSequence((SCENE[0], None)),
+                 "frames[1] must be a LabelMask, got NoneType",
+                 id="FrameSequence frames[i]"),
+    pytest.param(lambda: MemoryEntry(0, None), "features must be a FeatureMap, got NoneType",
+                 id="MemoryEntry features"),
+    pytest.param(lambda: similarity("dot", None, _features(1)),
+                 "a must be a FeatureMap, got NoneType",
+                 id="similarity a"),
+    pytest.param(lambda: similarity("dot", _features(0), SCENE[0]),
+                 "b must be a FeatureMap, got LabelMask",
+                 id="similarity b"),
+    pytest.param(lambda: evaluate(None, SCENE), "pred must be a FrameSequence, got NoneType",
+                 id="evaluate pred"),
+    pytest.param(lambda: evaluate(SCENE, list(SCENE)), "gt must be a FrameSequence, got list",
+                 id="evaluate gt"),
+    pytest.param(lambda: track_sequence(list(SCENE), NOISY),
+                 "scene must be a FrameSequence, got list",
+                 id="track_sequence scene"),
+    pytest.param(lambda: track_sequence(SCENE, None),
+                 "encoder_config must be a ToyEncoderConfig, got NoneType",
+                 id="track_sequence encoder_config"),
+    pytest.param(lambda: track_sequence(SCENE, NOISY, prune_enabled="no"),
+                 "prune_enabled must be a bool, got str",
+                 id="track_sequence prune_enabled"),
+    pytest.param(lambda: encode_frame(None, NOISY, 0), "mask must be a LabelMask, got NoneType",
+                 id="encode_frame mask"),
+    pytest.param(lambda: encode_frame(SCENE[0], None, 0),
+                 "config must be a ToyEncoderConfig, got NoneType",
+                 id="encode_frame config"),
+    pytest.param(lambda: generate_scene(None), "config must be a SceneConfig, got NoneType",
+                 id="generate_scene config"),
+    pytest.param(lambda: build_plan(5, "zero"), "config must be a SamplingConfig, got str",
+                 id="build_plan config"),
+    pytest.param(lambda: materialize(list(SCENE), [0]),
+                 "sequence must be a FrameSequence, got list",
+                 id="materialize sequence"),
+    pytest.param(lambda: readout_cost(None), "trace must be a TrackTrace, got NoneType",
+                 id="readout_cost trace"),
+    # scores: a dict, of integer frame indices to real numbers
+    pytest.param(lambda: argmax_frame("cosine", 1.5), "cosine scores must be a dict, got float",
+                 id="argmax_frame float"),
+    pytest.param(lambda: argmax_frame("cosine", (1,)), "cosine scores must be a dict, got tuple",
+                 id="argmax_frame tuple"),
+    pytest.param(lambda: argmax_frame("dot", {0: "a"}),
+                 "dot scores must map frame indices to real numbers, got {0: 'a'}",
+                 id="argmax_frame str score"),
+    pytest.param(lambda: argmax_frame("dot", {0: 1.0, "b": 2.0}),
+                 "dot scores must map frame indices to real numbers, got {0: 1.0, 'b': 2.0}",
+                 id="argmax_frame str frame"),
+    pytest.param(lambda: argmax_frame("cosine", {"a": 1.0, "b": 2.0}),
+                 "cosine frame index must be an integer, got 'a'",
+                 id="argmax_frame str frames"),
+    pytest.param(lambda: argmax_frame("cosine", {0.5: 1.0, 2.5: 2.0}),
+                 "cosine frame index must be an integer, got 0.5",
+                 id="argmax_frame float frames"),
+])
 def test_wrong_kind_of_argument_names_it(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

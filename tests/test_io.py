@@ -176,52 +176,92 @@ class TestTensorFormat:
         np.testing.assert_array_equal(data, arr)
 
 
+def _compact_json_refusal(value) -> str:
+    """json's message refusing ``value`` in compact output, whose wording
+    differs between Python versions."""
+    with pytest.raises(ValueError) as refused:
+        json.dumps(value, allow_nan=False)
+    return str(refused.value)
+
+
 class TestArgumentKinds:
     """Entry points that read one of the library's types, bytes, a path, a
     dict, a sequence or an integer name the argument in a ValueError when
     handed anything else."""
 
     @pytest.mark.parametrize("call, message", [
-        (lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType"),
-        (lambda d: write_tensor(None, d / "0.ften"), "fmap must be a FeatureMap, got NoneType"),
-        (lambda d: mask_bytes(None), "mask must be a LabelMask, got NoneType"),
-        (lambda d: write_outputs(None), "outputs must be a Mapping, got NoneType"),
-        (lambda d: write_outputs({d / "gt": None}),
-         "output must be a FrameSequence or bytes, got NoneType"),
-        (lambda d: prune_record(0, None),
-         "outcome must be a PruneOutcome, got NoneType"),
-        (lambda d: track_records(None), "trace must be a TrackTrace, got NoneType"),
-        (lambda d: read_mask(None), "path must be a str or PathLike, got NoneType"),
-        (lambda d: read_mask(b"000.pgm"), "path must be a str or PathLike, got bytes"),
-        (lambda d: read_tensor(5), "path must be a str or PathLike, got int"),
-        (lambda d: read_mask_dir(None), "directory must be a str or PathLike, got NoneType"),
-        (lambda d: read_feature_dir(None),
-         "directory must be a str or PathLike, got NoneType"),
-        (lambda d: write_tensor(fmap(), None), "path must be a str or PathLike, got NoneType"),
-        (lambda d: atomic_write_bytes(None, b""),
-         "path must be a str or PathLike, got NoneType"),
-        (lambda d: write_outputs({1: b""}), "path must be a str or PathLike, got int"),
-        (lambda d: json_text(None), "obj must be a dict, got NoneType"),
-        (lambda d: jsonl_text(None), "records must be a sequence of dicts, got None"),
-        (lambda d: prune_record("a", MemoryBank().prune_step()),
-         "step must be an integer, got 'a'"),
+        pytest.param(lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType",
+                     id="parse_tensor_bytes"),
+        pytest.param(lambda d: write_tensor(None, d / "0.ften"),
+                     "fmap must be a FeatureMap, got NoneType",
+                     id="write_tensor"),
+        pytest.param(lambda d: mask_bytes(None), "mask must be a LabelMask, got NoneType",
+                     id="mask_bytes"),
+        pytest.param(lambda d: write_outputs(None), "outputs must be a Mapping, got NoneType",
+                     id="write_outputs outputs"),
+        pytest.param(lambda d: write_outputs({d / "gt": None}),
+                     "output must be a FrameSequence or bytes, got NoneType",
+                     id="write_outputs"),
+        pytest.param(lambda d: prune_record(0, None),
+                     "outcome must be a PruneOutcome, got NoneType",
+                     id="prune_record"),
+        pytest.param(lambda d: track_records(None), "trace must be a TrackTrace, got NoneType",
+                     id="track_records"),
+        pytest.param(lambda d: read_mask(None), "path must be a str or PathLike, got NoneType",
+                     id="read_mask"),
+        pytest.param(lambda d: read_mask(b"000.pgm"), "path must be a str or PathLike, got bytes",
+                     id="read_mask bytes"),
+        pytest.param(lambda d: read_tensor(5), "path must be a str or PathLike, got int",
+                     id="read_tensor"),
+        pytest.param(lambda d: read_mask_dir(None),
+                     "directory must be a str or PathLike, got NoneType",
+                     id="read_mask_dir"),
+        pytest.param(lambda d: read_feature_dir(None),
+                     "directory must be a str or PathLike, got NoneType",
+                     id="read_feature_dir"),
+        pytest.param(lambda d: write_tensor(fmap(), None),
+                     "path must be a str or PathLike, got NoneType",
+                     id="write_tensor path"),
+        pytest.param(lambda d: atomic_write_bytes(None, b""),
+                     "path must be a str or PathLike, got NoneType",
+                     id="atomic_write_bytes"),
+        pytest.param(lambda d: write_outputs({1: b""}), "path must be a str or PathLike, got int",
+                     id="write_outputs path"),
+        pytest.param(lambda d: json_text(None), "obj must be a dict, got NoneType",
+                     id="json_text"),
+        pytest.param(lambda d: jsonl_text(None), "records must be a sequence of dicts, got None",
+                     id="jsonl_text"),
+        pytest.param(lambda d: prune_record("a", MemoryBank().prune_step()),
+                     "step must be an integer, got 'a'",
+                     id="prune_record step"),
         # the path is checked before it keys the mapping handed to write_outputs
-        (lambda d: atomic_write_bytes([], b""), "path must be a str or PathLike, got list"),
-        (lambda d: json_text({"schema_version": 7, "a": 1}),
-         "obj must not hold the key 'schema_version'"),
-        (lambda d: json_text({"a": object()}),
-         "obj cannot be encoded as JSON: Object of type object is not JSON serializable"),
-        (lambda d: jsonl_text([None, 3]), "records[0] must be a dict, got NoneType"),
-        (lambda d: jsonl_text([np.zeros(2)]), "records[0] must be a dict, got ndarray"),
-        (lambda d: jsonl_text([{"a": 1}, {"b": np.zeros(2)}]),
-         "records cannot be encoded as JSON: Object of type ndarray is not JSON serializable"),
-    ], ids=["parse_tensor_bytes", "write_tensor", "mask_bytes", "write_outputs outputs",
-            "write_outputs", "prune_record", "track_records", "read_mask", "read_mask bytes",
-            "read_tensor", "read_mask_dir", "read_feature_dir", "write_tensor path",
-            "atomic_write_bytes", "write_outputs path", "json_text", "jsonl_text",
-            "prune_record step", "atomic_write_bytes list", "json_text schema_version",
-            "json_text value", "jsonl_text None record", "jsonl_text array record",
-            "jsonl_text value"])
+        pytest.param(lambda d: atomic_write_bytes([], b""),
+                     "path must be a str or PathLike, got list",
+                     id="atomic_write_bytes list"),
+        pytest.param(lambda d: json_text({"schema_version": 7, "a": 1}),
+                     "obj must not hold the key 'schema_version'",
+                     id="json_text schema_version"),
+        pytest.param(lambda d: json_text({"a": object()}),
+                     "obj cannot be encoded as JSON: "
+                     "Object of type object is not JSON serializable",
+                     id="json_text value"),
+        pytest.param(lambda d: jsonl_text([None, 3]), "records[0] must be a dict, got NoneType",
+                     id="jsonl_text None record"),
+        pytest.param(lambda d: jsonl_text([np.zeros(2)]), "records[0] must be a dict, got ndarray",
+                     id="jsonl_text array record"),
+        pytest.param(lambda d: jsonl_text([{"a": 1}, {"b": np.zeros(2)}]),
+                     "records cannot be encoded as JSON: "
+                     "Object of type ndarray is not JSON serializable",
+                     id="jsonl_text value"),
+        # a non-finite float is not JSON, so it is refused, not written as NaN
+        pytest.param(lambda d: json_text({"a": [1.0, float("nan")]}),
+                     "obj cannot be encoded as JSON: "
+                     "Out of range float values are not JSON compliant: nan",
+                     id="json_text nan"),
+        pytest.param(lambda d: jsonl_text([{"a": 1.0}, {"b": -math.inf}]),
+                     f"records cannot be encoded as JSON: {_compact_json_refusal(-math.inf)}",
+                     id="jsonl_text infinity"),
+    ])
     def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(tmp_path)

@@ -1,10 +1,13 @@
 """Memory bank behavior: FIFO, short/long groups, similarity keys and scores, pruning."""
 
 import copy
+import dataclasses
 import gc
 import math
 import pickle
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from scipy.stats import rankdata
 
 from oracles import METRIC_ORACLES
 from vosmem import memory
-from vosmem.core import FeatureMap, LabelMask
+from vosmem.core import FeatureMap
 from vosmem.memory import (
     DEFAULT_CAPACITY,
     PRUNE_MODES,
@@ -496,16 +499,13 @@ class TestSpearmanKey:
 
 
 class TestMemoryEntry:
-    def test_frame_index_must_match_features_and_mask(self):
+    def test_frame_index_must_match_features(self):
         with pytest.raises(ValueError, match="^features.frame_index 4 != entry frame_index 3$"):
             MemoryEntry(3, fmap(4, [1.0]))
-        mask = LabelMask(4, np.zeros((1, 1), dtype=np.uint8))
-        with pytest.raises(ValueError, match="^mask.frame_index 4 != entry frame_index 3$"):
-            MemoryEntry(3, fmap(3, [1.0]), mask=mask)
 
-    def test_mask_is_optional(self):
-        e = MemoryEntry(3, fmap(3, [1.0]))
-        assert e.mask is None
+    def test_holds_features_only(self):
+        # masks belong to the tracker, keyed by frame index
+        assert [f.name for f in dataclasses.fields(MemoryEntry)] == ["frame_index", "features"]
 
 
 class TestAppend:
@@ -689,7 +689,7 @@ class TestPruneStep:
         for i in range(30):
             bank.append(random_entry(rng, i, shape=(1, 2, 2)))
             bank.prune_step(metric="cosine", mode="persistent")
-            sizes.append(len(bank))
+            sizes.append(len(bank.frame_indices))
         assert sizes[:7] == [1, 2, 3, 4, 5, 6, 5]
         assert sizes[7:11] == [6, 5, 6, 5]
 
@@ -790,4 +790,21 @@ class TestNonFiniteScores:
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match=r"euclidean score -inf for frame \d+ is not finite"):
             bank.prune_step(metric="euclidean", mode=mode)
-        assert len(bank) == capacity
+        assert len(bank.frame_indices) == capacity
+
+
+def test_readme_example_runs_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Memory bank in 30 seconds$.*?^```python\n(.*?)^```$",
+                      readme, re.M | re.S).group(1)
+    names = {}
+    exec(block, names)
+    outcome = names["outcome"]
+    # the claims of its comments
+    assert len(outcome.retained) == 5 and {0, 6} <= set(outcome.retained)
+    assert list(outcome.scores) == ["short", "long"]
+    assert [list(group) for group in outcome.scores.values()] == [[3, 4, 5], [1, 2]]
+    short, long = outcome.pruned_frame_indices[::-1]
+    assert short in outcome.scores["short"] and long in outcome.scores["long"]
+    assert (outcome.metric, outcome.mode) == ("cosine", "select")
+    assert outcome.bank_before == tuple(range(7))
