@@ -89,6 +89,17 @@ def _choice(what: str, value, choices: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {what} {value!r}, expected one of {choices}")
 
 
+def _reals(name: str, value) -> np.ndarray:
+    """The library's one real-number rule: ``value`` through ``np.asarray``,
+    so an array is not copied; data that is not real numbers (None, strings,
+    complex or object data) raises ValueError naming ``name``."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got {type(value).__name__} "
+                         f"of dtype {arr.dtype}")
+    return arr
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -98,8 +109,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class FeatureMap:
     """Per-frame feature tensor of shape (channels, height, width).
 
-    Values are stored as float64 and must be finite. ``data`` is read-only
-    after construction.
+    Values must be finite real numbers and are stored as float64. ``data``
+    is read-only after construction.
     """
 
     frame_index: int
@@ -107,10 +118,9 @@ class FeatureMap:
 
     def __post_init__(self):
         object.__setattr__(self, "frame_index", _integer("frame_index", self.frame_index, 0))
-        if type(self.data) is _Adopted:
-            arr = np.asarray(self.data.array, dtype=np.float64, order="C")
-        else:
-            arr = np.array(self.data, dtype=np.float64, order="C")
+        adopted = type(self.data) is _Adopted
+        arr = _reals("data", self.data.array if adopted else self.data)
+        arr = arr.astype(np.float64, order="C", copy=not adopted)
         if arr.ndim != 3:
             raise ValueError(f"feature data must be 3-D (channels, h, w), got {arr.ndim}-D")
         if min(arr.shape) < 1:

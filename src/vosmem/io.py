@@ -42,7 +42,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask, _choice, _instance, _integer, _items
+from .core import (FeatureMap, FrameSequence, LabelMask, _choice, _instance, _integer, _items,
+                   _reals)
 from .harness import TrackTrace
 from .memory import PruneOutcome
 
@@ -69,13 +70,12 @@ class MaskFormatError(ValueError):
 def tensor_bytes(array: np.ndarray, dtype: str = "float64") -> bytes:
     """Serialize an array of real numbers, of any rank, into the tensor
     container format. Anything else (None, strings, complex or object
-    arrays) raises ValueError."""
+    arrays) and a dimension the u32 header cannot hold raise ValueError."""
     _choice("dtype", dtype, tuple(_CODE_FOR_NAME))
     code = _CODE_FOR_NAME[dtype]
-    arr = np.asarray(array)
-    if arr.dtype.kind not in "biuf":
-        raise ValueError(f"array must hold real numbers, got {type(array).__name__} "
-                         f"of dtype {arr.dtype}")
+    arr = _reals("array", array)
+    if max(arr.shape, default=0) > 0xFFFFFFFF:
+        raise ValueError(f"array dimensions must each be below 2**32, got shape {arr.shape}")
     arr = arr.astype(_DTYPE_CODES[code], copy=False)  # keeps rank 0, unlike ascontiguousarray
     header = struct.pack("<4sHBB", TENSOR_MAGIC, TENSOR_VERSION, code, arr.ndim)
     dims = struct.pack(f"<{arr.ndim}I", *arr.shape)

@@ -76,10 +76,8 @@ def _boundary_pixels(mask) -> np.ndarray:
     """Member pixels with a 4-connected neighbor that is a non-member or
     lies outside the image (the image border counts as exterior)."""
     m = _as_pixel_set(mask)
-    h, w = m.shape
-    interior = np.zeros_like(m)
-    if h > 2 and w > 2:
-        interior[1:-1, 1:-1] = (m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
+    interior = np.zeros_like(m)  # a side of 1 or 2 leaves these slices empty
+    interior[1:-1, 1:-1] = (m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
     return m & ~interior
 
 

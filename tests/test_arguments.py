@@ -1,25 +1,31 @@
-"""Integer and name arguments: one rule for every public entry point.
+"""Refused calls: every public entry point's documented errors, in one table.
 
-An integer argument accepts ints and NumPy integers and keeps their value
-exactly; anything else (a float, even 2.0, a string, None) and a value out of
-range raise ValueError. A name argument outside its choices raises
-ValueError with the message ``unknown {what} {value!r}, expected one of
-{choices}``. An argument of the wrong kind (None for a sequence, a feature
-map for a memory entry, an unhashable name) raises ValueError naming it too;
-one of the library's types in the wrong place raises ``{name} must be a
-{type}, got {type}``.
+Each row of ``REFUSALS`` is ``pytest.param(call, error, message, id=...)``.
+One runner calls it with the working directory in an empty ``tmp_path``
+and requires a ValueError whose message is exactly ``message`` and whose
+type is exactly ``error``, and that nothing was written. A new refusal is
+one more row; a row taken over from a test of its own is named after it.
+
+Integer arguments take ints and NumPy integers and keep their value
+exactly; anything else (a float, even 2.0, a string, None) and a value out
+of range raise ValueError naming the argument. A name outside its choices
+raises ``unknown {what} {value!r}, expected one of {choices}``. A value of
+the wrong kind raises ``{name} must be a {type}, got {type}``, or, for
+array data, ``{name} must hold real numbers, got {type} of dtype {dtype}``.
 """
 
 import dataclasses
 import json
+import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vosmem.core import FeatureMap, FrameSequence, LabelMask
+from vosmem.core import MAX_OBJECT_ID, FeatureMap, FrameSequence, LabelMask, _Adopted
 from vosmem.harness import (
     OBJECT_SHAPES,
     SceneConfig,
@@ -29,7 +35,24 @@ from vosmem.harness import (
     readout_cost,
     track_sequence,
 )
-from vosmem.io import tensor_bytes
+from vosmem.io import (
+    MaskFormatError,
+    TensorFormatError,
+    atomic_write_bytes,
+    json_text,
+    jsonl_text,
+    mask_bytes,
+    parse_tensor_bytes,
+    prune_record,
+    read_feature_dir,
+    read_mask,
+    read_mask_dir,
+    read_tensor,
+    tensor_bytes,
+    track_records,
+    write_outputs,
+    write_tensor,
+)
 from vosmem.memory import (
     PRUNE_MODES,
     SIMILARITY_METRICS,
@@ -38,7 +61,16 @@ from vosmem.memory import (
     argmax_frame,
     similarity,
 )
-from vosmem.metrics import boundary_f, dilate_disk, disk_footprint, evaluate
+from vosmem.metrics import (
+    boundary_f,
+    ciou,
+    dice,
+    dilate_disk,
+    disk_footprint,
+    evaluate,
+    j_and_f,
+    jaccard,
+)
 from vosmem.sampling import (
     PHASE_POLICIES,
     SamplingConfig,
@@ -56,6 +88,10 @@ NOISY = ToyEncoderConfig(feature_resolution=(3, 3), noise_sigma=0.1)
 
 def _features(frame_index):
     return FeatureMap(frame_index, np.arange(4.0).reshape(1, 2, 2))
+
+
+def _mask(frame_index, shape=(4, 4)):
+    return LabelMask(frame_index, np.zeros(shape, dtype=np.uint8))
 
 
 def _full_bank(capacity):
@@ -153,30 +189,6 @@ def test_integer_arguments_are_exact_or_value_error(case, value):
         assert type(result) is int and result == value
 
 
-# a rejected integer raises ValueError whose message names the argument
-PROBES = [
-    (lambda: MemoryBank(7.0).prune_step(), "capacity must be an integer, got 7.0"),
-    (lambda: MemoryBank(2.5), "capacity must be an integer, got 2.5"),
-    (lambda: SceneConfig(n_frames=2.5), "n_frames must be an integer, got 2.5"),
-    (lambda: SceneConfig(velocity=(1,)), "velocity must be 2 integers, got (1,)"),
-    (lambda: SceneConfig(gaps=((1, 2.5),)), "gaps[0][1] must be an integer, got 2.5"),
-    (lambda: build_plan(10.5), "clip length must be an integer, got 10.5"),
-    (lambda: sample_indices(10, 2.5), "stride must be an integer, got 2.5"),
-    (lambda: materialize(SCENE, [1.0]), "indices[0] must be an integer, got 1.0"),
-    (lambda: ToyEncoderConfig(feature_resolution=(8.0, 8.0)),
-     "feature_resolution[0] must be an integer, got 8.0"),
-    (lambda: encode_frame(SCENE[0], NOISY, 1.5), "seed must be an integer, got 1.5"),
-    (lambda: FeatureMap(1.5, np.zeros((1, 1, 1))), "frame_index must be an integer, got 1.5"),
-    (lambda: SamplingConfig(strides=(2.0,)), "strides[0] must be an integer, got 2.0"),
-]
-
-
-@pytest.mark.parametrize("call, message", PROBES, ids=[message for _, message in PROBES])
-def test_rejected_integer_names_its_argument(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
-
-
 def test_numpy_integers_are_held_as_plain_ints():
     bank = MemoryBank(np.int64(7))
     assert type(bank.capacity) is int and bank.capacity == 7
@@ -194,127 +206,416 @@ def test_scene_config_holds_plain_ints_and_a_tuple_of_int_pairs():
     assert json.loads(json.dumps(dataclasses.asdict(config)))["n_frames"] == 5
 
 
-@pytest.mark.parametrize("call, message", [
-    (lambda: similarity("cosinus", _features(0), _features(1)),
-     f"unknown similarity metric 'cosinus', expected one of {SIMILARITY_METRICS}"),
-    (lambda: MemoryBank().prune_step(metric="cosinus"),
-     f"unknown similarity metric 'cosinus', expected one of {SIMILARITY_METRICS}"),
-    (lambda: MemoryBank().prune_step(mode="keep"),
-     f"unknown prune mode 'keep', expected one of {PRUNE_MODES}"),
-    (lambda: track_sequence(SCENE, NOISY, mode="keep", prune_enabled=False),
-     f"unknown prune mode 'keep', expected one of {PRUNE_MODES}"),
-    (lambda: SceneConfig(shape="circle"),
-     f"unknown shape 'circle', expected one of {OBJECT_SHAPES}"),
-    (lambda: SamplingConfig(phase_policy="some"),
-     f"unknown phase policy 'some', expected one of {PHASE_POLICIES}"),
-], ids=["similarity", "prune_step metric", "prune_step mode", "track_sequence mode",
-        "shape", "phase policy"])
-def test_unknown_name_message(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
-
-
-@pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: FrameSequence(None), "frames must be a sequence of LabelMask, got None",
-                 id="FrameSequence frames"),
-    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=None),
-                 "metrics must be a sequence of metric names, got None",
-                 id="evaluate metrics None"),
-    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=3),
-                 "metrics must be a sequence of metric names, got 3",
-                 id="evaluate metrics int"),
-    pytest.param(lambda: MemoryBank().append(None), "entry must be a MemoryEntry, got NoneType",
-                 id="append None"),
-    pytest.param(lambda: MemoryBank().append(_features(0)),
-                 "entry must be a MemoryEntry, got FeatureMap",
-                 id="append FeatureMap"),
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=[1]),
-                 "unknown dtype [1], expected one of ('float32', 'float64')",
-                 id="tensor_bytes unhashable dtype"),
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype="float16"),
-                 "unknown dtype 'float16', expected one of ('float32', 'float64')",
-                 id="tensor_bytes dtype"),
-    # a name must be a str: an array or a dtype that compares equal to a
-    # choice is rejected by the same message
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.dtype("float32")),
-                 f"unknown dtype {np.dtype('float32')!r}, expected one of ('float32', 'float64')",
-                 id="tensor_bytes numpy dtype"),
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.array(["float32", "x"])),
-                 f"unknown dtype {np.array(['float32', 'x'])!r}, "
-                 "expected one of ('float32', 'float64')",
-                 id="tensor_bytes array dtype"),
-    pytest.param(lambda: similarity(np.array(["cosine", "dot"]), _features(0), _features(1)),
-                 f"unknown similarity metric {np.array(['cosine', 'dot'])!r}, "
-                 f"expected one of {SIMILARITY_METRICS}",
-                 id="similarity array metric"),
-    pytest.param(lambda: MemoryBank().prune_step(mode=None),
-                 f"unknown prune mode None, expected one of {PRUNE_MODES}",
-                 id="prune_step mode None"),
-    # the kind rule: an argument that must be one of the library's types
-    pytest.param(lambda: FrameSequence((SCENE[0], None)),
-                 "frames[1] must be a LabelMask, got NoneType",
-                 id="FrameSequence frames[i]"),
-    pytest.param(lambda: MemoryEntry(0, None), "features must be a FeatureMap, got NoneType",
-                 id="MemoryEntry features"),
-    pytest.param(lambda: similarity("dot", None, _features(1)),
-                 "a must be a FeatureMap, got NoneType",
-                 id="similarity a"),
-    pytest.param(lambda: similarity("dot", _features(0), SCENE[0]),
-                 "b must be a FeatureMap, got LabelMask",
-                 id="similarity b"),
-    pytest.param(lambda: evaluate(None, SCENE), "pred must be a FrameSequence, got NoneType",
-                 id="evaluate pred"),
-    pytest.param(lambda: evaluate(SCENE, list(SCENE)), "gt must be a FrameSequence, got list",
-                 id="evaluate gt"),
-    pytest.param(lambda: track_sequence(list(SCENE), NOISY),
-                 "scene must be a FrameSequence, got list",
-                 id="track_sequence scene"),
-    pytest.param(lambda: track_sequence(SCENE, None),
-                 "encoder_config must be a ToyEncoderConfig, got NoneType",
-                 id="track_sequence encoder_config"),
-    pytest.param(lambda: track_sequence(SCENE, NOISY, prune_enabled="no"),
-                 "prune_enabled must be a bool, got str",
-                 id="track_sequence prune_enabled"),
-    pytest.param(lambda: encode_frame(None, NOISY, 0), "mask must be a LabelMask, got NoneType",
-                 id="encode_frame mask"),
-    pytest.param(lambda: encode_frame(SCENE[0], None, 0),
-                 "config must be a ToyEncoderConfig, got NoneType",
-                 id="encode_frame config"),
-    pytest.param(lambda: generate_scene(None), "config must be a SceneConfig, got NoneType",
-                 id="generate_scene config"),
-    pytest.param(lambda: build_plan(5, "zero"), "config must be a SamplingConfig, got str",
-                 id="build_plan config"),
-    pytest.param(lambda: materialize(list(SCENE), [0]),
-                 "sequence must be a FrameSequence, got list",
-                 id="materialize sequence"),
-    pytest.param(lambda: readout_cost(None), "trace must be a TrackTrace, got NoneType",
-                 id="readout_cost trace"),
-    # scores: a dict, of integer frame indices to real numbers
-    pytest.param(lambda: argmax_frame("cosine", 1.5), "cosine scores must be a dict, got float",
-                 id="argmax_frame float"),
-    pytest.param(lambda: argmax_frame("cosine", (1,)), "cosine scores must be a dict, got tuple",
-                 id="argmax_frame tuple"),
-    pytest.param(lambda: argmax_frame("dot", {0: "a"}),
-                 "dot scores must map frame indices to real numbers, got {0: 'a'}",
-                 id="argmax_frame str score"),
-    pytest.param(lambda: argmax_frame("dot", {0: 1.0, "b": 2.0}),
-                 "dot scores must map frame indices to real numbers, got {0: 1.0, 'b': 2.0}",
-                 id="argmax_frame str frame"),
-    pytest.param(lambda: argmax_frame("cosine", {"a": 1.0, "b": 2.0}),
-                 "cosine frame index must be an integer, got 'a'",
-                 id="argmax_frame str frames"),
-    pytest.param(lambda: argmax_frame("cosine", {0.5: 1.0, 2.5: 2.0}),
-                 "cosine frame index must be an integer, got 0.5",
-                 id="argmax_frame float frames"),
-])
-def test_wrong_kind_of_argument_names_it(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call()
-
-
 def test_bank_is_unchanged_by_a_rejected_append():
     bank = MemoryBank()
     with pytest.raises(ValueError):
         bank.append(None)
     bank.append(MemoryEntry(0, _features(0)))
     assert bank.frame_indices == (0,)
+
+
+def _compact_json_refusal(value) -> str:
+    """json's message refusing ``value`` in compact output, whose wording
+    differs between Python versions."""
+    with pytest.raises(ValueError) as refused:
+        json.dumps(value, allow_nan=False)
+    return str(refused.value)
+
+
+REFUSALS = [
+    # vosmem.core
+    pytest.param(lambda: FeatureMap(1.5, np.zeros((1, 1, 1))), ValueError,
+                 "frame_index must be an integer, got 1.5", id="FeatureMap frame_index float"),
+    pytest.param(lambda: FeatureMap(0, np.zeros((4, 4))), ValueError,
+                 "feature data must be 3-D (channels, h, w), got 2-D",
+                 id="TestFeatureMap.test_rejects_wrong_rank"),
+    pytest.param(lambda: FeatureMap(-1, np.zeros((1, 1, 1))), ValueError,
+                 "frame_index must be >= 0, got -1",
+                 id="TestFeatureMap.test_rejects_negative_frame_index"),
+    # feature data must be real numbers, on the copying and the adopting branch
+    *(pytest.param(lambda data=data: FeatureMap(0, data), ValueError,
+                   f"data must hold real numbers, got {kind}", id=f"FeatureMap {name}")
+      for name, data, kind in (
+          ("complex list", [[[1j]]], "list of dtype complex128"),
+          ("dict", {}, "dict of dtype object"),
+          ("object", object(), "object of dtype object"),
+          ("complex array", np.array([[[1j]]]), "ndarray of dtype complex128"),
+          ("None array", np.full((1, 1, 1), None), "ndarray of dtype object"),
+          ("adopted complex array", _Adopted(np.zeros((1, 1, 1), complex)),
+           "ndarray of dtype complex128"))),
+    pytest.param(lambda: FeatureMap(0, _Adopted(np.full((1, 1, 2), np.inf))), ValueError,
+                 "non-finite feature value at flat index 0",
+                 id="TestIntake.test_adopted_feature_data_is_validated[non-finite]"),
+    pytest.param(lambda: FeatureMap(0, _Adopted(np.zeros((2, 2)))), ValueError,
+                 "feature data must be 3-D (channels, h, w), got 2-D",
+                 id="TestIntake.test_adopted_feature_data_is_validated[3-D]"),
+    pytest.param(lambda: LabelMask(0, np.zeros((2, 2), dtype=np.float64)), ValueError,
+                 "labels must be integers, got dtype float64",
+                 id="TestLabelMask.test_rejects_float_labels"),
+    pytest.param(lambda: LabelMask(0, np.array([[MAX_OBJECT_ID + 1]])), ValueError,
+                 "label values must be in 0..255",
+                 id="TestLabelMask.test_rejects_out_of_range[1]"),
+    pytest.param(lambda: LabelMask(0, np.array([[-1]])), ValueError,
+                 "label values must be in 0..255",
+                 id="TestLabelMask.test_rejects_out_of_range[2]"),
+    pytest.param(lambda: LabelMask(0, np.zeros((2, 2, 2), dtype=np.int64)), ValueError,
+                 "labels must be 2-D (height, width), got 3-D",
+                 id="TestLabelMask.test_rejects_wrong_rank"),
+    pytest.param(lambda: LabelMask(0, _Adopted(np.zeros((2, 2, 2), dtype=np.uint8))), ValueError,
+                 "labels must be 2-D (height, width), got 3-D",
+                 id="TestIntake.test_adopted_labels_are_validated[2-D]"),
+    pytest.param(lambda: LabelMask(0, _Adopted(np.zeros((0, 3), dtype=np.uint8))), ValueError,
+                 "mask dimensions must be >= 1, got (0, 3)",
+                 id="TestIntake.test_adopted_labels_are_validated[zero dimension]"),
+    pytest.param(lambda: LabelMask(0, _Adopted(np.zeros((2, 2)))), ValueError,
+                 "labels must be integers, got dtype float64",
+                 id="TestIntake.test_adopted_labels_are_validated[float]"),
+    pytest.param(lambda: LabelMask(0, _Adopted(np.array([[MAX_OBJECT_ID + 1]]))), ValueError,
+                 "label values must be in 0..255",
+                 id="TestIntake.test_adopted_labels_are_validated[256]"),
+    pytest.param(lambda: LabelMask(0, _Adopted(np.array([[-1]], dtype=np.int8))), ValueError,
+                 "label values must be in 0..255",
+                 id="TestIntake.test_adopted_labels_are_validated[int8 -1]"),
+    pytest.param(lambda: FrameSequence(None), ValueError,
+                 "frames must be a sequence of LabelMask, got None", id="FrameSequence frames"),
+    pytest.param(lambda: FrameSequence((SCENE[0], None)), ValueError,
+                 "frames[1] must be a LabelMask, got NoneType", id="FrameSequence frames[i]"),
+    pytest.param(lambda: FrameSequence(()), ValueError,
+                 "a frame sequence needs at least one frame",
+                 id="TestFrameSequence.test_rejects_empty"),
+    pytest.param(lambda: FrameSequence((_mask(1), _mask(1))), ValueError,
+                 "frame_index must be strictly increasing, got 1 then 1",
+                 id="TestFrameSequence.test_rejects_non_increasing_indices[1]"),
+    pytest.param(lambda: FrameSequence((_mask(2), _mask(0))), ValueError,
+                 "frame_index must be strictly increasing, got 2 then 0",
+                 id="TestFrameSequence.test_rejects_non_increasing_indices[2]"),
+    pytest.param(lambda: FrameSequence((_mask(0, (4, 4)), _mask(1, (4, 5)))), ValueError,
+                 "all frames must share spatial dimensions, got (4, 4) and (4, 5) at frame 1",
+                 id="TestFrameSequence.test_rejects_mixed_dimensions"),
+    pytest.param(lambda: FrameSequence((FeatureMap(0, np.zeros((2, 4, 4))), _mask(1))),
+                 ValueError, "frames[0] must be a LabelMask, got FeatureMap",
+                 id="TestFrameSequence.test_rejects_frames_that_are_not_masks[FeatureMap]"),
+    pytest.param(lambda: FrameSequence((None, _mask(1))), ValueError,
+                 "frames[0] must be a LabelMask, got NoneType",
+                 id="TestFrameSequence.test_rejects_frames_that_are_not_masks[None]"),
+
+    # vosmem.memory
+    pytest.param(lambda: MemoryBank(7.0).prune_step(), ValueError,
+                 "capacity must be an integer, got 7.0", id="MemoryBank capacity 7.0"),
+    pytest.param(lambda: MemoryBank(2.5), ValueError,
+                 "capacity must be an integer, got 2.5", id="MemoryBank capacity 2.5"),
+    pytest.param(lambda: MemoryBank(capacity=1), ValueError, "capacity must be >= 2, got 1",
+                 id="TestAppend.test_capacity_below_two_rejected"),
+    pytest.param(lambda: MemoryBank().append(None), ValueError,
+                 "entry must be a MemoryEntry, got NoneType", id="append None"),
+    pytest.param(lambda: MemoryBank().append(_features(0)), ValueError,
+                 "entry must be a MemoryEntry, got FeatureMap", id="append FeatureMap"),
+    pytest.param(lambda: MemoryBank().prune_step(metric="cosinus"), ValueError,
+                 f"unknown similarity metric 'cosinus', expected one of {SIMILARITY_METRICS}",
+                 id="prune_step unknown metric"),
+    pytest.param(lambda: MemoryBank().prune_step(mode="keep"), ValueError,
+                 f"unknown prune mode 'keep', expected one of {PRUNE_MODES}",
+                 id="prune_step unknown mode"),
+    pytest.param(lambda: MemoryBank().prune_step(mode=None), ValueError,
+                 f"unknown prune mode None, expected one of {PRUNE_MODES}",
+                 id="prune_step mode None"),
+    pytest.param(lambda: MemoryEntry(0, None), ValueError,
+                 "features must be a FeatureMap, got NoneType", id="MemoryEntry features"),
+    pytest.param(lambda: MemoryEntry(3, FeatureMap(4, np.ones((1, 1, 1)))), ValueError,
+                 "features.frame_index 4 != entry frame_index 3",
+                 id="TestMemoryEntry.test_frame_index_must_match_features"),
+    pytest.param(lambda: similarity("cosinus", _features(0), _features(1)), ValueError,
+                 f"unknown similarity metric 'cosinus', expected one of {SIMILARITY_METRICS}",
+                 id="similarity unknown metric"),
+    # a name must be a str: an array that compares equal to a choice is refused too
+    pytest.param(lambda: similarity(np.array(["cosine", "dot"]), _features(0), _features(1)),
+                 ValueError,
+                 f"unknown similarity metric {np.array(['cosine', 'dot'])!r}, "
+                 f"expected one of {SIMILARITY_METRICS}",
+                 id="similarity array metric"),
+    pytest.param(lambda: similarity("dot", None, _features(1)), ValueError,
+                 "a must be a FeatureMap, got NoneType", id="similarity a"),
+    pytest.param(lambda: similarity("dot", _features(0), SCENE[0]), ValueError,
+                 "b must be a FeatureMap, got LabelMask", id="similarity b"),
+    # scores: a non-empty dict, of integer frame indices to finite real numbers
+    pytest.param(lambda: argmax_frame("cosine", 1.5), ValueError,
+                 "cosine scores must be a dict, got float", id="argmax_frame float"),
+    pytest.param(lambda: argmax_frame("cosine", (1,)), ValueError,
+                 "cosine scores must be a dict, got tuple", id="argmax_frame tuple"),
+    pytest.param(lambda: argmax_frame("dot", {0: "a"}), ValueError,
+                 "dot scores must map frame indices to real numbers, got {0: 'a'}",
+                 id="argmax_frame str score"),
+    pytest.param(lambda: argmax_frame("dot", {0: 1.0, "b": 2.0}), ValueError,
+                 "dot scores must map frame indices to real numbers, got {0: 1.0, 'b': 2.0}",
+                 id="argmax_frame str frame"),
+    pytest.param(lambda: argmax_frame("cosine", {"a": 1.0, "b": 2.0}), ValueError,
+                 "cosine frame index must be an integer, got 'a'", id="argmax_frame str frames"),
+    pytest.param(lambda: argmax_frame("cosine", {0.5: 1.0, 2.5: 2.0}), ValueError,
+                 "cosine frame index must be an integer, got 0.5", id="argmax_frame float frames"),
+    pytest.param(lambda: argmax_frame("euclidean", {}), ValueError,
+                 "no euclidean scores to choose a frame from",
+                 id="TestNonFiniteScores.test_argmax_without_scores_names_the_metric"),
+    *(pytest.param(lambda bad=bad: argmax_frame("euclidean", {3: 1.0, 7: bad}), ValueError,
+                   f"euclidean score {bad} for frame 7 is not finite",
+                   id="TestNonFiniteScores.test_argmax_rejects_non_finite_naming_metric_and_frame"
+                      f"[{bad}]")
+      for bad in (math.inf, -math.inf, math.nan)),
+
+    # vosmem.harness
+    pytest.param(lambda: SceneConfig(n_frames=2.5), ValueError,
+                 "n_frames must be an integer, got 2.5", id="SceneConfig n_frames float"),
+    pytest.param(lambda: SceneConfig(n_frames=0), ValueError, "n_frames must be >= 1, got 0",
+                 id="TestSceneConfig.test_rejects_empty_clip"),
+    pytest.param(lambda: SceneConfig(velocity=(1,)), ValueError,
+                 "velocity must be 2 integers, got (1,)", id="SceneConfig velocity (1,)"),
+    pytest.param(lambda: SceneConfig(gaps=((1, 2.5),)), ValueError,
+                 "gaps[0][1] must be an integer, got 2.5", id="SceneConfig gaps[0][1] float"),
+    pytest.param(lambda: SceneConfig(gaps=((3, 1),)), ValueError,
+                 "gap interval (3, 1) is not a valid frame range",
+                 id="TestSceneConfig.test_rejects_bad_shape_and_gaps[2]"),
+    pytest.param(lambda: SceneConfig(shape="circle"), ValueError,
+                 f"unknown shape 'circle', expected one of {OBJECT_SHAPES}",
+                 id="SceneConfig unknown shape"),
+    pytest.param(lambda: SceneConfig(shape="triangle"), ValueError,
+                 f"unknown shape 'triangle', expected one of {OBJECT_SHAPES}",
+                 id="TestSceneConfig.test_rejects_bad_shape_and_gaps[1]"),
+    pytest.param(lambda: SceneConfig(grid=(8, 8), shape="square", size=9), ValueError,
+                 "object of extent 9x9 at start (0, 0) does not fit the 8x8 grid at frame 0",
+                 id="TestSceneConfig.test_object_must_fit_at_frame_zero[1]"),
+    pytest.param(lambda: SceneConfig(grid=(8, 8), shape="square", size=4, start=(6, 0)),
+                 ValueError,
+                 "object of extent 4x4 at start (6, 0) does not fit the 8x8 grid at frame 0",
+                 id="TestSceneConfig.test_object_must_fit_at_frame_zero[2]"),
+    pytest.param(lambda: generate_scene(None), ValueError,
+                 "config must be a SceneConfig, got NoneType", id="generate_scene config"),
+    pytest.param(lambda: ToyEncoderConfig(feature_resolution=(8.0, 8.0)), ValueError,
+                 "feature_resolution[0] must be an integer, got 8.0",
+                 id="ToyEncoderConfig feature_resolution float"),
+    *(pytest.param(lambda sigma=sigma: ToyEncoderConfig(noise_sigma=sigma), ValueError,
+                   f"noise_sigma must be finite and >= 0, got {sigma}",
+                   id=f"TestEncodeFrame.test_noise_sigma_must_be_{test}[{name}]")
+      for test, name, sigma in (
+          *(("finite_and_non_negative", sigma, sigma) for sigma in (-1.0, math.nan, math.inf)),
+          ("a_number", "str", "0.1"), ("a_number", "None", None), ("a_number", "bytes", b"1"),
+          ("a_number", "complex", 1j), ("a_number", "list", [0.1]))),
+    pytest.param(lambda: encode_frame(SCENE[0], NOISY, 1.5), ValueError,
+                 "seed must be an integer, got 1.5", id="encode_frame seed float"),
+    pytest.param(lambda: encode_frame(None, NOISY, 0), ValueError,
+                 "mask must be a LabelMask, got NoneType", id="encode_frame mask"),
+    pytest.param(lambda: encode_frame(SCENE[0], None, 0), ValueError,
+                 "config must be a ToyEncoderConfig, got NoneType", id="encode_frame config"),
+    pytest.param(lambda: track_sequence(list(SCENE), NOISY), ValueError,
+                 "scene must be a FrameSequence, got list", id="track_sequence scene"),
+    pytest.param(lambda: track_sequence(SCENE, None), ValueError,
+                 "encoder_config must be a ToyEncoderConfig, got NoneType",
+                 id="track_sequence encoder_config"),
+    pytest.param(lambda: track_sequence(SCENE, NOISY, prune_enabled="no"), ValueError,
+                 "prune_enabled must be a bool, got str", id="track_sequence prune_enabled"),
+    # with pruning off the mode is never used, but it is written to every record
+    pytest.param(lambda: track_sequence(SCENE, NOISY, mode="keep", prune_enabled=False),
+                 ValueError, f"unknown prune mode 'keep', expected one of {PRUNE_MODES}",
+                 id="track_sequence unknown mode"),
+    pytest.param(lambda: track_sequence(SCENE, ToyEncoderConfig(), mode="bogus",
+                                        prune_enabled=False),
+                 ValueError, f"unknown prune mode 'bogus', expected one of {PRUNE_MODES}",
+                 id="TestTrackSequence.test_unknown_mode_rejected_even_without_pruning"),
+    pytest.param(lambda: readout_cost(None), ValueError,
+                 "trace must be a TrackTrace, got NoneType", id="readout_cost trace"),
+
+    # vosmem.metrics
+    pytest.param(lambda: jaccard(np.zeros((4, 4), bool), np.zeros((4, 5), bool)), ValueError,
+                 "pixel sets differ in shape: (4, 4) vs (4, 5)",
+                 id="TestJaccardAndDice.test_shape_mismatch_rejected[1]"),
+    pytest.param(lambda: dice(np.zeros((4, 4), bool), np.zeros((5, 4), bool)), ValueError,
+                 "pixel sets differ in shape: (4, 4) vs (5, 4)",
+                 id="TestJaccardAndDice.test_shape_mismatch_rejected[2]"),
+    pytest.param(lambda: jaccard(np.zeros((1, 4, 4), bool), np.zeros((4, 4), bool)), ValueError,
+                 "pixel set must be 2-D, got 3-D",
+                 id="TestJaccardAndDice.test_pixel_set_of_other_rank_rejected"),
+    pytest.param(lambda: disk_footprint(-1), ValueError, "radius must be >= 0, got -1",
+                 id="TestDilateDisk.test_negative_radius_rejected"),
+    # a 1x1 image makes every radius reach the diagonal
+    pytest.param(lambda: dilate_disk(np.ones((1, 1), bool), -5), ValueError,
+                 "radius must be >= 0, got -5",
+                 id="TestDilateDisk.test_negative_radius_rejected_before_the_full_image_shortcut"),
+    pytest.param(lambda: j_and_f(1.2, 0.5), ValueError, "J must be in [0, 1], got 1.2",
+                 id="TestJAndF.test_out_of_range_rejected[1]"),
+    pytest.param(lambda: j_and_f(0.5, -0.1), ValueError, "F must be in [0, 1], got -0.1",
+                 id="TestJAndF.test_out_of_range_rejected[2]"),
+    pytest.param(lambda: j_and_f("a", 0.5), ValueError, "J must be a real number, got 'a'",
+                 id="j_and_f J str"),
+    pytest.param(lambda: j_and_f(0.5, None), ValueError, "F must be a real number, got None",
+                 id="j_and_f F None"),
+    pytest.param(lambda: j_and_f(0.5, [0.5]), ValueError, "F must be a real number, got [0.5]",
+                 id="j_and_f F list"),
+    pytest.param(lambda: ciou([np.zeros((2, 2), bool)], None), ValueError,
+                 "gt_seq must be a sequence of pixel sets, got None",
+                 id="TestCiou.test_non_iterable_rejected_naming_it"),
+    pytest.param(lambda: evaluate(None, SCENE), ValueError,
+                 "pred must be a FrameSequence, got NoneType", id="evaluate pred"),
+    pytest.param(lambda: evaluate(SCENE, list(SCENE)), ValueError,
+                 "gt must be a FrameSequence, got list", id="evaluate gt"),
+    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=None), ValueError,
+                 "metrics must be a sequence of metric names, got None",
+                 id="evaluate metrics None"),
+    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=3), ValueError,
+                 "metrics must be a sequence of metric names, got 3", id="evaluate metrics int"),
+
+    # vosmem.sampling
+    pytest.param(lambda: sample_indices(10, 2.5), ValueError,
+                 "stride must be an integer, got 2.5", id="sample_indices stride float"),
+    pytest.param(lambda: sample_indices(10, 0), ValueError, "stride must be >= 1, got 0",
+                 id="TestSampleIndices.test_invalid_stride"),
+    pytest.param(lambda: sample_indices(10, 2, phase=10), ValueError,
+                 "phase must be in [0, 10), got 10",
+                 id="TestSampleIndices.test_phase_out_of_range[1]"),
+    pytest.param(lambda: sample_indices(10, 2, phase=-1), ValueError,
+                 "phase must be in [0, 10), got -1",
+                 id="TestSampleIndices.test_phase_out_of_range[2]"),
+    pytest.param(lambda: sample_indices(10**20, 1), ValueError,
+                 "a view of clip length 100000000000000000000 has too many frames to list",
+                 id="TestSampleIndices.test_view_too_long_to_list_names_the_length"),
+    pytest.param(lambda: SamplingConfig(strides=(2.0,)), ValueError,
+                 "strides[0] must be an integer, got 2.0", id="SamplingConfig strides[0] float"),
+    pytest.param(lambda: SamplingConfig(strides=()), ValueError, "strides must be non-empty",
+                 id="TestSamplingConfig.test_rejects_empty_strides"),
+    pytest.param(lambda: SamplingConfig(strides=(1, 0)), ValueError,
+                 "strides[1] must be >= 1, got 0",
+                 id="TestSamplingConfig.test_rejects_zero_stride"),
+    pytest.param(lambda: SamplingConfig(strides=(2, 2)), ValueError,
+                 "strides must be distinct, got (2, 2)",
+                 id="TestSamplingConfig.test_rejects_duplicate_strides"),
+    pytest.param(lambda: SamplingConfig(phase_policy="some"), ValueError,
+                 f"unknown phase policy 'some', expected one of {PHASE_POLICIES}",
+                 id="SamplingConfig unknown phase policy"),
+    pytest.param(lambda: SamplingConfig(phase_policy="even"), ValueError,
+                 f"unknown phase policy 'even', expected one of {PHASE_POLICIES}",
+                 id="TestSamplingConfig.test_rejects_unknown_phase_policy"),
+    pytest.param(lambda: SamplingConfig(max_frames=0), ValueError,
+                 "max_frames must be >= 1, got 0",
+                 id="TestSamplingConfig.test_rejects_bad_max_frames"),
+    pytest.param(lambda: build_plan(10.5), ValueError,
+                 "clip length must be an integer, got 10.5", id="build_plan length float"),
+    pytest.param(lambda: build_plan(0, SamplingConfig()), ValueError,
+                 "clip length must be >= 1, got 0", id="TestBuildPlan.test_rejects_empty_clip"),
+    pytest.param(lambda: build_plan(10**20, SamplingConfig(strides=(2,))), ValueError,
+                 "a view of clip length 100000000000000000000 has too many frames to list",
+                 id="TestBuildPlan.test_view_too_long_to_list_names_the_length"),
+    pytest.param(lambda: build_plan(5, "zero"), ValueError,
+                 "config must be a SamplingConfig, got str", id="build_plan config"),
+    pytest.param(lambda: materialize(SCENE, [1.0]), ValueError,
+                 "indices[0] must be an integer, got 1.0", id="materialize indices[0] float"),
+    pytest.param(lambda: materialize(FrameSequence(tuple(map(_mask, range(6)))), [0, 6]),
+                 ValueError, "index 6 out of bounds for sequence of length 6",
+                 id="TestMaterialize.test_out_of_bounds_rejected"),
+    pytest.param(lambda: materialize(list(SCENE), [0]), ValueError,
+                 "sequence must be a FrameSequence, got list", id="materialize sequence"),
+
+    # vosmem.io
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=[1]), ValueError,
+                 "unknown dtype [1], expected one of ('float32', 'float64')",
+                 id="tensor_bytes unhashable dtype"),
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype="float16"), ValueError,
+                 "unknown dtype 'float16', expected one of ('float32', 'float64')",
+                 id="tensor_bytes dtype"),
+    # a name must be a str: a dtype or an array that compares equal to a choice is refused
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.dtype("float32")), ValueError,
+                 f"unknown dtype {np.dtype('float32')!r}, expected one of ('float32', 'float64')",
+                 id="tensor_bytes numpy dtype"),
+    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.array(["float32", "x"])), ValueError,
+                 f"unknown dtype {np.array(['float32', 'x'])!r}, "
+                 "expected one of ('float32', 'float64')",
+                 id="tensor_bytes array dtype"),
+    *(pytest.param(lambda array=array: tensor_bytes(array), ValueError,
+                   f"array must hold real numbers, got {kind}",
+                   id=f"TestTensorFormat.test_input_that_is_not_real_numbers_rejected[{name}]")
+      for name, array, kind in (("None", None, "NoneType of dtype object"),
+                                ("object list", [1.0, None], "list of dtype object"),
+                                ("str", "1.5", "str of dtype <U3"),
+                                ("complex", np.array([1j]), "ndarray of dtype complex128"))),
+    # each dimension is a u32 of the header
+    pytest.param(lambda: tensor_bytes(np.zeros((2**32, 0))), ValueError,
+                 "array dimensions must each be below 2**32, got shape (4294967296, 0)",
+                 id="tensor_bytes dimension past u32"),
+    pytest.param(lambda: parse_tensor_bytes(None), ValueError,
+                 "blob must be a bytes, got NoneType", id="parse_tensor_bytes"),
+    pytest.param(lambda: parse_tensor_bytes(b"FTEN"), TensorFormatError,
+                 "truncated tensor header: 4 bytes",
+                 id="TestTensorFormat.test_truncated_header_rejected[1]"),
+    pytest.param(lambda: parse_tensor_bytes(struct.pack("<4sHBB", b"FTEN", 1, 1, 3) + b"\x00"),
+                 TensorFormatError, "truncated tensor header: dims missing",
+                 id="TestTensorFormat.test_truncated_header_rejected[2]"),
+    pytest.param(lambda: write_tensor(None, "0.ften"), ValueError,
+                 "fmap must be a FeatureMap, got NoneType", id="write_tensor"),
+    pytest.param(lambda: write_tensor(_features(0), None), ValueError,
+                 "path must be a str or PathLike, got NoneType", id="write_tensor path"),
+    pytest.param(lambda: read_tensor(5), ValueError,
+                 "path must be a str or PathLike, got int", id="read_tensor"),
+    pytest.param(lambda: mask_bytes(None), ValueError,
+                 "mask must be a LabelMask, got NoneType", id="mask_bytes"),
+    pytest.param(lambda: read_mask(None), ValueError,
+                 "path must be a str or PathLike, got NoneType", id="read_mask"),
+    pytest.param(lambda: read_mask(b"000.pgm"), ValueError,
+                 "path must be a str or PathLike, got bytes", id="read_mask bytes"),
+    pytest.param(lambda: read_mask_dir(None), ValueError,
+                 "directory must be a str or PathLike, got NoneType", id="read_mask_dir"),
+    pytest.param(lambda: read_mask_dir("."), MaskFormatError,
+                 "no .pgm mask files in . (expected *.pgm)",
+                 id="TestMaskDir.test_empty_dir_rejected"),
+    pytest.param(lambda: read_feature_dir(None), ValueError,
+                 "directory must be a str or PathLike, got NoneType", id="read_feature_dir"),
+    pytest.param(lambda: read_feature_dir("."), TensorFormatError,
+                 "no tensor files in . (expected *.ften, *.bin)",
+                 id="TestFeatureDir.test_empty_dir_rejected"),
+    pytest.param(lambda: write_outputs(None), ValueError,
+                 "outputs must be a Mapping, got NoneType", id="write_outputs outputs"),
+    pytest.param(lambda: write_outputs({"gt": None}), ValueError,
+                 "output must be a FrameSequence or bytes, got NoneType", id="write_outputs"),
+    pytest.param(lambda: write_outputs({1: b""}), ValueError,
+                 "path must be a str or PathLike, got int", id="write_outputs path"),
+    pytest.param(lambda: atomic_write_bytes(None, b""), ValueError,
+                 "path must be a str or PathLike, got NoneType", id="atomic_write_bytes"),
+    # the path is checked before it keys the mapping handed to write_outputs
+    pytest.param(lambda: atomic_write_bytes([], b""), ValueError,
+                 "path must be a str or PathLike, got list", id="atomic_write_bytes list"),
+    pytest.param(lambda: json_text(None), ValueError, "obj must be a dict, got NoneType",
+                 id="json_text"),
+    pytest.param(lambda: json_text({"schema_version": 7, "a": 1}), ValueError,
+                 "obj must not hold the key 'schema_version'", id="json_text schema_version"),
+    pytest.param(lambda: json_text({"a": object()}), ValueError,
+                 "obj cannot be encoded as JSON: Object of type object is not JSON serializable",
+                 id="json_text value"),
+    # a non-finite float is not JSON, so it is refused, not written as NaN
+    pytest.param(lambda: json_text({"a": [1.0, float("nan")]}), ValueError,
+                 "obj cannot be encoded as JSON: "
+                 "Out of range float values are not JSON compliant: nan",
+                 id="json_text nan"),
+    pytest.param(lambda: jsonl_text(None), ValueError,
+                 "records must be a sequence of dicts, got None", id="jsonl_text"),
+    pytest.param(lambda: jsonl_text([None, 3]), ValueError,
+                 "records[0] must be a dict, got NoneType", id="jsonl_text None record"),
+    pytest.param(lambda: jsonl_text([np.zeros(2)]), ValueError,
+                 "records[0] must be a dict, got ndarray", id="jsonl_text array record"),
+    pytest.param(lambda: jsonl_text([{"a": 1}, {"b": np.zeros(2)}]), ValueError,
+                 "records cannot be encoded as JSON: "
+                 "Object of type ndarray is not JSON serializable",
+                 id="jsonl_text value"),
+    pytest.param(lambda: jsonl_text([{"a": 1.0}, {"b": -math.inf}]), ValueError,
+                 f"records cannot be encoded as JSON: {_compact_json_refusal(-math.inf)}",
+                 id="jsonl_text infinity"),
+    pytest.param(lambda: prune_record(0, None), ValueError,
+                 "outcome must be a PruneOutcome, got NoneType", id="prune_record"),
+    pytest.param(lambda: prune_record("a", MemoryBank().prune_step()), ValueError,
+                 "step must be an integer, got 'a'", id="prune_record step"),
+    pytest.param(lambda: track_records(None), ValueError,
+                 "trace must be a TrackTrace, got NoneType", id="track_records"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS)
+def test_refusal(tmp_path, monkeypatch, call, error, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+        call()
+    assert type(refused.value) is error
+    assert not any(tmp_path.iterdir())

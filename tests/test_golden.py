@@ -1,14 +1,14 @@
 """Golden outputs: a fixed grid of CLI runs must reproduce recorded hashes.
 
 Every ``simulate`` metric and mode (with noise and a gap) at capacities
-2, 3 and 7, a ``--no-prune`` run, ``eval --per-frame`` on two ``simulate``
-runs, ``prune`` over float32 and float64 tensors and ``sample`` with
-``--phase-policy all`` go through :func:`vosmem.cli.run_command`, and the
-demo scripts in ``scripts/`` run as CI runs them. Mask
-bytes, integers and stdout are hashed exactly; JSON floats are rounded to
-12 significant digits first, so a one-ulp BLAS difference on another CPU
-passes while any changed decision (a prune victim, a readout pick, a mask
-pixel) fails.
+2, 3 and 7, a ``--no-prune`` run, a run with every default (no noise),
+``eval --per-frame`` on two ``simulate`` runs, ``prune`` over float32 and
+float64 tensors and ``sample`` with ``--phase-policy all`` go through
+:func:`vosmem.cli.run_command`, and the demo scripts in ``scripts/`` run as
+CI runs them. Mask bytes, integers and stdout are hashed exactly; JSON
+floats are rounded to 12 significant digits first, so a one-ulp BLAS
+difference on another CPU passes while any changed decision (a prune
+victim, a readout pick, a mask pixel) fails.
 
 Re-record only when an output is meant to change, and say why in
 CHANGES.md::
@@ -57,6 +57,8 @@ def _cases() -> dict[str, list[str]]:
                     "--capacity", str(capacity), "--out", "{out}"]
     cases["simulate-no-prune"] = ["simulate", *SCENE, "--capacity", "3",
                                   "--no-prune", "--out", "{out}"]
+    # every default, so the encoder runs without noise
+    cases["simulate-default"] = ["simulate", "--out", "{out}"]
     cases["simulate-disk"] = ["simulate", "--shape", "disk", "--size", "5",
                               "--start", "2,4", "--velocity", "2,1", "--frames", "12",
                               "--gaps", "3:4,9", "--grid", "48x40", "--feature-res", "6x5",

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vosmem.io
-from vosmem.core import FeatureMap, FrameSequence, LabelMask
+from vosmem.core import FeatureMap, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
     TENSOR_MAGIC,
@@ -114,12 +114,6 @@ class TestTensorFormat:
         with pytest.raises(TensorFormatError, match="payload"):
             parse_tensor_bytes(blob)
 
-    def test_truncated_header_rejected(self):
-        with pytest.raises(TensorFormatError, match="truncated"):
-            parse_tensor_bytes(b"FTEN")
-        with pytest.raises(TensorFormatError, match="dims"):
-            parse_tensor_bytes(struct.pack("<4sHBB", b"FTEN", 1, 1, 3) + b"\x00")
-
     def test_non_3d_file_rejected_as_feature_map(self, tmp_path):
         path = tmp_path / "0.ften"
         path.write_bytes(tensor_bytes(np.zeros((2, 2))))
@@ -152,16 +146,6 @@ class TestTensorFormat:
         assert back.shape == ()
         assert back == 2.5
 
-    @pytest.mark.parametrize("array, kind", [
-        (None, "NoneType of dtype object"),
-        ([1.0, None], "list of dtype object"),
-        ("1.5", "str of dtype <U3"),
-        (np.array([1j]), "ndarray of dtype complex128"),
-    ], ids=["None", "object list", "str", "complex"])
-    def test_input_that_is_not_real_numbers_rejected(self, array, kind):
-        with pytest.raises(ValueError, match=f"^array must hold real numbers, got {kind}$"):
-            tensor_bytes(array)
-
     def test_read_copies_once_into_float64(self, tmp_path):
         arr = np.arange(24, dtype=np.float32).reshape(2, 3, 4)
         blob = tensor_bytes(arr, dtype="float32")
@@ -174,98 +158,6 @@ class TestTensorFormat:
         assert data.dtype == np.float64
         assert data.flags.c_contiguous and not data.flags.writeable
         np.testing.assert_array_equal(data, arr)
-
-
-def _compact_json_refusal(value) -> str:
-    """json's message refusing ``value`` in compact output, whose wording
-    differs between Python versions."""
-    with pytest.raises(ValueError) as refused:
-        json.dumps(value, allow_nan=False)
-    return str(refused.value)
-
-
-class TestArgumentKinds:
-    """Entry points that read one of the library's types, bytes, a path, a
-    dict, a sequence or an integer name the argument in a ValueError when
-    handed anything else."""
-
-    @pytest.mark.parametrize("call, message", [
-        pytest.param(lambda d: parse_tensor_bytes(None), "blob must be a bytes, got NoneType",
-                     id="parse_tensor_bytes"),
-        pytest.param(lambda d: write_tensor(None, d / "0.ften"),
-                     "fmap must be a FeatureMap, got NoneType",
-                     id="write_tensor"),
-        pytest.param(lambda d: mask_bytes(None), "mask must be a LabelMask, got NoneType",
-                     id="mask_bytes"),
-        pytest.param(lambda d: write_outputs(None), "outputs must be a Mapping, got NoneType",
-                     id="write_outputs outputs"),
-        pytest.param(lambda d: write_outputs({d / "gt": None}),
-                     "output must be a FrameSequence or bytes, got NoneType",
-                     id="write_outputs"),
-        pytest.param(lambda d: prune_record(0, None),
-                     "outcome must be a PruneOutcome, got NoneType",
-                     id="prune_record"),
-        pytest.param(lambda d: track_records(None), "trace must be a TrackTrace, got NoneType",
-                     id="track_records"),
-        pytest.param(lambda d: read_mask(None), "path must be a str or PathLike, got NoneType",
-                     id="read_mask"),
-        pytest.param(lambda d: read_mask(b"000.pgm"), "path must be a str or PathLike, got bytes",
-                     id="read_mask bytes"),
-        pytest.param(lambda d: read_tensor(5), "path must be a str or PathLike, got int",
-                     id="read_tensor"),
-        pytest.param(lambda d: read_mask_dir(None),
-                     "directory must be a str or PathLike, got NoneType",
-                     id="read_mask_dir"),
-        pytest.param(lambda d: read_feature_dir(None),
-                     "directory must be a str or PathLike, got NoneType",
-                     id="read_feature_dir"),
-        pytest.param(lambda d: write_tensor(fmap(), None),
-                     "path must be a str or PathLike, got NoneType",
-                     id="write_tensor path"),
-        pytest.param(lambda d: atomic_write_bytes(None, b""),
-                     "path must be a str or PathLike, got NoneType",
-                     id="atomic_write_bytes"),
-        pytest.param(lambda d: write_outputs({1: b""}), "path must be a str or PathLike, got int",
-                     id="write_outputs path"),
-        pytest.param(lambda d: json_text(None), "obj must be a dict, got NoneType",
-                     id="json_text"),
-        pytest.param(lambda d: jsonl_text(None), "records must be a sequence of dicts, got None",
-                     id="jsonl_text"),
-        pytest.param(lambda d: prune_record("a", MemoryBank().prune_step()),
-                     "step must be an integer, got 'a'",
-                     id="prune_record step"),
-        # the path is checked before it keys the mapping handed to write_outputs
-        pytest.param(lambda d: atomic_write_bytes([], b""),
-                     "path must be a str or PathLike, got list",
-                     id="atomic_write_bytes list"),
-        pytest.param(lambda d: json_text({"schema_version": 7, "a": 1}),
-                     "obj must not hold the key 'schema_version'",
-                     id="json_text schema_version"),
-        pytest.param(lambda d: json_text({"a": object()}),
-                     "obj cannot be encoded as JSON: "
-                     "Object of type object is not JSON serializable",
-                     id="json_text value"),
-        pytest.param(lambda d: jsonl_text([None, 3]), "records[0] must be a dict, got NoneType",
-                     id="jsonl_text None record"),
-        pytest.param(lambda d: jsonl_text([np.zeros(2)]), "records[0] must be a dict, got ndarray",
-                     id="jsonl_text array record"),
-        pytest.param(lambda d: jsonl_text([{"a": 1}, {"b": np.zeros(2)}]),
-                     "records cannot be encoded as JSON: "
-                     "Object of type ndarray is not JSON serializable",
-                     id="jsonl_text value"),
-        # a non-finite float is not JSON, so it is refused, not written as NaN
-        pytest.param(lambda d: json_text({"a": [1.0, float("nan")]}),
-                     "obj cannot be encoded as JSON: "
-                     "Out of range float values are not JSON compliant: nan",
-                     id="json_text nan"),
-        pytest.param(lambda d: jsonl_text([{"a": 1.0}, {"b": -math.inf}]),
-                     f"records cannot be encoded as JSON: {_compact_json_refusal(-math.inf)}",
-                     id="jsonl_text infinity"),
-    ])
-    def test_wrong_kind_of_argument_names_it(self, tmp_path, call, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            call(tmp_path)
-        assert not any(tmp_path.iterdir())
 
 
 _READERS = pytest.mark.parametrize("write, read_file, read_dir, suffix, error", [
@@ -416,10 +308,6 @@ class TestMaskDir:
         with pytest.raises(MaskFormatError, match="dimensions"):
             read_mask_dir(tmp_path)
 
-    def test_empty_dir_rejected(self, tmp_path):
-        with pytest.raises(MaskFormatError, match="no .pgm"):
-            read_mask_dir(tmp_path)
-
     def test_write_mask_dir_round_trip(self, tmp_path):
         scene = generate_scene(SceneConfig(n_frames=4, velocity=(1, 0)))
         target = tmp_path / "missing" / "parents" / "gt"
@@ -535,10 +423,6 @@ class TestFeatureDir:
         write_tensor(fmap(0), tmp_path / "000.ften")
         write_tensor(fmap(0), tmp_path / "000_copy.ften")
         with pytest.raises(TensorFormatError, match="duplicate"):
-            read_feature_dir(tmp_path)
-
-    def test_empty_dir_rejected(self, tmp_path):
-        with pytest.raises(TensorFormatError, match="no tensor files"):
             read_feature_dir(tmp_path)
 
     def test_mixed_shapes_rejected(self, tmp_path):

@@ -41,20 +41,6 @@ class TestSampleIndices:
                     got = sample_indices(length, stride, phase)
                     assert len(got) == (length - 1 - phase) // stride + 1
 
-    def test_invalid_stride(self):
-        with pytest.raises(ValueError, match="stride"):
-            sample_indices(10, 0)
-
-    def test_phase_out_of_range(self):
-        with pytest.raises(ValueError, match="phase"):
-            sample_indices(10, 2, phase=10)
-        with pytest.raises(ValueError, match="phase"):
-            sample_indices(10, 2, phase=-1)
-
-    def test_view_too_long_to_list_names_the_length(self):
-        with pytest.raises(ValueError, match=r"^a view of clip length 100000000000000000000 "):
-            sample_indices(10**20, 1)
-
     @pytest.mark.parametrize("length", [0, -5])
     def test_empty_clip_is_refused_as_build_plan_refuses_it(self, length):
         message = f"^clip length must be >= 1, got {length}$"
@@ -80,26 +66,6 @@ class TestSamplingConfig:
         assert config.strides == DEFAULT_STRIDES == (1, 2)
         assert config.phase_policy == "zero"
         assert config.max_frames is None
-
-    def test_rejects_empty_strides(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            SamplingConfig(strides=())
-
-    def test_rejects_zero_stride(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            SamplingConfig(strides=(1, 0))
-
-    def test_rejects_duplicate_strides(self):
-        with pytest.raises(ValueError, match="distinct"):
-            SamplingConfig(strides=(2, 2))
-
-    def test_rejects_unknown_phase_policy(self):
-        with pytest.raises(ValueError, match="phase policy"):
-            SamplingConfig(phase_policy="even")
-
-    def test_rejects_bad_max_frames(self):
-        with pytest.raises(ValueError, match="max_frames"):
-            SamplingConfig(max_frames=0)
 
 
 class TestBuildPlan:
@@ -137,17 +103,9 @@ class TestBuildPlan:
         assert [(v.stride, v.phase, v.indices) for v in build_plan(length, config).views] == [
             (1, 0, (0, 1)), (3, 0, (0, 3)), (3, 1, (1, 4)), (3, 2, (2, 5))]
 
-    def test_view_too_long_to_list_names_the_length(self):
-        with pytest.raises(ValueError, match=r"^a view of clip length 100000000000000000000 "):
-            build_plan(10**20, SamplingConfig(strides=(2,)))
-
     def test_strides_emitted_in_sorted_order(self):
         plan = build_plan(10, SamplingConfig(strides=(4, 1, 2)))
         assert [v.stride for v in plan.views] == [1, 2, 4]
-
-    def test_rejects_empty_clip(self):
-        with pytest.raises(ValueError, match="length"):
-            build_plan(0, SamplingConfig())
 
     def test_to_dict_shape(self):
         d = build_plan(5, SamplingConfig(strides=(2,))).to_dict()
@@ -174,10 +132,6 @@ class TestMaterialize:
         out = materialize(seq, [0, 2, 4])
         assert out.frame_indices == (0, 2, 4)
         assert out[1].labels[0, 0] == 2
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError, match="out of bounds"):
-            materialize(self._seq(), [0, 6])
 
     def test_stride_one_materialization_is_identity(self):
         seq = self._seq()
