@@ -12,7 +12,7 @@ import argparse
 
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.metrics import evaluate
-from vosmem.sampling import materialize, sample_indices
+from vosmem.sampling import SamplingConfig, build_plan, materialize
 
 
 def main() -> None:
@@ -22,20 +22,21 @@ def main() -> None:
                         help="comma-separated strides to compare")
     parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
-    strides = sorted(int(s) for s in args.strides.split(","))
+    strides = tuple(int(s) for s in args.strides.split(","))
 
     scene = generate_scene(SceneConfig(
         grid=(32, 32), shape="square", size=8, start=(0, 12),
         velocity=(1, 0), n_frames=args.frames, seed=args.seed))
     encoder = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.05)
-    budget = len(sample_indices(len(scene), strides[-1]))
+    plan = build_plan(len(scene), SamplingConfig(strides=strides))
+    budget = len(plan.views[-1].indices)  # the largest stride's view is the shortest
 
     print(f"scene: {args.frames} frames, 32x32, square moving (1,0) px/frame; "
           f"every view truncated to {budget} frames")
     print()
     print("stride  px/step  last frame  J&F[%]  Dice[%]  CIoU[%]")
-    for stride in strides:
-        indices = sample_indices(len(scene), stride)[:budget]
+    for sampled in plan.views:  # in stride order
+        stride, indices = sampled.stride, sampled.indices[:budget]
         view = materialize(scene, indices)
         predicted, _ = track_sequence(view, encoder, seed=args.seed)
         agg = evaluate(predicted, view).aggregate

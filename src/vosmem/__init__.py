@@ -67,7 +67,6 @@ from .sampling import (
     SamplingView,
     build_plan,
     materialize,
-    sample_indices,
 )
 
 __version__ = "0.1.0"
@@ -115,6 +114,5 @@ __all__ = [
     "SamplingView",
     "build_plan",
     "materialize",
-    "sample_indices",
     "__version__",
 ]

@@ -22,22 +22,24 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FrameSequence, _freeze, _instance, _integer, _items
+from .core import FrameSequence, _choice, _freeze, _instance, _integer, _items, _reals
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
 
 
-def _as_pixel_set(mask) -> np.ndarray:
-    arr = np.asarray(mask, dtype=bool)
+def _as_pixel_set(name: str, mask) -> np.ndarray:
+    """``mask`` as a 2-D bool array; data that is not real numbers raises
+    ValueError naming ``name``, by ``core._reals``."""
+    arr = _reals(name, mask).astype(bool, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"pixel set must be 2-D, got {arr.ndim}-D")
     return arr
 
 
 def _pixel_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    p = _as_pixel_set(pred)
-    g = _as_pixel_set(gt)
+    p = _as_pixel_set("pred", pred)
+    g = _as_pixel_set("gt", gt)
     if p.shape != g.shape:
         raise ValueError(f"pixel sets differ in shape: {p.shape} vs {g.shape}")
     return p, g
@@ -72,10 +74,10 @@ def dice(pred, gt) -> float:
     return _dice(*_overlap(*_pixel_pair(pred, gt)))
 
 
-def _boundary_pixels(mask) -> np.ndarray:
-    """Member pixels with a 4-connected neighbor that is a non-member or
-    lies outside the image (the image border counts as exterior)."""
-    m = _as_pixel_set(mask)
+def _boundary_pixels(m: np.ndarray) -> np.ndarray:
+    """Member pixels of the pixel set ``m`` with a 4-connected neighbor that
+    is a non-member or lies outside the image (the image border counts as
+    exterior)."""
     interior = np.zeros_like(m)  # a side of 1 or 2 leaves these slices empty
     interior[1:-1, 1:-1] = (m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:])
     return m & ~interior
@@ -123,7 +125,7 @@ def dilate_disk(pixels, radius: int) -> np.ndarray:
     image from any member, so such a radius costs no more than a fill.
     """
     r = _integer("radius", radius, 0)
-    m = _as_pixel_set(pixels)
+    m = _as_pixel_set("pixels", pixels)
     h, w = m.shape
     if r * r >= (h - 1) ** 2 + (w - 1) ** 2:
         return np.full_like(m, m.any())
@@ -298,9 +300,8 @@ def evaluate(pred: FrameSequence, gt: FrameSequence,
     _check_aligned(pred, gt)
     requested = ((metrics,) if isinstance(metrics, str)
                  else _items("metrics", metrics, "metric names"))
-    unknown = [m for m in requested if m not in METRIC_NAMES]
-    if unknown:
-        raise ValueError(f"unknown metrics {unknown}, expected a subset of {METRIC_NAMES}")
+    for name in requested:
+        _choice("evaluation metric", name, METRIC_NAMES)
     if not requested:
         raise ValueError("no metrics requested")
 

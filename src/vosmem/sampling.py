@@ -63,51 +63,26 @@ class SamplingPlan:
         }
 
 
-def _clip_length(length) -> int:  # the one clip-length rule
-    return _integer("clip length", length, 1)
-
-
-def _progression(length: int, stride: int, phase: int) -> range:
-    stride = _integer("stride", stride, 1)
-    phase = _integer("phase", phase)
-    if not 0 <= phase < length:
-        raise ValueError(f"phase must be in [0, {length}), got {phase}")
-    return range(phase, length, stride)
-
-
-def _listed(view: range, length: int) -> list[int]:
-    try:
-        return list(view)
-    except OverflowError:  # more items than a list can index
-        raise ValueError(
-            f"a view of clip length {length} has too many frames to list") from None
-
-
-def sample_indices(length: int, stride: int, phase: int = 0) -> list[int]:
-    """Arithmetic-progression frame indices phase, phase+stride, ... < length.
-
-    Never empty: the phase itself is always included. A view with more
-    frames than a list can index raises ``ValueError`` naming the length.
-    """
-    length = _clip_length(length)
-    return _listed(_progression(length, stride, phase), length)
-
-
 def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> SamplingPlan:
     """One view per (stride, phase) pair, ordered by (stride, phase).
 
     Phases at or beyond the clip length are skipped (a stride larger than
-    the clip yields only the phases that exist).
+    the clip yields only the phases that exist). A view with more frames
+    than a tuple can index raises ``ValueError`` naming the length.
     """
-    length = _clip_length(length)
+    length = _integer("clip length", length, 1)
     _instance("config", config, SamplingConfig)
     views = []
     for s in sorted(config.strides):
         phases = range(min(s, length)) if config.phase_policy == "all" else (0,)
         for t0 in phases:
             # a range slices lazily, so max_frames applies before any listing
-            indices = _listed(_progression(length, s, t0)[:config.max_frames], length)
-            views.append(SamplingView(stride=s, phase=t0, indices=tuple(indices)))
+            try:
+                indices = tuple(range(t0, length, s)[:config.max_frames])
+            except OverflowError:  # more items than a tuple can index
+                raise ValueError(
+                    f"a view of clip length {length} has too many frames to list") from None
+            views.append(SamplingView(stride=s, phase=t0, indices=indices))
     return SamplingPlan(clip_length=length, views=tuple(views))
 
 

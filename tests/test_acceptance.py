@@ -46,7 +46,7 @@ from vosmem.metrics import (
     j_and_f,
     jaccard,
 )
-from vosmem.sampling import SamplingConfig, build_plan, sample_indices
+from vosmem.sampling import SamplingConfig, build_plan
 
 
 @contextmanager
@@ -156,15 +156,17 @@ def test_criterion_4_sampler_suite():
     """Strided index views: count formula, phase partition, identity stride."""
     with verdict(4, "stride views partition and count correctly"):
         for length in range(1, 65):
-            assert sample_indices(length, 1) == list(range(length))
             for stride in range(1, 9):
-                phases = range(min(stride, length))
+                plan = build_plan(length, SamplingConfig(strides=(stride,), phase_policy="all"))
+                assert [v.phase for v in plan.views] == list(range(min(stride, length)))
+                if stride == 1:
+                    assert plan.views[0].indices == tuple(range(length))
                 union = []
-                for phase in phases:
-                    view = sample_indices(length, stride, phase)
-                    assert view == list(range(phase, length, stride))
-                    assert len(view) == (length - 1 - phase) // stride + 1
-                    union.extend(view)
+                for view in plan.views:
+                    phase = view.phase
+                    assert view.indices == tuple(range(phase, length, stride))
+                    assert len(view.indices) == (length - 1 - phase) // stride + 1
+                    union.extend(view.indices)
                 assert sorted(union) == list(range(length))
 
         plan = build_plan(149, SamplingConfig(strides=(1, 2)))

@@ -62,6 +62,7 @@ from vosmem.memory import (
     similarity,
 )
 from vosmem.metrics import (
+    METRIC_NAMES,
     boundary_f,
     ciou,
     dice,
@@ -76,7 +77,6 @@ from vosmem.sampling import (
     SamplingConfig,
     build_plan,
     materialize,
-    sample_indices,
 )
 
 VALUES = (1.5, 2.0, "3", None, True, np.int64(3), -1, 0)
@@ -131,7 +131,6 @@ HOLDS = {
     "SamplingConfig.strides[1]": lambda v: _plan(strides=(1, v)).strides[1],
     "SamplingConfig.max_frames": lambda v: _plan(max_frames=v).max_frames,
     "build_plan.length": lambda v: build_plan(v).clip_length,
-    "sample_indices.phase": lambda v: sample_indices(5, 1, v)[0],
     "evaluate.radius": lambda v: evaluate(SCENE, SCENE, radius=v).radius,
     "argmax_frame.frame_index": lambda v: argmax_frame("dot", {v: 1.0}),
 }
@@ -160,8 +159,6 @@ CALLS = {
     "track_sequence.bank_capacity": lambda v: track_sequence(SCENE, NOISY, bank_capacity=v),
     "track_sequence.seed": lambda v: track_sequence(SCENE, NOISY, seed=v),
     "SamplingConfig.strides": lambda v: _plan(strides=v),
-    "sample_indices.length": lambda v: sample_indices(v, 1),
-    "sample_indices.stride": lambda v: sample_indices(5, v),
     "materialize.indices[0]": lambda v: materialize(SCENE, [v]),
     "materialize.indices": lambda v: materialize(SCENE, v),
     "disk_footprint.radius": lambda v: disk_footprint(v),
@@ -432,6 +429,17 @@ REFUSALS = [
     pytest.param(lambda: jaccard(np.zeros((1, 4, 4), bool), np.zeros((4, 4), bool)), ValueError,
                  "pixel set must be 2-D, got 3-D",
                  id="TestJaccardAndDice.test_pixel_set_of_other_rank_rejected"),
+    # pixel sets must be real numbers, as bool, integer or float masks are
+    pytest.param(lambda: jaccard(np.array([["a"]]), np.array([["a"]])), ValueError,
+                 "pred must hold real numbers, got ndarray of dtype <U1", id="jaccard str pred"),
+    pytest.param(lambda: jaccard([[1j]], [[1j]]), ValueError,
+                 "pred must hold real numbers, got list of dtype complex128",
+                 id="jaccard complex pred"),
+    pytest.param(lambda: boundary_f(np.full((2, 2), None), np.full((2, 2), None)), ValueError,
+                 "pred must hold real numbers, got ndarray of dtype object",
+                 id="boundary_f None pred"),
+    pytest.param(lambda: dilate_disk([["x"]], 1), ValueError,
+                 "pixels must hold real numbers, got list of dtype <U1", id="dilate_disk str pixels"),
     pytest.param(lambda: disk_footprint(-1), ValueError, "radius must be >= 0, got -1",
                  id="TestDilateDisk.test_negative_radius_rejected"),
     # a 1x1 image makes every radius reach the diagonal
@@ -460,21 +468,18 @@ REFUSALS = [
                  id="evaluate metrics None"),
     pytest.param(lambda: evaluate(SCENE, SCENE, metrics=3), ValueError,
                  "metrics must be a sequence of metric names, got 3", id="evaluate metrics int"),
+    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=("J", "IoU")), ValueError,
+                 f"unknown evaluation metric 'IoU', expected one of {METRIC_NAMES}",
+                 id="TestEvaluate.test_unknown_metric_rejected"),
+    pytest.param(lambda: evaluate(SCENE, SCENE, metrics="IoU"), ValueError,
+                 f"unknown evaluation metric 'IoU', expected one of {METRIC_NAMES}",
+                 id="evaluate unknown metric str"),
+    pytest.param(lambda: evaluate(SCENE, SCENE, metrics=[np.array(["J", "F"])]), ValueError,
+                 f"unknown evaluation metric {np.array(['J', 'F'])!r}, "
+                 f"expected one of {METRIC_NAMES}",
+                 id="evaluate array metric"),
 
     # vosmem.sampling
-    pytest.param(lambda: sample_indices(10, 2.5), ValueError,
-                 "stride must be an integer, got 2.5", id="sample_indices stride float"),
-    pytest.param(lambda: sample_indices(10, 0), ValueError, "stride must be >= 1, got 0",
-                 id="TestSampleIndices.test_invalid_stride"),
-    pytest.param(lambda: sample_indices(10, 2, phase=10), ValueError,
-                 "phase must be in [0, 10), got 10",
-                 id="TestSampleIndices.test_phase_out_of_range[1]"),
-    pytest.param(lambda: sample_indices(10, 2, phase=-1), ValueError,
-                 "phase must be in [0, 10), got -1",
-                 id="TestSampleIndices.test_phase_out_of_range[2]"),
-    pytest.param(lambda: sample_indices(10**20, 1), ValueError,
-                 "a view of clip length 100000000000000000000 has too many frames to list",
-                 id="TestSampleIndices.test_view_too_long_to_list_names_the_length"),
     pytest.param(lambda: SamplingConfig(strides=(2.0,)), ValueError,
                  "strides[0] must be an integer, got 2.0", id="SamplingConfig strides[0] float"),
     pytest.param(lambda: SamplingConfig(strides=()), ValueError, "strides must be non-empty",

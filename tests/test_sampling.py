@@ -8,56 +8,44 @@ from hypothesis import strategies as st
 from vosmem.core import FrameSequence, LabelMask
 from vosmem.sampling import (
     DEFAULT_STRIDES,
+    PHASE_POLICIES,
     SamplingConfig,
     build_plan,
     materialize,
-    sample_indices,
 )
 
 
-class TestSampleIndices:
+def _views(length, stride):
+    """Every phase's view of the clip at one stride, in phase order."""
+    plan = build_plan(length, SamplingConfig(strides=(stride,), phase_policy="all"))
+    return [v.indices for v in plan.views]
+
+
+class TestStrideViews:
     def test_stride_one_is_identity(self):
-        assert sample_indices(10, 1) == list(range(10))
+        assert _views(10, 1) == [tuple(range(10))]
 
-    def test_stride_two_phase_zero(self):
-        assert sample_indices(10, 2) == [0, 2, 4, 6, 8]
-
-    def test_stride_two_phase_one(self):
-        assert sample_indices(10, 2, phase=1) == [1, 3, 5, 7, 9]
+    def test_stride_two_phases(self):
+        assert _views(10, 2) == [(0, 2, 4, 6, 8), (1, 3, 5, 7, 9)]
 
     def test_stride_three_short_clip(self):
-        assert sample_indices(7, 3) == [0, 3, 6]
-        assert sample_indices(7, 3, phase=2) == [2, 5]
+        assert _views(7, 3) == [(0, 3, 6), (1, 4), (2, 5)]
 
     def test_large_stride_keeps_only_phase(self):
-        assert sample_indices(5, 100) == [0]
-        assert sample_indices(5, 100, phase=4) == [4]
+        assert build_plan(5, SamplingConfig(strides=(100,))).views[0].indices == (0,)
+        assert _views(5, 100) == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_count_formula(self):
         # K+1 indices with K = floor((L-1-t0)/s)
         for length in (1, 2, 9, 64):
             for stride in (1, 2, 3, 8):
-                for phase in range(min(stride, length)):
-                    got = sample_indices(length, stride, phase)
+                for phase, got in enumerate(_views(length, stride)):
                     assert len(got) == (length - 1 - phase) // stride + 1
 
     @pytest.mark.parametrize("length", [0, -5])
-    def test_empty_clip_is_refused_as_build_plan_refuses_it(self, length):
-        message = f"^clip length must be >= 1, got {length}$"
-        with pytest.raises(ValueError, match=message):
-            sample_indices(length, 1)
-        with pytest.raises(ValueError, match=message):
+    def test_empty_clip_is_refused(self, length):
+        with pytest.raises(ValueError, match=f"^clip length must be >= 1, got {length}$"):
             build_plan(length)
-
-    @given(st.integers(1, 500), st.integers(1, 20), st.integers(0, 19))
-    @settings(max_examples=120)
-    def test_indices_bounded_and_arithmetic(self, length, stride, phase):
-        if phase >= length:
-            phase = phase % length
-        got = sample_indices(length, stride, phase)
-        assert got[0] == phase
-        assert all(0 <= i < length for i in got)
-        assert all(b - a == stride for a, b in zip(got, got[1:]))
 
 
 class TestSamplingConfig:
@@ -88,7 +76,7 @@ class TestBuildPlan:
             seen = [i for v in plan.views for i in v.indices]
             assert sorted(seen) == list(range(13))
 
-    def test_all_policy_clamps_phases_to_clip_length(self):
+    def test_all_policy_clamps_phases_to_the_clip(self):
         plan = build_plan(2, SamplingConfig(strides=(5,), phase_policy="all"))
         assert [(v.stride, v.phase, v.indices) for v in plan.views] == [
             (5, 0, (0,)), (5, 1, (1,))]
@@ -98,7 +86,7 @@ class TestBuildPlan:
         assert plan.views[0].indices == (0, 1, 2, 3)
 
     @pytest.mark.parametrize("length", [10**10, 10**20])
-    def test_max_frames_applies_before_a_huge_view_is_listed(self, length):
+    def test_max_frames_applies_before_a_huge_view_is_built(self, length):
         config = SamplingConfig(strides=(1, 3), phase_policy="all", max_frames=2)
         assert [(v.stride, v.phase, v.indices) for v in build_plan(length, config).views] == [
             (1, 0, (0, 1)), (3, 0, (0, 3)), (3, 1, (1, 4)), (3, 2, (2, 5))]
@@ -112,14 +100,24 @@ class TestBuildPlan:
         assert d == {"clip_length": 5,
                      "views": [{"stride": 2, "phase": 0, "indices": [0, 2, 4]}]}
 
-    @given(st.integers(1, 64), st.integers(1, 8))
-    @settings(max_examples=100)
-    def test_partition_property(self, length, stride):
-        plan = build_plan(length, SamplingConfig(strides=(stride,), phase_policy="all"))
-        chunks = [v.indices for v in plan.views]
-        flat = sorted(i for c in chunks for i in c)
-        assert flat == list(range(length))
-        assert sum(len(c) for c in chunks) == length
+    @given(length=st.integers(1, 500),
+           strides=st.lists(st.integers(1, 20), min_size=1, max_size=3, unique=True),
+           policy=st.sampled_from(PHASE_POLICIES),
+           max_frames=st.none() | st.integers(1, 20))
+    @settings(max_examples=150)
+    def test_views_are_truncated_ranges_in_stride_phase_order(
+            self, length, strides, policy, max_frames):
+        config = SamplingConfig(strides=tuple(strides), phase_policy=policy, max_frames=max_frames)
+        views = build_plan(length, config).views
+        assert [(v.stride, v.phase) for v in views] == [
+            (s, t0) for s in sorted(strides)
+            for t0 in (range(min(s, length)) if policy == "all" else (0,))]
+        for v in views:
+            assert v.indices == tuple(range(v.phase, length, v.stride)[:max_frames])
+        if policy == "all" and max_frames is None:
+            for s in strides:
+                assert sorted(i for v in views if v.stride == s for i in v.indices) == list(
+                    range(length))
 
 
 class TestMaterialize:
@@ -135,5 +133,5 @@ class TestMaterialize:
 
     def test_stride_one_materialization_is_identity(self):
         seq = self._seq()
-        out = materialize(seq, sample_indices(len(seq), 1))
+        out = materialize(seq, build_plan(len(seq)).views[0].indices)
         assert out.frame_indices == seq.frame_indices
