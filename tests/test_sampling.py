@@ -25,8 +25,11 @@ class TestStrideViews:
     def test_stride_one_is_identity(self):
         assert _views(10, 1) == [tuple(range(10))]
 
-    def test_stride_two_phases(self):
-        assert _views(10, 2) == [(0, 2, 4, 6, 8), (1, 3, 5, 7, 9)]
+    def test_stride_two_phase_zero(self):
+        assert _views(10, 2)[0] == (0, 2, 4, 6, 8)
+
+    def test_stride_two_phase_one(self):
+        assert _views(10, 2)[1] == (1, 3, 5, 7, 9)
 
     def test_stride_three_short_clip(self):
         assert _views(7, 3) == [(0, 3, 6), (1, 4), (2, 5)]
@@ -46,6 +49,14 @@ class TestStrideViews:
     def test_empty_clip_is_refused(self, length):
         with pytest.raises(ValueError, match=f"^clip length must be >= 1, got {length}$"):
             build_plan(length)
+
+    @given(st.integers(1, 500), st.integers(1, 20))
+    @settings(max_examples=120)
+    def test_indices_bounded_and_arithmetic(self, length, stride):
+        for phase, got in enumerate(_views(length, stride)):
+            assert got[0] == phase
+            assert all(0 <= i < length for i in got)
+            assert all(b - a == stride for a, b in zip(got, got[1:]))
 
 
 class TestSamplingConfig:
@@ -99,6 +110,23 @@ class TestBuildPlan:
         d = build_plan(5, SamplingConfig(strides=(2,))).to_dict()
         assert d == {"clip_length": 5,
                      "views": [{"stride": 2, "phase": 0, "indices": [0, 2, 4]}]}
+
+    @given(st.integers(1, 64), st.integers(1, 8))
+    @settings(max_examples=100)
+    def test_partition_property(self, length, stride):
+        chunks = _views(length, stride)
+        flat = sorted(i for c in chunks for i in c)
+        assert flat == list(range(length))
+        assert sum(len(c) for c in chunks) == length
+
+    @given(length=st.integers(1, 500),
+           strides=st.lists(st.integers(1, 20), min_size=1, max_size=4, unique=True))
+    @settings(max_examples=100)
+    def test_zero_policy_views_never_grow_along_the_plan(self, length, strides):
+        # scripts/stride_views.py takes the last view's length as the frame budget
+        plan = build_plan(length, SamplingConfig(strides=tuple(strides)))
+        lengths = [len(v.indices) for v in plan.views]
+        assert lengths == sorted(lengths, reverse=True)
 
     @given(length=st.integers(1, 500),
            strides=st.lists(st.integers(1, 20), min_size=1, max_size=3, unique=True),
