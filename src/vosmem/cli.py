@@ -10,6 +10,7 @@ JSON-lines text goes through :func:`_emit`.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -226,15 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`run_command` reuses: parse_args leaves it as it
+    was, so building it once per process saves each call the build."""
+    return build_parser()
+
+
 def run_command(argv=None) -> int:
     """Parse and execute one subcommand; returns the process exit status.
 
     Failures never propagate: argparse exits become their status code, and
     domain errors and MemoryError print one ``error:`` line to stderr.
     """
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1

@@ -2,11 +2,13 @@
 
 Two small on-disk formats keep the toolchain dependency-free:
 
-* tensor files: magic ``FTEN``, version u16 LE, dtype code u8 (0 = float32,
-  1 = float64), ndim u8, then ndim u32 LE dims and a row-major
-  little-endian payload whose byte length must match the header exactly;
-  a parsed payload is a read-only view in the file's dtype, and
-  :class:`~vosmem.core.FeatureMap` makes the one float64 copy;
+* tensor files: one 3-D feature map each. Magic ``FTEN``, version u16 LE,
+  dtype code u8 (0 = float32, 1 = float64), ndim u8 (= 3), then three u32
+  LE dims and a row-major little-endian payload whose byte length must
+  match the header exactly. They are written as float64 and read as
+  float32 or float64: the payload is read as a read-only view in the
+  file's dtype, and :class:`~vosmem.core.FeatureMap` makes the one float64
+  copy;
 * mask files: binary PGM (``P5``) with maxval 255, one byte per pixel
   holding the object id.
 
@@ -42,8 +44,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import (FeatureMap, FrameSequence, LabelMask, _choice, _instance, _integer, _items,
-                   _reals)
+from .core import FeatureMap, FrameSequence, LabelMask, _instance, _integer, _items
 from .harness import TrackTrace
 from .memory import PruneOutcome
 
@@ -52,7 +53,6 @@ SCHEMA_VERSION = 1
 TENSOR_MAGIC = b"FTEN"
 TENSOR_VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_CODE_FOR_NAME = {"float32": 0, "float64": 1}
 
 
 class TensorFormatError(ValueError):
@@ -67,26 +67,26 @@ class MaskFormatError(ValueError):
 # tensor container
 
 
-def tensor_bytes(array: np.ndarray, dtype: str = "float64") -> bytes:
-    """Serialize an array of real numbers, of any rank, into the tensor
-    container format. Anything else (None, strings, complex or object
-    arrays) and a dimension the u32 header cannot hold raise ValueError."""
-    _choice("dtype", dtype, tuple(_CODE_FOR_NAME))
-    code = _CODE_FOR_NAME[dtype]
-    arr = _reals("array", array)
-    if max(arr.shape, default=0) > 0xFFFFFFFF:
-        raise ValueError(f"array dimensions must each be below 2**32, got shape {arr.shape}")
-    arr = arr.astype(_DTYPE_CODES[code], copy=False)  # keeps rank 0, unlike ascontiguousarray
-    header = struct.pack("<4sHBB", TENSOR_MAGIC, TENSOR_VERSION, code, arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + dims + arr.tobytes(order="C")
+def write_tensor(fmap: FeatureMap, path) -> None:
+    """Write ``fmap`` as a 3-D little-endian float64 tensor file; a dimension
+    the u32 header cannot hold raises ValueError."""
+    _instance("fmap", fmap, FeatureMap)
+    data = fmap.data
+    if max(data.shape) > 0xFFFFFFFF:
+        raise ValueError(f"feature dimensions must each be below 2**32, got shape {data.shape}")
+    # dtype code 1 (float64), rank 3
+    header = struct.pack("<4sHBB3I", TENSOR_MAGIC, TENSOR_VERSION, 1, 3, *data.shape)
+    atomic_write_bytes(path, header + data.astype("<f8", copy=False).tobytes())
 
 
-def parse_tensor_bytes(blob: bytes) -> np.ndarray:
-    """Inverse of tensor_bytes; rejects bad magic, unknown versions or dtype
-    codes, truncated headers, and payload/header size mismatches. Returns a
-    read-only view of ``blob`` in the file's dtype, without copying."""
-    _instance("blob", blob, bytes)
+def read_tensor(path) -> FeatureMap:
+    """Read a 3-D float32 or float64 tensor file as a FeatureMap whose frame
+    index is the leading decimal digits of the filename stem. A stem without
+    them, a bad magic, version or dtype code, a truncated header, a rank
+    other than 3, a zero dimension, a payload whose size does not match the
+    header and a non-finite value raise TensorFormatError."""
+    frame_index = _stem_frame_index(path, TensorFormatError)
+    blob = Path(path).read_bytes()
     if len(blob) < 8:
         raise TensorFormatError(f"truncated tensor header: {len(blob)} bytes")
     magic, version, code, ndim = struct.unpack_from("<4sHBB", blob, 0)
@@ -96,40 +96,23 @@ def parse_tensor_bytes(blob: bytes) -> np.ndarray:
         raise TensorFormatError(f"unsupported version {version}, expected {TENSOR_VERSION}")
     if code not in _DTYPE_CODES:
         raise TensorFormatError(f"unknown dtype code {code}")
-    dims_end = 8 + 4 * ndim
-    if len(blob) < dims_end:
+    if ndim != 3:
+        raise TensorFormatError(f"feature maps are 3-D, file holds a {ndim}-D tensor")
+    if len(blob) < 20:  # 8 bytes, then three u32 dims
         raise TensorFormatError("truncated tensor header: dims missing")
-    dims = struct.unpack_from(f"<{ndim}I", blob, 8)
+    dims = struct.unpack_from("<3I", blob, 8)
+    if 0 in dims:  # FeatureMap's own rule, checked before any size is computed
+        raise TensorFormatError(f"{path}: feature dimensions must all be >= 1, got {dims}")
     dtype = _DTYPE_CODES[code]
-    count = math.prod(dims)  # 1 for a 0-d tensor; exact, never wraps
-    expected = count * dtype.itemsize
-    if len(blob) - dims_end != expected:
+    expected = math.prod(dims) * dtype.itemsize  # exact, never wraps
+    if len(blob) - 20 != expected:
         raise TensorFormatError(
-            f"payload holds {len(blob) - dims_end} bytes but header dims {tuple(dims)} "
-            f"require {expected}")
-    # an empty payload can still carry dims numpy cannot size: it counts
-    # only the nonzero ones
-    if math.prod(d for d in dims if d) * dtype.itemsize > np.iinfo(np.intp).max:
-        raise TensorFormatError(f"header dims {tuple(dims)} are too large to address")
-    return np.frombuffer(blob, dtype, count, offset=dims_end).reshape(dims)
-
-
-def write_tensor(fmap: FeatureMap, path, dtype: str = "float64") -> None:
-    _instance("fmap", fmap, FeatureMap)
-    atomic_write_bytes(path, tensor_bytes(fmap.data, dtype=dtype))
-
-
-def read_tensor(path) -> FeatureMap:
-    """Read a 3-D tensor file as a FeatureMap whose frame index is the
-    leading decimal digits of the filename stem; a stem without them
-    raises TensorFormatError."""
-    frame_index = _stem_frame_index(path, TensorFormatError)
-    arr = parse_tensor_bytes(Path(path).read_bytes())
-    if arr.ndim != 3:
-        raise TensorFormatError(f"feature maps are 3-D, file holds a {arr.ndim}-D tensor")
+            f"payload holds {len(blob) - 20} bytes but header dims {dims} require {expected}")
+    # a read-only view of the payload; FeatureMap makes the one float64 copy
+    arr = np.frombuffer(blob, dtype, offset=20).reshape(dims)
     try:
         return FeatureMap(frame_index=frame_index, data=arr)
-    except ValueError as exc:  # e.g. a zero dimension or a non-finite value
+    except ValueError as exc:  # a non-finite value
         raise TensorFormatError(f"{path}: {exc}") from None
 
 

@@ -30,8 +30,15 @@ METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
 
 def _as_pixel_set(name: str, mask) -> np.ndarray:
     """``mask`` as a 2-D bool array; data that is not real numbers raises
-    ValueError naming ``name``, by ``core._reals``."""
-    arr = _reals(name, mask).astype(bool, copy=False)
+    ValueError naming ``name``, by ``core._reals``, and so does a NaN or an
+    infinity in a float mask, which no pixel set holds."""
+    arr = _reals(name, mask)
+    if arr.dtype.kind == "f":  # bool and integer masks are finite
+        finite = np.isfinite(arr)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite.ravel())[0])
+            raise ValueError(f"non-finite {name} value at flat index {bad}")
+    arr = arr.astype(bool, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"pixel set must be 2-D, got {arr.ndim}-D")
     return arr

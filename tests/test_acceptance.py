@@ -28,10 +28,8 @@ from vosmem.io import (
     atomic_write_bytes,
     jsonl_text,
     mask_bytes,
-    parse_tensor_bytes,
     read_mask,
     read_tensor,
-    tensor_bytes,
     track_records,
     write_tensor,
 )
@@ -288,10 +286,14 @@ def test_criterion_8_io_round_trips(tmp_path):
         assert round_tripped.frame_index == 5
         assert np.array_equal(round_tripped.labels, labels)
 
+        junk = tmp_path / "004.ften"
+        junk.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(TensorFormatError):
-            parse_tensor_bytes(b"JUNKJUNKJUNK")
+            read_tensor(junk)
+        short = tmp_path / "006.ften"
+        short.write_bytes((tmp_path / "003.ften").read_bytes()[:-1])
         with pytest.raises(TensorFormatError):
-            parse_tensor_bytes(tensor_bytes(np.zeros((2, 2)))[:-1])
+            read_tensor(short)
         bad_pgm = tmp_path / "bad.pgm"
         bad_pgm.write_bytes(b"P6\n2 2\n255\n" + bytes(4))
         with pytest.raises(MaskFormatError):

@@ -17,14 +17,18 @@ array data, ``{name} must hold real numbers, got {type} of dtype {dtype}``.
 import dataclasses
 import json
 import math
+import os
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ften import ften_bytes
 from vosmem.core import MAX_OBJECT_ID, FeatureMap, FrameSequence, LabelMask, _Adopted
 from vosmem.harness import (
     OBJECT_SHAPES,
@@ -42,13 +46,11 @@ from vosmem.io import (
     json_text,
     jsonl_text,
     mask_bytes,
-    parse_tensor_bytes,
     prune_record,
     read_feature_dir,
     read_mask,
     read_mask_dir,
     read_tensor,
-    tensor_bytes,
     track_records,
     write_outputs,
     write_tensor,
@@ -88,6 +90,27 @@ NOISY = ToyEncoderConfig(feature_resolution=(3, 3), noise_sigma=0.1)
 
 def _features(frame_index):
     return FeatureMap(frame_index, np.arange(4.0).reshape(1, 2, 2))
+
+
+def _wide_features():
+    """A FeatureMap whose first dimension is 2**32, held as a zero-stride view
+    of one value: building it through FeatureMap would copy 32 GiB."""
+    fmap = object.__new__(FeatureMap)
+    object.__setattr__(fmap, "data", np.broadcast_to(np.zeros(1), (2**32, 1, 1)))
+    return fmap
+
+
+def _read_tensor_file(blob):
+    """read_tensor on a file ``000.ften`` holding ``blob``, read by that
+    relative name in a directory of its own, which is removed after."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("000.ften").write_bytes(blob)
+            return read_tensor("000.ften")
+        finally:
+            os.chdir(cwd)
 
 
 def _mask(frame_index, shape=(4, 4)):
@@ -440,6 +463,13 @@ REFUSALS = [
                  id="boundary_f None pred"),
     pytest.param(lambda: dilate_disk([["x"]], 1), ValueError,
                  "pixels must hold real numbers, got list of dtype <U1", id="dilate_disk str pixels"),
+    # a float pixel set holds no NaN or infinity, which bool() would count as members
+    pytest.param(lambda: jaccard([[np.nan]], [[np.nan]]), ValueError,
+                 "non-finite pred value at flat index 0", id="jaccard nan pred"),
+    pytest.param(lambda: jaccard(np.zeros((2, 2)), np.array([[0.0, 1.0], [-np.inf, 0.0]])),
+                 ValueError, "non-finite gt value at flat index 2", id="jaccard infinite gt"),
+    pytest.param(lambda: dilate_disk(np.array([[0.0, np.nan]], np.float32), 1), ValueError,
+                 "non-finite pixels value at flat index 1", id="dilate_disk nan pixels"),
     pytest.param(lambda: disk_footprint(-1), ValueError, "radius must be >= 0, got -1",
                  id="TestDilateDisk.test_negative_radius_rejected"),
     # a 1x1 image makes every radius reach the diagonal
@@ -517,39 +547,25 @@ REFUSALS = [
                  "sequence must be a FrameSequence, got list", id="materialize sequence"),
 
     # vosmem.io
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=[1]), ValueError,
-                 "unknown dtype [1], expected one of ('float32', 'float64')",
-                 id="tensor_bytes unhashable dtype"),
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype="float16"), ValueError,
-                 "unknown dtype 'float16', expected one of ('float32', 'float64')",
-                 id="tensor_bytes dtype"),
-    # a name must be a str: a dtype or an array that compares equal to a choice is refused
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.dtype("float32")), ValueError,
-                 f"unknown dtype {np.dtype('float32')!r}, expected one of ('float32', 'float64')",
-                 id="tensor_bytes numpy dtype"),
-    pytest.param(lambda: tensor_bytes(np.zeros(2), dtype=np.array(["float32", "x"])), ValueError,
-                 f"unknown dtype {np.array(['float32', 'x'])!r}, "
-                 "expected one of ('float32', 'float64')",
-                 id="tensor_bytes array dtype"),
-    *(pytest.param(lambda array=array: tensor_bytes(array), ValueError,
-                   f"array must hold real numbers, got {kind}",
-                   id=f"TestTensorFormat.test_input_that_is_not_real_numbers_rejected[{name}]")
-      for name, array, kind in (("None", None, "NoneType of dtype object"),
-                                ("object list", [1.0, None], "list of dtype object"),
-                                ("str", "1.5", "str of dtype <U3"),
-                                ("complex", np.array([1j]), "ndarray of dtype complex128"))),
     # each dimension is a u32 of the header
-    pytest.param(lambda: tensor_bytes(np.zeros((2**32, 0))), ValueError,
-                 "array dimensions must each be below 2**32, got shape (4294967296, 0)",
-                 id="tensor_bytes dimension past u32"),
-    pytest.param(lambda: parse_tensor_bytes(None), ValueError,
-                 "blob must be a bytes, got NoneType", id="parse_tensor_bytes"),
-    pytest.param(lambda: parse_tensor_bytes(b"FTEN"), TensorFormatError,
+    pytest.param(lambda: write_tensor(_wide_features(), "0.ften"), ValueError,
+                 "feature dimensions must each be below 2**32, got shape (4294967296, 1, 1)",
+                 id="write_tensor dimension past u32"),
+    pytest.param(lambda: _read_tensor_file(b"FTEN"), TensorFormatError,
                  "truncated tensor header: 4 bytes",
                  id="TestTensorFormat.test_truncated_header_rejected[1]"),
-    pytest.param(lambda: parse_tensor_bytes(struct.pack("<4sHBB", b"FTEN", 1, 1, 3) + b"\x00"),
+    pytest.param(lambda: _read_tensor_file(struct.pack("<4sHBB", b"FTEN", 1, 1, 3) + b"\x00"),
                  TensorFormatError, "truncated tensor header: dims missing",
                  id="TestTensorFormat.test_truncated_header_rejected[2]"),
+    # the rank is checked before any dims are read
+    pytest.param(lambda: _read_tensor_file(ften_bytes(np.zeros((2, 2)), "float64")),
+                 TensorFormatError, "feature maps are 3-D, file holds a 2-D tensor",
+                 id="read_tensor 2-D file"),
+    # a zero dimension is refused before the payload is sized
+    pytest.param(lambda: _read_tensor_file(ften_bytes(np.zeros((2, 0, 3)), "float32")
+                                           + bytes(4)), TensorFormatError,
+                 "000.ften: feature dimensions must all be >= 1, got (2, 0, 3)",
+                 id="read_tensor zero dimension"),
     pytest.param(lambda: write_tensor(None, "0.ften"), ValueError,
                  "fmap must be a FeatureMap, got NoneType", id="write_tensor"),
     pytest.param(lambda: write_tensor(_features(0), None), ValueError,

@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vosmem
+from ften import ften_bytes
 from vosmem.cli import build_parser, run_command
 from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
-from vosmem.io import tensor_bytes, write_outputs, write_tensor
+from vosmem.io import write_outputs, write_tensor
 from vosmem.memory import DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE
 from vosmem.metrics import DEFAULT_BOUNDARY_RADIUS
 from vosmem.sampling import DEFAULT_STRIDES, SamplingConfig
@@ -369,7 +370,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("values", [np.zeros((0, 2, 2)), np.array([[[np.nan]]])],
                              ids=["zero-dimension", "nan"])
     def test_invalid_tensor_exits_1_naming_the_file(self, tmp_path, capsys, values):
-        (tmp_path / "003.ften").write_bytes(tensor_bytes(values))
+        (tmp_path / "003.ften").write_bytes(ften_bytes(values, "float64"))
         assert run_command(["prune", "--features", str(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -15,6 +15,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 
+from ften import ften_bytes
 from test_cli import tree_snapshot
 from vosmem.cli import run_command
 from vosmem.core import FeatureMap
@@ -100,14 +101,14 @@ class CommandSequences(RuleBasedStateMachine):
     @rule(frames=st.integers(1, 4), suffix=st.sampled_from([".ften", ".bin"]),
           dtype=st.sampled_from(["float32", "float64"]))
     def write_features(self, frames, suffix, dtype):
-        """Fill the features directory afresh through write_tensor."""
+        """Fill the features directory afresh with float32 or float64 tensors."""
         directory = self.root / FEATURES
         shutil.rmtree(directory, ignore_errors=True)
         directory.mkdir()
         rng = np.random.default_rng(frames)
         for i in range(frames):
-            write_tensor(FeatureMap(i, rng.normal(size=(2, 2, 2))),
-                         directory / f"{i:03d}{suffix}", dtype)
+            (directory / f"{i:03d}{suffix}").write_bytes(
+                ften_bytes(rng.normal(size=(2, 2, 2)), dtype))
         self.features = frames
 
     @rule(name=st.sampled_from(["frame.ften", "009.bin"]))

@@ -32,9 +32,8 @@ import numpy as np
 import pytest
 
 import vosmem
+from ften import ften_bytes
 from vosmem.cli import run_command
-from vosmem.core import FeatureMap
-from vosmem.io import write_tensor
 from vosmem.memory import PRUNE_MODES, SIMILARITY_METRICS
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -85,7 +84,7 @@ def _write_features(directory: Path, dtype: str) -> None:
     base[4] = base[3] + 1e-3 * rng.normal(size=(3, 4, 4))
     base[9] = base[8] * 1.01
     for i, data in enumerate(base):
-        write_tensor(FeatureMap(i, data), directory / f"{i:03d}.ften", dtype=dtype)
+        (directory / f"{i:03d}.ften").write_bytes(ften_bytes(data, dtype))
 
 
 def _round(value):
