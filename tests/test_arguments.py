@@ -566,6 +566,19 @@ REFUSALS = [
                                            + bytes(4)), TensorFormatError,
                  "000.ften: feature dimensions must all be >= 1, got (2, 0, 3)",
                  id="read_tensor zero dimension"),
+    # a header with no dims is a 0-D tensor, which no feature map is
+    pytest.param(lambda: _read_tensor_file(struct.pack("<4sHBB", b"FTEN", 1, 1, 0)),
+                 TensorFormatError, "feature maps are 3-D, file holds a 0-D tensor",
+                 id="read_tensor 0-D file"),
+    pytest.param(lambda: _read_tensor_file(ften_bytes(np.zeros((1, 1, 1, 1)), "float32")),
+                 TensorFormatError, "feature maps are 3-D, file holds a 4-D tensor",
+                 id="read_tensor 4-D file"),
+    pytest.param(lambda: _read_tensor_file(struct.pack("<4sHBB3I", b"FTEN", 1, 2, 3, 1, 1, 1)
+                                           + bytes(8)), TensorFormatError,
+                 "unknown dtype code 2", id="read_tensor dtype code"),
+    pytest.param(lambda: _read_tensor_file(ften_bytes(np.array([[[1.0, np.nan]]]), "float32")),
+                 TensorFormatError, "000.ften: non-finite feature value at flat index 1",
+                 id="read_tensor non-finite value"),
     pytest.param(lambda: write_tensor(None, "0.ften"), ValueError,
                  "fmap must be a FeatureMap, got NoneType", id="write_tensor"),
     pytest.param(lambda: write_tensor(_features(0), None), ValueError,

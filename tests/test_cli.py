@@ -45,6 +45,21 @@ def test_flag_defaults_match_library_defaults():
             DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE)
 
 
+def test_run_command_builds_its_parser_once(monkeypatch, capsys):
+    assert run_command(["sample", "--length", "3"]) == 0
+    first = capsys.readouterr().out
+
+    def no_build():
+        raise AssertionError("run_command built a second parser")
+
+    monkeypatch.setattr(vosmem.cli, "build_parser", no_build)
+    assert run_command(["sample", "--length", "3"]) == 0
+    assert capsys.readouterr().out == first
+    monkeypatch.undo()
+    # the public builder still hands each caller a parser of its own
+    assert build_parser() is not build_parser()
+
+
 class TestSampleCommand:
     def test_stdout_json(self, capsys):
         assert run_command(["sample", "--length", "149"]) == 0

@@ -424,6 +424,20 @@ class TestFeatureDir:
         maps = read_feature_dir(tmp_path)
         assert [m.frame_index for m in maps] == [1, 3, 5]
 
+    def test_each_file_is_read_through_the_module_read_tensor(self, tmp_path, monkeypatch):
+        # a patch of vosmem.io.read_tensor, as a tracer makes, sees every read
+        for idx in (2, 0):
+            write_tensor(fmap(idx), tmp_path / f"{idx:03d}.ften")
+        seen = []
+
+        def read(path):
+            seen.append(Path(path).name)
+            return read_tensor(path)
+
+        monkeypatch.setattr(vosmem.io, "read_tensor", read)
+        assert [m.frame_index for m in read_feature_dir(tmp_path)] == [0, 2]
+        assert sorted(seen) == ["000.ften", "002.ften"]
+
     def test_duplicate_index_rejected(self, tmp_path):
         write_tensor(fmap(0), tmp_path / "000.ften")
         write_tensor(fmap(0), tmp_path / "000_copy.ften")

@@ -78,6 +78,14 @@ class TestJaccardAndDice:
         assert jaccard(e, m) == 0.0
         assert dice(m, e) == 0.0
 
+    def test_finite_float_mask_counts_its_nonzero_pixels(self):
+        # every nonzero finite value is a member, as it is for bool()
+        a = block(4, 8, 1, 2, 2)
+        b = block(4, 8, 1, 3, 2)
+        soft = np.where(a, np.float32(0.25), np.float32(-0.0))
+        assert jaccard(soft, b) == jaccard(a, b)
+        assert dice(b, soft.astype(np.float64)) == dice(b, a)
+
 
 class TestBoundaryPixels:
     def test_single_pixel_is_its_own_boundary(self):
