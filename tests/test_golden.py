@@ -3,7 +3,8 @@
 Every ``simulate`` metric and mode (with noise and a gap) at capacities
 2, 3 and 7, a ``--no-prune`` run, a run with every default (no noise),
 ``eval --per-frame`` on two ``simulate`` runs, ``prune`` over float32 and
-float64 tensors and ``sample`` with ``--phase-policy all`` go through
+float64 tensors, and ``sample`` with ``--phase-policy all``, with every
+default and with unsorted strides under ``--max-frames`` go through
 :func:`vosmem.cli.run_command`, and the demo scripts in ``scripts/`` run as
 CI runs them. Mask bytes, integers and stdout are hashed exactly; JSON
 floats are rounded to 12 significant digits first, so a one-ulp BLAS
@@ -74,6 +75,9 @@ def _cases() -> dict[str, list[str]]:
                            "--phase-policy", "all", "--max-frames", "5"]
     cases["sample-long"] = ["sample", "--length", "149", "--strides", "2,5",
                             "--phase-policy", "all"]
+    cases["sample-default"] = ["sample", "--length", "10"]
+    cases["sample-short"] = ["sample", "--length", "7", "--strides", "3,1",
+                             "--max-frames", "2"]
     return cases
 
 
