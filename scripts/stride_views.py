@@ -12,7 +12,7 @@ import argparse
 
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.metrics import evaluate
-from vosmem.sampling import SamplingConfig, build_plan, materialize
+from vosmem.sampling import build_plan, materialize
 
 
 def main() -> None:
@@ -28,14 +28,14 @@ def main() -> None:
         grid=(32, 32), shape="square", size=8, start=(0, 12),
         velocity=(1, 0), n_frames=args.frames, seed=args.seed))
     encoder = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.05)
-    plan = build_plan(len(scene), SamplingConfig(strides=strides))
-    budget = len(plan.views[-1].indices)  # the largest stride's view is the shortest
+    views = build_plan(len(scene), strides=strides)
+    budget = len(views[-1].indices)  # the largest stride's view is the shortest
 
     print(f"scene: {args.frames} frames, 32x32, square moving (1,0) px/frame; "
           f"every view truncated to {budget} frames")
     print()
     print("stride  px/step  last frame  J&F[%]  Dice[%]  CIoU[%]")
-    for sampled in plan.views:  # in stride order
+    for sampled in views:  # in stride order
         stride, indices = sampled.stride, sampled.indices[:budget]
         view = materialize(scene, indices)
         predicted, _ = track_sequence(view, encoder, seed=args.seed)

@@ -60,10 +60,9 @@ from .metrics import (
     jaccard,
 )
 from .sampling import (
+    DEFAULT_PHASE_POLICY,
     DEFAULT_STRIDES,
     PHASE_POLICIES,
-    SamplingConfig,
-    SamplingPlan,
     SamplingView,
     build_plan,
     materialize,
@@ -107,10 +106,9 @@ __all__ = [
     "evaluate",
     "j_and_f",
     "jaccard",
+    "DEFAULT_PHASE_POLICY",
     "DEFAULT_STRIDES",
     "PHASE_POLICIES",
-    "SamplingConfig",
-    "SamplingPlan",
     "SamplingView",
     "build_plan",
     "materialize",

@@ -34,7 +34,7 @@ from .memory import (
     MemoryEntry,
 )
 from .metrics import DEFAULT_BOUNDARY_RADIUS, METRIC_NAMES, evaluate
-from .sampling import DEFAULT_STRIDES, PHASE_POLICIES, SamplingConfig, build_plan
+from .sampling import DEFAULT_PHASE_POLICY, DEFAULT_STRIDES, PHASE_POLICIES, build_plan
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +105,12 @@ def _emit(text: str, out: str | Path | None) -> None:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    config = SamplingConfig(strides=args.strides, phase_policy=args.phase_policy,
-                            max_frames=args.max_frames)
-    plan = build_plan(args.length, config)
-    _emit(vio.json_text(plan.to_dict()), args.out)
+    views = build_plan(args.length, strides=args.strides, phase_policy=args.phase_policy,
+                       max_frames=args.max_frames)
+    plan = {"clip_length": args.length,
+            "views": [{"stride": v.stride, "phase": v.phase, "indices": list(v.indices)}
+                      for v in views]}
+    _emit(vio.json_text(plan), args.out)
     return 0
 
 
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strides", type=_int_tuple, default=DEFAULT_STRIDES,
                    help=f"comma-separated strides (default {','.join(map(str, DEFAULT_STRIDES))})")
     p.add_argument("--phase-policy", dest="phase_policy", choices=PHASE_POLICIES,
-                   default=SamplingConfig.phase_policy)
+                   default=DEFAULT_PHASE_POLICY)
     p.add_argument("--max-frames", dest="max_frames", type=int, default=None,
                    help="cap each view at this many indices")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")

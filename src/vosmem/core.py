@@ -100,6 +100,15 @@ def _reals(name: str, value) -> np.ndarray:
     return arr
 
 
+def _finite(name: str, arr: np.ndarray) -> None:
+    """The library's one finiteness rule: a NaN or an infinity in ``arr``
+    raises ValueError naming ``name`` and the flat index of the first."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite.ravel())[0])
+        raise ValueError(f"non-finite {name} value at flat index {bad}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -125,10 +134,7 @@ class FeatureMap:
             raise ValueError(f"feature data must be 3-D (channels, h, w), got {arr.ndim}-D")
         if min(arr.shape) < 1:
             raise ValueError(f"feature dimensions must all be >= 1, got {arr.shape}")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite.ravel())[0])
-            raise ValueError(f"non-finite feature value at flat index {bad}")
+        _finite("feature", arr)
         object.__setattr__(self, "data", _freeze(arr))
         # memory files a pair score under the other map's serial, so no memo holds a map
         object.__setattr__(self, "_memo", (next(_SERIALS), {}))

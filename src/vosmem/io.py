@@ -82,37 +82,38 @@ def write_tensor(fmap: FeatureMap, path) -> None:
 def read_tensor(path) -> FeatureMap:
     """Read a 3-D float32 or float64 tensor file as a FeatureMap whose frame
     index is the leading decimal digits of the filename stem. A stem without
-    them, a bad magic, version or dtype code, a truncated header, a rank
-    other than 3, a zero dimension, a payload whose size does not match the
-    header and a non-finite value raise TensorFormatError."""
+    them raises TensorFormatError; so do a bad magic, version or dtype code, a
+    truncated header, a rank other than 3, a zero dimension, a payload whose
+    size does not match the header and a non-finite value, with a message
+    that begins with ``path``."""
     frame_index = _stem_frame_index(path, TensorFormatError)
     blob = Path(path).read_bytes()
-    if len(blob) < 8:
-        raise TensorFormatError(f"truncated tensor header: {len(blob)} bytes")
-    magic, version, code, ndim = struct.unpack_from("<4sHBB", blob, 0)
-    if magic != TENSOR_MAGIC:
-        raise TensorFormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-    if version != TENSOR_VERSION:
-        raise TensorFormatError(f"unsupported version {version}, expected {TENSOR_VERSION}")
-    if code not in _DTYPE_CODES:
-        raise TensorFormatError(f"unknown dtype code {code}")
-    if ndim != 3:
-        raise TensorFormatError(f"feature maps are 3-D, file holds a {ndim}-D tensor")
-    if len(blob) < 20:  # 8 bytes, then three u32 dims
-        raise TensorFormatError("truncated tensor header: dims missing")
-    dims = struct.unpack_from("<3I", blob, 8)
-    if 0 in dims:  # FeatureMap's own rule, checked before any size is computed
-        raise TensorFormatError(f"{path}: feature dimensions must all be >= 1, got {dims}")
-    dtype = _DTYPE_CODES[code]
-    expected = math.prod(dims) * dtype.itemsize  # exact, never wraps
-    if len(blob) - 20 != expected:
-        raise TensorFormatError(
-            f"payload holds {len(blob) - 20} bytes but header dims {dims} require {expected}")
-    # a read-only view of the payload; FeatureMap makes the one float64 copy
-    arr = np.frombuffer(blob, dtype, offset=20).reshape(dims)
     try:
-        return FeatureMap(frame_index=frame_index, data=arr)
-    except ValueError as exc:  # a non-finite value
+        if len(blob) < 8:
+            raise TensorFormatError(f"truncated tensor header: {len(blob)} bytes")
+        magic, version, code, ndim = struct.unpack_from("<4sHBB", blob, 0)
+        if magic != TENSOR_MAGIC:
+            raise TensorFormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
+        if version != TENSOR_VERSION:
+            raise TensorFormatError(f"unsupported version {version}, expected {TENSOR_VERSION}")
+        if code not in _DTYPE_CODES:
+            raise TensorFormatError(f"unknown dtype code {code}")
+        if ndim != 3:
+            raise TensorFormatError(f"feature maps are 3-D, file holds a {ndim}-D tensor")
+        if len(blob) < 20:  # 8 bytes, then three u32 dims
+            raise TensorFormatError("truncated tensor header: dims missing")
+        dims = struct.unpack_from("<3I", blob, 8)
+        if 0 in dims:  # FeatureMap's own rule, checked before any size is computed
+            raise TensorFormatError(f"feature dimensions must all be >= 1, got {dims}")
+        dtype = _DTYPE_CODES[code]
+        expected = math.prod(dims) * dtype.itemsize  # exact, never wraps
+        if len(blob) - 20 != expected:
+            raise TensorFormatError(
+                f"payload holds {len(blob) - 20} bytes but header dims {dims} require {expected}")
+        # a read-only view of the payload; FeatureMap makes the one float64 copy
+        arr = np.frombuffer(blob, dtype, offset=20).reshape(dims)
+        return FeatureMap(frame_index=frame_index, data=arr)  # refuses a non-finite value
+    except ValueError as exc:
         raise TensorFormatError(f"{path}: {exc}") from None
 
 
@@ -156,31 +157,35 @@ def read_mask(path) -> LabelMask:
     """Read a binary PGM mask whose frame index is the leading decimal
     digits of the filename stem; a stem without them raises MaskFormatError.
     Header comments are allowed, maxval must be 255, and the payload must
-    hold exactly width*height bytes."""
+    hold exactly width*height bytes; a file that breaks a rule raises
+    MaskFormatError with a message that begins with ``path``."""
     frame_index = _stem_frame_index(path, MaskFormatError)
     with open(path, "rb") as f:  # a few microseconds less than Path.read_bytes
         data = f.read()
-    magic, pos = _header_token(data, 0)
-    if magic != b"P5":
-        raise MaskFormatError(f"bad PGM magic {magic!r}, expected b'P5'")
-    fields = []
-    for name in ("width", "height", "maxval"):
-        token, pos = _header_token(data, pos)
-        if not token.isdigit():
-            raise MaskFormatError(f"non-numeric PGM {name} token {token!r}")
-        try:
-            fields.append(int(token))
-        except ValueError:  # more digits than int() converts
-            raise MaskFormatError(f"PGM {name} token has {len(token)} digits") from None
-    width, height, maxval = fields
-    if width < 1 or height < 1:
-        raise MaskFormatError(f"invalid PGM dimensions {width}x{height}")
-    if maxval != 255:
-        raise MaskFormatError(f"PGM maxval must be 255, got {maxval}")
-    if len(data) - pos != width * height:
-        raise MaskFormatError(
-            f"payload holds {len(data) - pos} bytes but header claims "
-            f"{width}x{height} = {width * height}")
+    try:
+        magic, pos = _header_token(data, 0)
+        if magic != b"P5":
+            raise MaskFormatError(f"bad PGM magic {magic!r}, expected b'P5'")
+        fields = []
+        for name in ("width", "height", "maxval"):
+            token, pos = _header_token(data, pos)
+            if not token.isdigit():
+                raise MaskFormatError(f"non-numeric PGM {name} token {token!r}")
+            try:
+                fields.append(int(token))
+            except ValueError:  # more digits than int() converts
+                raise MaskFormatError(f"PGM {name} token has {len(token)} digits") from None
+        width, height, maxval = fields
+        if width < 1 or height < 1:
+            raise MaskFormatError(f"invalid PGM dimensions {width}x{height}")
+        if maxval != 255:
+            raise MaskFormatError(f"PGM maxval must be 255, got {maxval}")
+        if len(data) - pos != width * height:
+            raise MaskFormatError(
+                f"payload holds {len(data) - pos} bytes but header claims "
+                f"{width}x{height} = {width * height}")
+    except ValueError as exc:
+        raise MaskFormatError(f"{path}: {exc}") from None
     labels = np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width)
     return LabelMask(frame_index=frame_index, labels=labels)
 

@@ -61,7 +61,8 @@ def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
 def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
     """Spearman's key: the flat data's average ranks (as SciPy's
     ``rankdata(method="average")``) minus their mean (n + 1) / 2, and their sum
-    of squares; zeros and 0.0 for a constant map. Costs one argsort, one
+    of squares. A constant map is one tied run, so every position gets the
+    shared rank minus the mean, +0.0, and the sum is 0.0. Costs one argsort, one
     gather, one scatter and three map-sized buffers (order, key, positions).
     The ranks are multiples of 0.5, so while n(n + 1)/2 < 2**52 (n below about
     9.4e7) their mean is (n + 1) / 2 exactly and the key is ``ranks - mean``
@@ -69,9 +70,6 @@ def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
     x = data.ravel()
     order = np.argsort(x)
     centred = np.take(x, order)  # the sorted values until the scatter below
-    if centred[0] == centred[-1]:
-        centred[...] = 0.0
-        return _freeze(centred), 0.0
     half = 0.5 * (x.size + 1)
     # a run of equal values at sorted positions lo .. hi-1 shares rank
     # (lo + hi + 1) / 2; a value alone in its run at position p has rank p + 1

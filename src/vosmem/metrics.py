@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import FrameSequence, _choice, _freeze, _instance, _integer, _items, _reals
+from .core import FrameSequence, _choice, _finite, _freeze, _instance, _integer, _items, _reals
 
 DEFAULT_BOUNDARY_RADIUS = 14
 METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
@@ -31,13 +31,10 @@ METRIC_NAMES = ("J&F", "J", "F", "Dice", "CIoU")
 def _as_pixel_set(name: str, mask) -> np.ndarray:
     """``mask`` as a 2-D bool array; data that is not real numbers raises
     ValueError naming ``name``, by ``core._reals``, and so does a NaN or an
-    infinity in a float mask, which no pixel set holds."""
+    infinity in a float mask, which no pixel set holds, by ``core._finite``."""
     arr = _reals(name, mask)
     if arr.dtype.kind == "f":  # bool and integer masks are finite
-        finite = np.isfinite(arr)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite.ravel())[0])
-            raise ValueError(f"non-finite {name} value at flat index {bad}")
+        _finite(name, arr)
     arr = arr.astype(bool, copy=False)
     if arr.ndim != 2:
         raise ValueError(f"pixel set must be 2-D, got {arr.ndim}-D")

@@ -2,8 +2,10 @@
 
 A view at stride s and phase t0 is the index sequence t0, t0+s, t0+2s, ...
 up to the clip length. Stride 1 at phase 0 reproduces the clip; larger
-strides simulate proportionally faster object motion. Plans carry index
-sequences only, so downstream loaders can stream frames lazily.
+strides simulate proportionally faster object motion. :func:`build_plan`
+takes the stride set, phase policy and frame cap and returns the views;
+views carry index sequences only, so downstream loaders can stream frames
+lazily.
 """
 
 from __future__ import annotations
@@ -14,31 +16,7 @@ from .core import FrameSequence, _choice, _instance, _integer, _integers
 
 PHASE_POLICIES = ("zero", "all")
 DEFAULT_STRIDES = (1, 2)
-
-
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Stride set and phase policy for building a plan.
-
-    phase_policy "zero" emits one view per stride starting at frame 0;
-    "all" emits every phase 0..s-1 so the stride-s views partition the
-    clip. max_frames, when set, truncates each view from the end.
-    """
-
-    strides: tuple[int, ...] = DEFAULT_STRIDES
-    phase_policy: str = "zero"
-    max_frames: int | None = None
-
-    def __post_init__(self):
-        strides = _integers("strides", self.strides, 1)
-        if not strides:
-            raise ValueError("strides must be non-empty")
-        if len(set(strides)) != len(strides):
-            raise ValueError(f"strides must be distinct, got {strides}")
-        _choice("phase policy", self.phase_policy, PHASE_POLICIES)
-        if self.max_frames is not None:
-            object.__setattr__(self, "max_frames", _integer("max_frames", self.max_frames, 1))
-        object.__setattr__(self, "strides", strides)
+DEFAULT_PHASE_POLICY = "zero"
 
 
 @dataclass(frozen=True)
@@ -48,42 +26,38 @@ class SamplingView:
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
-    clip_length: int
-    views: tuple[SamplingView, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "clip_length": self.clip_length,
-            "views": [
-                {"stride": v.stride, "phase": v.phase, "indices": list(v.indices)}
-                for v in self.views
-            ],
-        }
-
-
-def build_plan(length: int, config: SamplingConfig = SamplingConfig()) -> SamplingPlan:
+def build_plan(length: int, strides=DEFAULT_STRIDES, phase_policy: str = DEFAULT_PHASE_POLICY,
+               max_frames: int | None = None) -> tuple[SamplingView, ...]:
     """One view per (stride, phase) pair, ordered by (stride, phase).
 
-    Phases at or beyond the clip length are skipped (a stride larger than
-    the clip yields only the phases that exist). A view with more frames
-    than a tuple can index raises ``ValueError`` naming the length.
+    ``strides`` must be distinct integers >= 1. phase_policy "zero" emits one
+    view per stride starting at frame 0; "all" emits every phase 0..s-1 so
+    the stride-s views partition the clip, skipping phases at or beyond the
+    clip length. max_frames, when set, truncates each view from the end.
+    The settings are checked in that order, then the clip length; a view with
+    more frames than a tuple can index raises ``ValueError`` naming the length.
     """
+    strides = _integers("strides", strides, 1)
+    if not strides:
+        raise ValueError("strides must be non-empty")
+    if len(set(strides)) != len(strides):
+        raise ValueError(f"strides must be distinct, got {strides}")
+    _choice("phase policy", phase_policy, PHASE_POLICIES)
+    if max_frames is not None:
+        max_frames = _integer("max_frames", max_frames, 1)
     length = _integer("clip length", length, 1)
-    _instance("config", config, SamplingConfig)
     views = []
-    for s in sorted(config.strides):
-        phases = range(min(s, length)) if config.phase_policy == "all" else (0,)
+    for s in sorted(strides):
+        phases = range(min(s, length)) if phase_policy == "all" else (0,)
         for t0 in phases:
             # a range slices lazily, so max_frames applies before any listing
             try:
-                indices = tuple(range(t0, length, s)[:config.max_frames])
+                indices = tuple(range(t0, length, s)[:max_frames])
             except OverflowError:  # more items than a tuple can index
                 raise ValueError(
                     f"a view of clip length {length} has too many frames to list") from None
             views.append(SamplingView(stride=s, phase=t0, indices=indices))
-    return SamplingPlan(clip_length=length, views=tuple(views))
+    return tuple(views)
 
 
 def materialize(sequence: FrameSequence, indices) -> FrameSequence:

@@ -44,7 +44,7 @@ from vosmem.metrics import (
     j_and_f,
     jaccard,
 )
-from vosmem.sampling import SamplingConfig, build_plan
+from vosmem.sampling import build_plan
 
 
 @contextmanager
@@ -155,20 +155,20 @@ def test_criterion_4_sampler_suite():
     with verdict(4, "stride views partition and count correctly"):
         for length in range(1, 65):
             for stride in range(1, 9):
-                plan = build_plan(length, SamplingConfig(strides=(stride,), phase_policy="all"))
-                assert [v.phase for v in plan.views] == list(range(min(stride, length)))
+                views = build_plan(length, strides=(stride,), phase_policy="all")
+                assert [v.phase for v in views] == list(range(min(stride, length)))
                 if stride == 1:
-                    assert plan.views[0].indices == tuple(range(length))
+                    assert views[0].indices == tuple(range(length))
                 union = []
-                for view in plan.views:
+                for view in views:
                     phase = view.phase
                     assert view.indices == tuple(range(phase, length, stride))
                     assert len(view.indices) == (length - 1 - phase) // stride + 1
                     union.extend(view.indices)
                 assert sorted(union) == list(range(length))
 
-        plan = build_plan(149, SamplingConfig(strides=(1, 2)))
-        assert [(v.stride, len(v.indices)) for v in plan.views] == [(1, 149), (2, 75)]
+        views = build_plan(149, strides=(1, 2))
+        assert [(v.stride, len(v.indices)) for v in views] == [(1, 149), (2, 75)]
 
 
 def random_mask(rng) -> np.ndarray:

@@ -76,7 +76,6 @@ from vosmem.metrics import (
 )
 from vosmem.sampling import (
     PHASE_POLICIES,
-    SamplingConfig,
     build_plan,
     materialize,
 )
@@ -100,15 +99,16 @@ def _wide_features():
     return fmap
 
 
-def _read_tensor_file(blob):
-    """read_tensor on a file ``000.ften`` holding ``blob``, read by that
-    relative name in a directory of its own, which is removed after."""
+def _read_file(blob, name="000.ften"):
+    """read_tensor, or read_mask for a ``.pgm`` name, on a file ``name``
+    holding ``blob``, read by that relative name in a directory of its own,
+    which is removed after."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("000.ften").write_bytes(blob)
-            return read_tensor("000.ften")
+            Path(name).write_bytes(blob)
+            return (read_mask if name.endswith(".pgm") else read_tensor)(name)
         finally:
             os.chdir(cwd)
 
@@ -133,12 +133,6 @@ def _encode(feature_resolution):
     encode_frame(SCENE[0], ToyEncoderConfig(feature_resolution=feature_resolution), 0)
 
 
-def _plan(**fields):
-    config = SamplingConfig(**fields)
-    build_plan(5, config)
-    return config
-
-
 # Each case calls one entry point with v in one integer position. A case in
 # HOLDS returns the integer the result holds for v, which must be v itself as
 # a plain int; a case in CALLS returns nothing to compare. None is the
@@ -150,10 +144,8 @@ HOLDS = {
     "MemoryEntry.frame_index": lambda v: MemoryEntry(v, _features(3)).frame_index,
     "encode_frame.frame_index":
         lambda v: encode_frame(LabelMask(v, SCENE[0].labels), NOISY, 0).frame_index,
-    "SamplingConfig.strides[0]": lambda v: _plan(strides=(v,)).strides[0],
-    "SamplingConfig.strides[1]": lambda v: _plan(strides=(1, v)).strides[1],
-    "SamplingConfig.max_frames": lambda v: _plan(max_frames=v).max_frames,
-    "build_plan.length": lambda v: build_plan(v).clip_length,
+    "build_plan.strides[0]": lambda v: build_plan(5, strides=(v,))[0].stride,
+    "build_plan.strides[1]": lambda v: build_plan(5, strides=(1, v))[1].stride,
     "evaluate.radius": lambda v: evaluate(SCENE, SCENE, radius=v).radius,
     "argmax_frame.frame_index": lambda v: argmax_frame("dot", {v: 1.0}),
 }
@@ -181,7 +173,9 @@ CALLS = {
     "encode_frame.seed": lambda v: encode_frame(SCENE[0], NOISY, v),
     "track_sequence.bank_capacity": lambda v: track_sequence(SCENE, NOISY, bank_capacity=v),
     "track_sequence.seed": lambda v: track_sequence(SCENE, NOISY, seed=v),
-    "SamplingConfig.strides": lambda v: _plan(strides=v),
+    "build_plan.strides": lambda v: build_plan(5, strides=v),
+    "build_plan.max_frames": lambda v: build_plan(5, max_frames=v),
+    "build_plan.length": lambda v: build_plan(v),
     "materialize.indices[0]": lambda v: materialize(SCENE, [v]),
     "materialize.indices": lambda v: materialize(SCENE, v),
     "disk_footprint.radius": lambda v: disk_footprint(v),
@@ -201,7 +195,7 @@ def test_integer_arguments_are_exact_or_value_error(case, value):
         result = CASES[case](value)
     except ValueError:
         return
-    if value is None and case == "SamplingConfig.max_frames":
+    if value is None and case == "build_plan.max_frames":
         return
     # accepted: only an integer may pass, and the result keeps its value
     assert isinstance(value, (int, np.integer)), f"{case} accepted {value!r}"
@@ -212,8 +206,9 @@ def test_integer_arguments_are_exact_or_value_error(case, value):
 def test_numpy_integers_are_held_as_plain_ints():
     bank = MemoryBank(np.int64(7))
     assert type(bank.capacity) is int and bank.capacity == 7
-    config = SamplingConfig(strides=(np.int32(1), np.uint8(2)), max_frames=np.int64(3))
-    assert config.strides == (1, 2) and type(config.max_frames) is int
+    views = build_plan(9, strides=(np.int32(1), np.uint8(2)), max_frames=np.int64(3))
+    assert [(type(v.stride), v.stride, v.indices) for v in views] == [
+        (int, 1, (0, 1, 2)), (int, 2, (0, 2, 4))]
 
 
 def test_scene_config_holds_plain_ints_and_a_tuple_of_int_pairs():
@@ -510,34 +505,42 @@ REFUSALS = [
                  id="evaluate array metric"),
 
     # vosmem.sampling
-    pytest.param(lambda: SamplingConfig(strides=(2.0,)), ValueError,
-                 "strides[0] must be an integer, got 2.0", id="SamplingConfig strides[0] float"),
-    pytest.param(lambda: SamplingConfig(strides=()), ValueError, "strides must be non-empty",
+    pytest.param(lambda: build_plan(5, strides=(2.0,)), ValueError,
+                 "strides[0] must be an integer, got 2.0", id="build_plan strides[0] float"),
+    pytest.param(lambda: build_plan(5, strides=()), ValueError, "strides must be non-empty",
                  id="TestSamplingConfig.test_rejects_empty_strides"),
-    pytest.param(lambda: SamplingConfig(strides=(1, 0)), ValueError,
+    pytest.param(lambda: build_plan(5, strides=(1, 0)), ValueError,
                  "strides[1] must be >= 1, got 0",
                  id="TestSamplingConfig.test_rejects_zero_stride"),
-    pytest.param(lambda: SamplingConfig(strides=(2, 2)), ValueError,
+    pytest.param(lambda: build_plan(5, strides=(2, 2)), ValueError,
                  "strides must be distinct, got (2, 2)",
                  id="TestSamplingConfig.test_rejects_duplicate_strides"),
-    pytest.param(lambda: SamplingConfig(phase_policy="some"), ValueError,
+    pytest.param(lambda: build_plan(5, phase_policy="some"), ValueError,
                  f"unknown phase policy 'some', expected one of {PHASE_POLICIES}",
-                 id="SamplingConfig unknown phase policy"),
-    pytest.param(lambda: SamplingConfig(phase_policy="even"), ValueError,
+                 id="build_plan unknown phase policy"),
+    pytest.param(lambda: build_plan(5, phase_policy="even"), ValueError,
                  f"unknown phase policy 'even', expected one of {PHASE_POLICIES}",
                  id="TestSamplingConfig.test_rejects_unknown_phase_policy"),
-    pytest.param(lambda: SamplingConfig(max_frames=0), ValueError,
+    pytest.param(lambda: build_plan(5, max_frames=0), ValueError,
                  "max_frames must be >= 1, got 0",
                  id="TestSamplingConfig.test_rejects_bad_max_frames"),
     pytest.param(lambda: build_plan(10.5), ValueError,
                  "clip length must be an integer, got 10.5", id="build_plan length float"),
-    pytest.param(lambda: build_plan(0, SamplingConfig()), ValueError,
+    pytest.param(lambda: build_plan(0), ValueError,
                  "clip length must be >= 1, got 0", id="TestBuildPlan.test_rejects_empty_clip"),
-    pytest.param(lambda: build_plan(10**20, SamplingConfig(strides=(2,))), ValueError,
+    pytest.param(lambda: build_plan(10**20, strides=(2,)), ValueError,
                  "a view of clip length 100000000000000000000 has too many frames to list",
                  id="TestBuildPlan.test_view_too_long_to_list_names_the_length"),
-    pytest.param(lambda: build_plan(5, "zero"), ValueError,
-                 "config must be a SamplingConfig, got str", id="build_plan config"),
+    pytest.param(lambda: build_plan(5, strides=3), ValueError,
+                 "strides must be a sequence of integers, got 3", id="build_plan strides int"),
+    # the settings are checked in order, strides first and the clip length last
+    pytest.param(lambda: build_plan(0, strides=(), phase_policy="even", max_frames=0),
+                 ValueError, "strides must be non-empty", id="build_plan strides checked first"),
+    pytest.param(lambda: build_plan(0, phase_policy="even", max_frames=0), ValueError,
+                 f"unknown phase policy 'even', expected one of {PHASE_POLICIES}",
+                 id="build_plan phase policy checked second"),
+    pytest.param(lambda: build_plan(0, max_frames=0), ValueError,
+                 "max_frames must be >= 1, got 0", id="build_plan max_frames checked third"),
     pytest.param(lambda: materialize(SCENE, [1.0]), ValueError,
                  "indices[0] must be an integer, got 1.0", id="materialize indices[0] float"),
     pytest.param(lambda: materialize(FrameSequence(tuple(map(_mask, range(6)))), [0, 6]),
@@ -551,32 +554,43 @@ REFUSALS = [
     pytest.param(lambda: write_tensor(_wide_features(), "0.ften"), ValueError,
                  "feature dimensions must each be below 2**32, got shape (4294967296, 1, 1)",
                  id="write_tensor dimension past u32"),
-    pytest.param(lambda: _read_tensor_file(b"FTEN"), TensorFormatError,
-                 "truncated tensor header: 4 bytes",
+    # every format message of a reader begins with the path it was given
+    pytest.param(lambda: _read_file(b"FTEN"), TensorFormatError,
+                 "000.ften: truncated tensor header: 4 bytes",
                  id="TestTensorFormat.test_truncated_header_rejected[1]"),
-    pytest.param(lambda: _read_tensor_file(struct.pack("<4sHBB", b"FTEN", 1, 1, 3) + b"\x00"),
-                 TensorFormatError, "truncated tensor header: dims missing",
+    pytest.param(lambda: _read_file(struct.pack("<4sHBB", b"FTEN", 1, 1, 3) + b"\x00"),
+                 TensorFormatError, "000.ften: truncated tensor header: dims missing",
                  id="TestTensorFormat.test_truncated_header_rejected[2]"),
     # the rank is checked before any dims are read
-    pytest.param(lambda: _read_tensor_file(ften_bytes(np.zeros((2, 2)), "float64")),
-                 TensorFormatError, "feature maps are 3-D, file holds a 2-D tensor",
+    pytest.param(lambda: _read_file(ften_bytes(np.zeros((2, 2)), "float64")),
+                 TensorFormatError, "000.ften: feature maps are 3-D, file holds a 2-D tensor",
                  id="read_tensor 2-D file"),
     # a zero dimension is refused before the payload is sized
-    pytest.param(lambda: _read_tensor_file(ften_bytes(np.zeros((2, 0, 3)), "float32")
-                                           + bytes(4)), TensorFormatError,
+    pytest.param(lambda: _read_file(ften_bytes(np.zeros((2, 0, 3)), "float32")
+                                    + bytes(4)), TensorFormatError,
                  "000.ften: feature dimensions must all be >= 1, got (2, 0, 3)",
                  id="read_tensor zero dimension"),
     # a header with no dims is a 0-D tensor, which no feature map is
-    pytest.param(lambda: _read_tensor_file(struct.pack("<4sHBB", b"FTEN", 1, 1, 0)),
-                 TensorFormatError, "feature maps are 3-D, file holds a 0-D tensor",
+    pytest.param(lambda: _read_file(struct.pack("<4sHBB", b"FTEN", 1, 1, 0)),
+                 TensorFormatError, "000.ften: feature maps are 3-D, file holds a 0-D tensor",
                  id="read_tensor 0-D file"),
-    pytest.param(lambda: _read_tensor_file(ften_bytes(np.zeros((1, 1, 1, 1)), "float32")),
-                 TensorFormatError, "feature maps are 3-D, file holds a 4-D tensor",
+    pytest.param(lambda: _read_file(ften_bytes(np.zeros((1, 1, 1, 1)), "float32")),
+                 TensorFormatError, "000.ften: feature maps are 3-D, file holds a 4-D tensor",
                  id="read_tensor 4-D file"),
-    pytest.param(lambda: _read_tensor_file(struct.pack("<4sHBB3I", b"FTEN", 1, 2, 3, 1, 1, 1)
-                                           + bytes(8)), TensorFormatError,
-                 "unknown dtype code 2", id="read_tensor dtype code"),
-    pytest.param(lambda: _read_tensor_file(ften_bytes(np.array([[[1.0, np.nan]]]), "float32")),
+    pytest.param(lambda: _read_file(struct.pack("<4sHBB3I", b"FTEN", 1, 2, 3, 1, 1, 1)
+                                    + bytes(8)), TensorFormatError,
+                 "000.ften: unknown dtype code 2", id="read_tensor dtype code"),
+    pytest.param(lambda: _read_file(b"JUNK" + bytes(8)), TensorFormatError,
+                 "000.ften: bad magic b'JUNK', expected b'FTEN'", id="read_tensor magic"),
+    pytest.param(lambda: _read_file(b"P5\n1 1\n255\n", "000.pgm"), MaskFormatError,
+                 "000.pgm: payload holds 0 bytes but header claims 1x1 = 1",
+                 id="read_mask payload size"),
+    pytest.param(lambda: _read_file(b"P5\n1 1\n65535\n\x00\x00", "000.pgm"), MaskFormatError,
+                 "000.pgm: PGM maxval must be 255, got 65535", id="read_mask maxval"),
+    # a stem without digits is refused before the file is read, naming the stem
+    pytest.param(lambda: _read_file(b"", "abc.pgm"), MaskFormatError,
+                 "cannot decode a frame index from filename stem 'abc'", id="read_mask stem"),
+    pytest.param(lambda: _read_file(ften_bytes(np.array([[[1.0, np.nan]]]), "float32")),
                  TensorFormatError, "000.ften: non-finite feature value at flat index 1",
                  id="read_tensor non-finite value"),
     pytest.param(lambda: write_tensor(None, "0.ften"), ValueError,

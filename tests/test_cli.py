@@ -25,13 +25,13 @@ from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
 from vosmem.io import write_outputs, write_tensor
 from vosmem.memory import DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE
 from vosmem.metrics import DEFAULT_BOUNDARY_RADIUS
-from vosmem.sampling import DEFAULT_STRIDES, SamplingConfig
+from vosmem.sampling import DEFAULT_PHASE_POLICY, DEFAULT_STRIDES
 
 
 def test_flag_defaults_match_library_defaults():
     parser = build_parser()
     sample = parser.parse_args(["sample", "--length", "5"])
-    assert (sample.strides, sample.phase_policy) == (DEFAULT_STRIDES, SamplingConfig().phase_policy)
+    assert (sample.strides, sample.phase_policy) == (DEFAULT_STRIDES, DEFAULT_PHASE_POLICY)
     assert parser.parse_args(["eval", "--pred", "p", "--gt", "g"]).radius == DEFAULT_BOUNDARY_RADIUS
     sim = parser.parse_args(["simulate", "--out", "o"])
     scene = SceneConfig(grid=sim.grid, shape=sim.shape, size=sim.size, velocity=sim.velocity,
@@ -64,9 +64,11 @@ class TestSampleCommand:
     def test_stdout_json(self, capsys):
         assert run_command(["sample", "--length", "149"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["schema_version", "clip_length", "views"]
         assert payload["schema_version"] == 1
         assert payload["clip_length"] == 149
         views = payload["views"]
+        assert all(list(v) == ["stride", "phase", "indices"] for v in views)
         assert [(v["stride"], v["phase"], len(v["indices"])) for v in views] == [
             (1, 0, 149), (2, 0, 75)]
         assert views[1]["indices"][:3] == [0, 2, 4]
@@ -382,14 +384,16 @@ class TestErrorHandling:
         assert len(lines) == 1, proc.stderr
         assert lines[0].startswith("error: euclidean score -inf for frame ")
 
-    @pytest.mark.parametrize("values", [np.zeros((0, 2, 2)), np.array([[[np.nan]]])],
-                             ids=["zero-dimension", "nan"])
-    def test_invalid_tensor_exits_1_naming_the_file(self, tmp_path, capsys, values):
-        (tmp_path / "003.ften").write_bytes(ften_bytes(values, "float64"))
+    @pytest.mark.parametrize("blob", [ften_bytes(np.zeros((0, 2, 2)), "float64"),
+                                      ften_bytes(np.array([[[np.nan]]]), "float64"),
+                                      b"JUNK" + bytes(8)],
+                             ids=["zero-dimension", "nan", "junk"])
+    def test_invalid_tensor_exits_1_naming_the_file(self, tmp_path, capsys, blob):
+        (tmp_path / "003.ften").write_bytes(blob)
         assert run_command(["prune", "--features", str(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "003.ften" in lines[0]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {tmp_path / '003.ften'}: ")
+        assert lines[0].count("003.ften") == 1
 
     def test_import_does_not_load_scipy_stats(self):
         proc = run_cli_process("-c", "import sys, vosmem.cli; print('scipy.stats' in sys.modules)")

@@ -103,8 +103,9 @@ class TestTensorFormat:
     def test_truncated_payload_rejected(self, tmp_path):
         # header claims 1x2x2 but payload holds 3 values
         blob = ften_bytes(np.zeros((1, 2, 2)), "float64")[:-8]
-        with pytest.raises(TensorFormatError, match="^payload holds 24 bytes but header dims "
-                                                    r"\(1, 2, 2\) require 32$"):
+        path = re.escape(str(tmp_path / "000.ften"))
+        with pytest.raises(TensorFormatError, match=f"^{path}: payload holds 24 bytes but header "
+                                                    r"dims \(1, 2, 2\) require 32$"):
             _read_blob(tmp_path, blob)
 
     def test_oversized_payload_rejected(self, tmp_path):
@@ -163,6 +164,37 @@ class TestTensorFormat:
         assert data.dtype == np.float64
         assert data.flags.c_contiguous and not data.flags.writeable
         np.testing.assert_array_equal(data, arr)
+
+
+@pytest.mark.parametrize("name, blob", [
+    ("001.ften", b"JUNK" + bytes(8)),
+    ("001.ften", struct.pack("<4sHBB", b"FTEN", 2, 1, 3)),
+    ("001.ften", struct.pack("<4sHBB", b"FTEN", 1, 9, 3)),
+    ("001.ften", struct.pack("<4sHBB", b"FTEN", 1, 1, 2)),
+    ("001.ften", b"FTEN"),
+    ("001.ften", struct.pack("<4sHBB", b"FTEN", 1, 1, 3)),
+    ("001.ften", ften_bytes(np.zeros((1, 2, 2)), "float64")[:-8]),
+    ("001.ften", ften_bytes(np.zeros((0, 3, 3)), "float64")),
+    ("001.ften", ften_bytes(np.array([[[np.nan]]]), "float64")),
+    ("001.pgm", b"P2\n2 2\n255\n" + bytes(4)),
+    ("001.pgm", b"P5\n3"),
+    ("001.pgm", b"P5\nwide 2\n255\n" + bytes(4)),
+    ("001.pgm", b"P5\n" + b"1" * 5000 + b" 2\n255\n" + bytes(4)),
+    ("001.pgm", b"P5\n0 2\n255\n"),
+    ("001.pgm", b"P5\n2 2\n65535\n" + bytes(8)),
+    ("001.pgm", b"P5\n3 3\n255\n" + bytes(5)),
+], ids=["magic", "version", "dtype", "rank", "truncated", "dims-missing", "payload",
+        "zero-dimension", "nan", "pgm-magic", "pgm-truncated", "pgm-token", "pgm-digits",
+        "pgm-dimensions", "pgm-maxval", "pgm-payload"])
+def test_every_format_error_begins_with_the_path_once(tmp_path, name, blob):
+    path = tmp_path / name
+    path.write_bytes(blob)
+    read, error = ((read_mask, MaskFormatError) if name.endswith(".pgm")
+                   else (read_tensor, TensorFormatError))
+    with pytest.raises(error) as refused:
+        read(path)
+    message = str(refused.value)
+    assert message.startswith(f"{path}: ") and message.count(name) == 1
 
 
 _READERS = pytest.mark.parametrize("write, read_file, read_dir, suffix, error", [

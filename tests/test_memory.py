@@ -384,14 +384,16 @@ class TestMemoryKeys:
         assert _outcome(lambda: similarity("cosine", FeatureMap(0, a), FeatureMap(1, b))) == \
             _outcome(lambda: per_pair(a, b))
 
-    @pytest.mark.parametrize("value", [0.1, 0.3, -7.0, 3.3947638435598565e-128])
+    @pytest.mark.parametrize("value", [0.1, 0.3, -7.0, 3.3947638435598565e-128, -0.0])
     def test_constant_map_centres_to_exact_zeros(self, value):
         # x - x.mean() keeps the rounding error of the mean (about -1.4e-17
-        # for a map of 0.1), which would give a constant map a variance
-        fm = FeatureMap(0, np.full((4, 8, 8), value))
-        for metric in ("pearson", "spearman"):
-            centred, sq = memory._key(metric, fm)
-            assert not centred.any() and sq == 0.0
+        # for a map of 0.1), which would give a constant map a variance;
+        # Spearman's key is one tied run, whose shared rank centres to +0.0
+        for shape in ((4, 8, 8), (1, 1, 1)):
+            fm = FeatureMap(0, np.full(shape, value))
+            for metric in ("pearson", "spearman"):
+                centred, sq = memory._key(metric, fm)
+                assert centred.tobytes() == bytes(centred.nbytes) and sq == 0.0  # all +0.0
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from vosmem.core import FrameSequence, LabelMask
 from vosmem.sampling import (
+    DEFAULT_PHASE_POLICY,
     DEFAULT_STRIDES,
     PHASE_POLICIES,
-    SamplingConfig,
     build_plan,
     materialize,
 )
@@ -17,8 +17,7 @@ from vosmem.sampling import (
 
 def _views(length, stride):
     """Every phase's view of the clip at one stride, in phase order."""
-    plan = build_plan(length, SamplingConfig(strides=(stride,), phase_policy="all"))
-    return [v.indices for v in plan.views]
+    return [v.indices for v in build_plan(length, strides=(stride,), phase_policy="all")]
 
 
 class TestStrideViews:
@@ -35,7 +34,7 @@ class TestStrideViews:
         assert _views(7, 3) == [(0, 3, 6), (1, 4), (2, 5)]
 
     def test_large_stride_keeps_only_phase(self):
-        assert build_plan(5, SamplingConfig(strides=(100,))).views[0].indices == (0,)
+        assert build_plan(5, strides=(100,))[0].indices == (0,)
         assert _views(5, 100) == [(0,), (1,), (2,), (3,), (4,)]
 
     def test_count_formula(self):
@@ -61,55 +60,48 @@ class TestStrideViews:
 
 class TestSamplingConfig:
     def test_defaults(self):
-        config = SamplingConfig()
-        assert config.strides == DEFAULT_STRIDES == (1, 2)
-        assert config.phase_policy == "zero"
-        assert config.max_frames is None
+        assert DEFAULT_STRIDES == (1, 2)
+        assert DEFAULT_PHASE_POLICY == "zero"
+        assert build_plan(5) == build_plan(5, strides=DEFAULT_STRIDES,
+                                           phase_policy=DEFAULT_PHASE_POLICY, max_frames=None)
 
 
 class TestBuildPlan:
     def test_default_plan_on_149_frames(self):
-        plan = build_plan(149, SamplingConfig())
-        assert plan.clip_length == 149
-        assert [(v.stride, len(v.indices)) for v in plan.views] == [(1, 149), (2, 75)]
+        views = build_plan(149)
+        assert isinstance(views, tuple)
+        assert [(v.stride, len(v.indices)) for v in views] == [(1, 149), (2, 75)]
 
     def test_zero_policy_single_phase_per_stride(self):
-        plan = build_plan(10, SamplingConfig(strides=(1, 2, 3)))
-        assert [(v.stride, v.phase) for v in plan.views] == [(1, 0), (2, 0), (3, 0)]
+        views = build_plan(10, strides=(1, 2, 3))
+        assert [(v.stride, v.phase) for v in views] == [(1, 0), (2, 0), (3, 0)]
 
     def test_all_policy_emits_every_phase(self):
-        plan = build_plan(10, SamplingConfig(strides=(3,), phase_policy="all"))
-        assert [(v.stride, v.phase) for v in plan.views] == [(3, 0), (3, 1), (3, 2)]
+        views = build_plan(10, strides=(3,), phase_policy="all")
+        assert [(v.stride, v.phase) for v in views] == [(3, 0), (3, 1), (3, 2)]
 
     def test_all_policy_phases_partition_the_clip(self):
         for stride in (2, 3, 5):
-            plan = build_plan(13, SamplingConfig(strides=(stride,), phase_policy="all"))
-            seen = [i for v in plan.views for i in v.indices]
+            views = build_plan(13, strides=(stride,), phase_policy="all")
+            seen = [i for v in views for i in v.indices]
             assert sorted(seen) == list(range(13))
 
     def test_all_policy_clamps_phases_to_the_clip(self):
-        plan = build_plan(2, SamplingConfig(strides=(5,), phase_policy="all"))
-        assert [(v.stride, v.phase, v.indices) for v in plan.views] == [
+        views = build_plan(2, strides=(5,), phase_policy="all")
+        assert [(v.stride, v.phase, v.indices) for v in views] == [
             (5, 0, (0,)), (5, 1, (1,))]
 
     def test_max_frames_truncates_from_the_end(self):
-        plan = build_plan(10, SamplingConfig(strides=(1,), max_frames=4))
-        assert plan.views[0].indices == (0, 1, 2, 3)
+        assert build_plan(10, strides=(1,), max_frames=4)[0].indices == (0, 1, 2, 3)
 
     @pytest.mark.parametrize("length", [10**10, 10**20])
     def test_max_frames_applies_before_a_huge_view_is_built(self, length):
-        config = SamplingConfig(strides=(1, 3), phase_policy="all", max_frames=2)
-        assert [(v.stride, v.phase, v.indices) for v in build_plan(length, config).views] == [
+        views = build_plan(length, strides=(1, 3), phase_policy="all", max_frames=2)
+        assert [(v.stride, v.phase, v.indices) for v in views] == [
             (1, 0, (0, 1)), (3, 0, (0, 3)), (3, 1, (1, 4)), (3, 2, (2, 5))]
 
     def test_strides_emitted_in_sorted_order(self):
-        plan = build_plan(10, SamplingConfig(strides=(4, 1, 2)))
-        assert [v.stride for v in plan.views] == [1, 2, 4]
-
-    def test_to_dict_shape(self):
-        d = build_plan(5, SamplingConfig(strides=(2,))).to_dict()
-        assert d == {"clip_length": 5,
-                     "views": [{"stride": 2, "phase": 0, "indices": [0, 2, 4]}]}
+        assert [v.stride for v in build_plan(10, strides=(4, 1, 2))] == [1, 2, 4]
 
     @given(st.integers(1, 64), st.integers(1, 8))
     @settings(max_examples=100)
@@ -124,8 +116,7 @@ class TestBuildPlan:
     @settings(max_examples=100)
     def test_zero_policy_views_never_grow_along_the_plan(self, length, strides):
         # scripts/stride_views.py takes the last view's length as the frame budget
-        plan = build_plan(length, SamplingConfig(strides=tuple(strides)))
-        lengths = [len(v.indices) for v in plan.views]
+        lengths = [len(v.indices) for v in build_plan(length, strides=tuple(strides))]
         assert lengths == sorted(lengths, reverse=True)
 
     @given(length=st.integers(1, 500),
@@ -135,8 +126,8 @@ class TestBuildPlan:
     @settings(max_examples=150)
     def test_views_are_truncated_ranges_in_stride_phase_order(
             self, length, strides, policy, max_frames):
-        config = SamplingConfig(strides=tuple(strides), phase_policy=policy, max_frames=max_frames)
-        views = build_plan(length, config).views
+        views = build_plan(length, strides=tuple(strides), phase_policy=policy,
+                           max_frames=max_frames)
         assert [(v.stride, v.phase) for v in views] == [
             (s, t0) for s in sorted(strides)
             for t0 in (range(min(s, length)) if policy == "all" else (0,))]
@@ -161,5 +152,5 @@ class TestMaterialize:
 
     def test_stride_one_materialization_is_identity(self):
         seq = self._seq()
-        out = materialize(seq, build_plan(len(seq)).views[0].indices)
+        out = materialize(seq, build_plan(len(seq))[0].indices)
         assert out.frame_indices == seq.frame_indices
