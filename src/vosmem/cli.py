@@ -110,7 +110,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     plan = {"clip_length": args.length,
             "views": [{"stride": v.stride, "phase": v.phase, "indices": list(v.indices)}
                       for v in views]}
-    _emit(vio.json_text(plan), args.out)
+    _emit(vio._json_text(plan), args.out)
     return 0
 
 
@@ -121,8 +121,8 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     for step, fmap in enumerate(features):
         bank.append(MemoryEntry(fmap.frame_index, fmap))
         outcome = bank.prune_step(metric=args.metric, mode=args.mode)
-        records.append(vio.prune_record(step, outcome))
-    _emit(vio.jsonl_text(records), args.out)
+        records.append(vio._prune_record(step, outcome))
+    _emit(vio._jsonl_text(records), args.out)
     return 0
 
 
@@ -132,7 +132,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(pred, gt, radius=args.radius, metrics=args.metrics)
     # written before the table is printed, so a failed write prints nothing
     if args.out is not None:
-        _emit(vio.json_text(report.to_dict(include_per_frame=args.per_frame)), args.out)
+        _emit(vio._json_text(report.to_dict(include_per_frame=args.per_frame)), args.out)
     sys.stdout.write(report.format_table() + "\n")
     return 0
 
@@ -153,13 +153,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     # all four staged before any is replaced, so a failed write keeps the old run
     vio.write_outputs({out / "gt": scene, out / "pred": predicted,
-                       out / "trace.jsonl": vio.jsonl_text(vio.track_records(trace)).encode(),
-                       out / "report.json": vio.json_text(report.to_dict()).encode()})
+                       out / "trace.jsonl": vio._jsonl_text(vio.track_records(trace)).encode(),
+                       out / "report.json": vio._json_text(report.to_dict()).encode()})
     sys.stdout.write(report.format_table() + "\n")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser :func:`run_command` reuses: parse_args leaves it as it
+    was, so building it once per process saves each call the build."""
     # every default is read from the module that owns the setting
     parser = argparse.ArgumentParser(
         prog="vosmem",
@@ -229,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser :func:`run_command` reuses: parse_args leaves it as it
-    was, so building it once per process saves each call the build."""
-    return build_parser()
-
-
 def run_command(argv=None) -> int:
     """Parse and execute one subcommand; returns the process exit status.
 
@@ -249,7 +245,7 @@ def run_command(argv=None) -> int:
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
         # A score that overflows is reported once, as the ValueError that
-        # memory.argmax_frame raises, rather than as numpy warnings too.
+        # memory._argmax_frame raises, rather than as numpy warnings too.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
     except (ValueError, OSError) as exc:

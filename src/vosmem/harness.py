@@ -31,7 +31,7 @@ from .memory import (
     MemoryBank,
     MemoryEntry,
     PruneOutcome,
-    argmax_frame,
+    _argmax_frame,
     similarity,
 )
 from .metrics import disk_footprint
@@ -277,7 +277,7 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         else:
             outcome = PruneOutcome(bank.frame_indices, (), metric, mode)
 
-        selected = argmax_frame(metric, {
+        selected = _argmax_frame(metric, {
             i: similarity(metric, stored[i], features) for i in outcome.retained})
 
         # every mask in masks is frozen, so the prediction shares its labels

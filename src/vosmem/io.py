@@ -44,14 +44,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask, _instance, _integer, _items
+from .core import FeatureMap, FrameSequence, LabelMask, _instance
 from .harness import TrackTrace
-from .memory import PruneOutcome
 
-SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 1
 
-TENSOR_MAGIC = b"FTEN"
-TENSOR_VERSION = 1
+_TENSOR_MAGIC = b"FTEN"
+_TENSOR_VERSION = 1
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
@@ -75,7 +74,7 @@ def write_tensor(fmap: FeatureMap, path) -> None:
     if max(data.shape) > 0xFFFFFFFF:
         raise ValueError(f"feature dimensions must each be below 2**32, got shape {data.shape}")
     # dtype code 1 (float64), rank 3
-    header = struct.pack("<4sHBB3I", TENSOR_MAGIC, TENSOR_VERSION, 1, 3, *data.shape)
+    header = struct.pack("<4sHBB3I", _TENSOR_MAGIC, _TENSOR_VERSION, 1, 3, *data.shape)
     atomic_write_bytes(path, header + data.astype("<f8", copy=False).tobytes())
 
 
@@ -92,10 +91,10 @@ def read_tensor(path) -> FeatureMap:
         if len(blob) < 8:
             raise TensorFormatError(f"truncated tensor header: {len(blob)} bytes")
         magic, version, code, ndim = struct.unpack_from("<4sHBB", blob, 0)
-        if magic != TENSOR_MAGIC:
-            raise TensorFormatError(f"bad magic {magic!r}, expected {TENSOR_MAGIC!r}")
-        if version != TENSOR_VERSION:
-            raise TensorFormatError(f"unsupported version {version}, expected {TENSOR_VERSION}")
+        if magic != _TENSOR_MAGIC:
+            raise TensorFormatError(f"bad magic {magic!r}, expected {_TENSOR_MAGIC!r}")
+        if version != _TENSOR_VERSION:
+            raise TensorFormatError(f"unsupported version {version}, expected {_TENSOR_VERSION}")
         if code not in _DTYPE_CODES:
             raise TensorFormatError(f"unknown dtype code {code}")
         if ndim != 3:
@@ -133,8 +132,7 @@ def _stem_frame_index(path, error: type[ValueError]) -> int:
     return int(m.group(0))
 
 
-def mask_bytes(mask: LabelMask) -> bytes:
-    _instance("mask", mask, LabelMask)
+def _mask_bytes(mask: LabelMask) -> bytes:
     h, w = mask.labels.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii") + mask.labels.tobytes(order="C")
 
@@ -268,7 +266,7 @@ def write_outputs(outputs: Mapping) -> None:
             os.mkdir(staged)
             for frame in content:
                 with open(os.path.join(staged, f"{frame.frame_index:03d}.pgm"), "wb") as f:
-                    f.write(mask_bytes(frame))
+                    f.write(_mask_bytes(frame))
         try:
             for path, target, staged, aside in moves:
                 try:
@@ -353,32 +351,20 @@ def read_feature_dir(directory) -> list[FeatureMap]:
 
 
 def _stamped(fields: dict) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **fields}
+    return {"schema_version": _SCHEMA_VERSION, **fields}
 
 
-def json_text(obj: dict) -> str:
-    """A JSON document: ``obj``'s keys behind ``schema_version``, which ``obj``
-    may not hold itself."""
-    _instance("obj", obj, dict)
-    if "schema_version" in obj:
-        raise ValueError("obj must not hold the key 'schema_version'")
-    try:
-        return json.dumps(_stamped(obj), indent=2, allow_nan=False) + "\n"
-    except (TypeError, ValueError) as exc:  # a key or a value JSON cannot encode
-        raise ValueError(f"obj cannot be encoded as JSON: {exc}") from None
+def _json_text(obj: dict) -> str:
+    """A JSON document: ``obj``'s keys behind ``schema_version``. A
+    non-finite float is refused with ValueError, not written as NaN."""
+    return json.dumps(_stamped(obj), indent=2, allow_nan=False) + "\n"
 
 
-def jsonl_text(records: Iterable[dict]) -> str:
-    records = _items("records", records, "dicts")
-    for i, record in enumerate(records):
-        _instance(f"records[{i}]", record, dict)
-    try:
-        return "".join(json.dumps(r, allow_nan=False) + "\n" for r in records)
-    except (TypeError, ValueError) as exc:  # a key or a value JSON cannot encode
-        raise ValueError(f"records cannot be encoded as JSON: {exc}") from None
+def _jsonl_text(records: Iterable[dict]) -> str:
+    return "".join(json.dumps(r, allow_nan=False) + "\n" for r in records)
 
 
-def _decision(outcome: PruneOutcome) -> dict:
+def _decision(outcome) -> dict:
     """The keys a record gives one prune decision, in their serialized order."""
     return {
         # [[frame_index, score], ...] keeps indices as integers (JSON object
@@ -392,10 +378,8 @@ def _decision(outcome: PruneOutcome) -> dict:
     }
 
 
-def prune_record(step: int, outcome: PruneOutcome) -> dict:
+def _prune_record(step: int, outcome) -> dict:
     """One JSON-lines record of a prune step (bank state it ran on)."""
-    step = _integer("step", step, 0)
-    _instance("outcome", outcome, PruneOutcome)
     return _stamped({"step": step, "bank_before": list(outcome.bank_before),
                      **_decision(outcome)})
 

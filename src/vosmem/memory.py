@@ -10,14 +10,13 @@ bank is left untouched.
 
 Redundancy is a similarity score where higher means "more like the group
 reference". Distances (L1, L2) are negated so one argmax rule
-(:func:`argmax_frame`) selects the prune victim for every metric, and the
+(``_argmax_frame``) selects the prune victim for every metric, and the
 harness's readout uses the same rule.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -169,29 +168,16 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
     return score
 
 
-def argmax_frame(metric: str, scores: dict[int, float]) -> int:
-    """Frame index, as a plain int, with the highest score; ties go to the
-    smallest frame_index so results are deterministic across platforms.
-
-    Raises ValueError naming the metric when ``scores`` is not a dict of
-    integer frame indices to real numbers or is empty, or the metric and the
-    frame when a score is not finite (an overflowed score).
-    """
-    _instance(f"{metric} scores", scores, dict)
-    if not scores:
-        raise ValueError(f"no {metric} scores to choose a frame from")
-    try:
-        order = sorted(scores)
-        for idx in order:
-            if type(idx) is not int:
-                _integer(f"{metric} frame index", idx)
-            if not math.isfinite(scores[idx]):
-                raise ValueError(
-                    f"{metric} score {scores[idx]} for frame {idx} is not finite")
-    except TypeError:  # from the sort or from isfinite
-        raise ValueError(f"{metric} scores must map frame indices to real numbers, "
-                         f"got {scores!r}") from None
-    return operator.index(max(order, key=scores.__getitem__))
+def _argmax_frame(metric: str, scores: dict[int, float]) -> int:
+    """Frame index with the highest score; ties go to the smallest
+    frame_index so results are deterministic across platforms. A score that
+    is not finite (an overflowed score) raises ValueError naming the metric
+    and the frame."""
+    order = sorted(scores)
+    for idx in order:
+        if not math.isfinite(scores[idx]):
+            raise ValueError(f"{metric} score {scores[idx]} for frame {idx} is not finite")
+    return max(order, key=scores.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -292,7 +278,7 @@ class MemoryBank:
                 c.frame_index: similarity(metric, reference.features, c.features)
                 for c in candidates}
             if group_scores:
-                victims.append(argmax_frame(metric, group_scores))
+                victims.append(_argmax_frame(metric, group_scores))
         kept = [e for e in self._entries if e.frame_index not in victims]
         if mode == "persistent":
             self._entries = kept

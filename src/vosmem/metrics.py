@@ -238,6 +238,7 @@ class MetricReport:
     radius: int
 
     def to_dict(self, include_per_frame: bool = False) -> dict:
+        _instance("include_per_frame", include_per_frame, bool)
         out = {
             "radius": self.radius,
             "per_object": {

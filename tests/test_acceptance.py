@@ -25,9 +25,9 @@ from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_
 from vosmem.io import (
     MaskFormatError,
     TensorFormatError,
+    _jsonl_text,
+    _mask_bytes,
     atomic_write_bytes,
-    jsonl_text,
-    mask_bytes,
     read_mask,
     read_tensor,
     track_records,
@@ -242,8 +242,8 @@ def test_criterion_7_harness_end_to_end():
 
         pred_a, trace_a = track_sequence(scene, encoder, seed=9)
         pred_b, trace_b = track_sequence(scene, encoder, seed=9)
-        assert jsonl_text(track_records(trace_a)) == jsonl_text(track_records(trace_b))
-        assert [mask_bytes(m) for m in pred_a] == [mask_bytes(m) for m in pred_b]
+        assert _jsonl_text(track_records(trace_a)) == _jsonl_text(track_records(trace_b))
+        assert [_mask_bytes(m) for m in pred_a] == [_mask_bytes(m) for m in pred_b]
 
         _, trace_off = track_sequence(scene, encoder, prune_enabled=False, seed=9)
         fired = [s.step for s in trace_a.steps if s.outcome.fired]
@@ -281,7 +281,7 @@ def test_criterion_8_io_round_trips(tmp_path):
         assert np.array_equal(fmap.data, back.data)
 
         labels = rng.integers(0, 4, size=(9, 7)).astype(np.uint8)
-        atomic_write_bytes(tmp_path / "005.pgm", mask_bytes(LabelMask(5, labels)))
+        atomic_write_bytes(tmp_path / "005.pgm", _mask_bytes(LabelMask(5, labels)))
         round_tripped = read_mask(tmp_path / "005.pgm")
         assert round_tripped.frame_index == 5
         assert np.array_equal(round_tripped.labels, labels)

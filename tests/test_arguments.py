@@ -43,10 +43,6 @@ from vosmem.io import (
     MaskFormatError,
     TensorFormatError,
     atomic_write_bytes,
-    json_text,
-    jsonl_text,
-    mask_bytes,
-    prune_record,
     read_feature_dir,
     read_mask,
     read_mask_dir,
@@ -60,7 +56,6 @@ from vosmem.memory import (
     SIMILARITY_METRICS,
     MemoryBank,
     MemoryEntry,
-    argmax_frame,
     similarity,
 )
 from vosmem.metrics import (
@@ -147,7 +142,6 @@ HOLDS = {
     "build_plan.strides[0]": lambda v: build_plan(5, strides=(v,))[0].stride,
     "build_plan.strides[1]": lambda v: build_plan(5, strides=(1, v))[1].stride,
     "evaluate.radius": lambda v: evaluate(SCENE, SCENE, radius=v).radius,
-    "argmax_frame.frame_index": lambda v: argmax_frame("dot", {v: 1.0}),
 }
 CALLS = {
     "SceneConfig.grid[0]": lambda v: _scene(grid=(v, 6)),
@@ -227,14 +221,6 @@ def test_bank_is_unchanged_by_a_rejected_append():
         bank.append(None)
     bank.append(MemoryEntry(0, _features(0)))
     assert bank.frame_indices == (0,)
-
-
-def _compact_json_refusal(value) -> str:
-    """json's message refusing ``value`` in compact output, whose wording
-    differs between Python versions."""
-    with pytest.raises(ValueError) as refused:
-        json.dumps(value, allow_nan=False)
-    return str(refused.value)
 
 
 REFUSALS = [
@@ -352,29 +338,6 @@ REFUSALS = [
                  "a must be a FeatureMap, got NoneType", id="similarity a"),
     pytest.param(lambda: similarity("dot", _features(0), SCENE[0]), ValueError,
                  "b must be a FeatureMap, got LabelMask", id="similarity b"),
-    # scores: a non-empty dict, of integer frame indices to finite real numbers
-    pytest.param(lambda: argmax_frame("cosine", 1.5), ValueError,
-                 "cosine scores must be a dict, got float", id="argmax_frame float"),
-    pytest.param(lambda: argmax_frame("cosine", (1,)), ValueError,
-                 "cosine scores must be a dict, got tuple", id="argmax_frame tuple"),
-    pytest.param(lambda: argmax_frame("dot", {0: "a"}), ValueError,
-                 "dot scores must map frame indices to real numbers, got {0: 'a'}",
-                 id="argmax_frame str score"),
-    pytest.param(lambda: argmax_frame("dot", {0: 1.0, "b": 2.0}), ValueError,
-                 "dot scores must map frame indices to real numbers, got {0: 1.0, 'b': 2.0}",
-                 id="argmax_frame str frame"),
-    pytest.param(lambda: argmax_frame("cosine", {"a": 1.0, "b": 2.0}), ValueError,
-                 "cosine frame index must be an integer, got 'a'", id="argmax_frame str frames"),
-    pytest.param(lambda: argmax_frame("cosine", {0.5: 1.0, 2.5: 2.0}), ValueError,
-                 "cosine frame index must be an integer, got 0.5", id="argmax_frame float frames"),
-    pytest.param(lambda: argmax_frame("euclidean", {}), ValueError,
-                 "no euclidean scores to choose a frame from",
-                 id="TestNonFiniteScores.test_argmax_without_scores_names_the_metric"),
-    *(pytest.param(lambda bad=bad: argmax_frame("euclidean", {3: 1.0, 7: bad}), ValueError,
-                   f"euclidean score {bad} for frame 7 is not finite",
-                   id="TestNonFiniteScores.test_argmax_rejects_non_finite_naming_metric_and_frame"
-                      f"[{bad}]")
-      for bad in (math.inf, -math.inf, math.nan)),
 
     # vosmem.harness
     pytest.param(lambda: SceneConfig(n_frames=2.5), ValueError,
@@ -503,6 +466,10 @@ REFUSALS = [
                  f"unknown evaluation metric {np.array(['J', 'F'])!r}, "
                  f"expected one of {METRIC_NAMES}",
                  id="evaluate array metric"),
+    # any truthy value would include the per-frame rows
+    pytest.param(lambda: evaluate(SCENE, SCENE).to_dict(include_per_frame="no"), ValueError,
+                 "include_per_frame must be a bool, got str",
+                 id="MetricReport.to_dict include_per_frame"),
 
     # vosmem.sampling
     pytest.param(lambda: build_plan(5, strides=(2.0,)), ValueError,
@@ -599,8 +566,6 @@ REFUSALS = [
                  "path must be a str or PathLike, got NoneType", id="write_tensor path"),
     pytest.param(lambda: read_tensor(5), ValueError,
                  "path must be a str or PathLike, got int", id="read_tensor"),
-    pytest.param(lambda: mask_bytes(None), ValueError,
-                 "mask must be a LabelMask, got NoneType", id="mask_bytes"),
     pytest.param(lambda: read_mask(None), ValueError,
                  "path must be a str or PathLike, got NoneType", id="read_mask"),
     pytest.param(lambda: read_mask(b"000.pgm"), ValueError,
@@ -626,35 +591,6 @@ REFUSALS = [
     # the path is checked before it keys the mapping handed to write_outputs
     pytest.param(lambda: atomic_write_bytes([], b""), ValueError,
                  "path must be a str or PathLike, got list", id="atomic_write_bytes list"),
-    pytest.param(lambda: json_text(None), ValueError, "obj must be a dict, got NoneType",
-                 id="json_text"),
-    pytest.param(lambda: json_text({"schema_version": 7, "a": 1}), ValueError,
-                 "obj must not hold the key 'schema_version'", id="json_text schema_version"),
-    pytest.param(lambda: json_text({"a": object()}), ValueError,
-                 "obj cannot be encoded as JSON: Object of type object is not JSON serializable",
-                 id="json_text value"),
-    # a non-finite float is not JSON, so it is refused, not written as NaN
-    pytest.param(lambda: json_text({"a": [1.0, float("nan")]}), ValueError,
-                 "obj cannot be encoded as JSON: "
-                 "Out of range float values are not JSON compliant: nan",
-                 id="json_text nan"),
-    pytest.param(lambda: jsonl_text(None), ValueError,
-                 "records must be a sequence of dicts, got None", id="jsonl_text"),
-    pytest.param(lambda: jsonl_text([None, 3]), ValueError,
-                 "records[0] must be a dict, got NoneType", id="jsonl_text None record"),
-    pytest.param(lambda: jsonl_text([np.zeros(2)]), ValueError,
-                 "records[0] must be a dict, got ndarray", id="jsonl_text array record"),
-    pytest.param(lambda: jsonl_text([{"a": 1}, {"b": np.zeros(2)}]), ValueError,
-                 "records cannot be encoded as JSON: "
-                 "Object of type ndarray is not JSON serializable",
-                 id="jsonl_text value"),
-    pytest.param(lambda: jsonl_text([{"a": 1.0}, {"b": -math.inf}]), ValueError,
-                 f"records cannot be encoded as JSON: {_compact_json_refusal(-math.inf)}",
-                 id="jsonl_text infinity"),
-    pytest.param(lambda: prune_record(0, None), ValueError,
-                 "outcome must be a PruneOutcome, got NoneType", id="prune_record"),
-    pytest.param(lambda: prune_record("a", MemoryBank().prune_step()), ValueError,
-                 "step must be an integer, got 'a'", id="prune_record step"),
     pytest.param(lambda: track_records(None), ValueError,
                  "trace must be a TrackTrace, got NoneType", id="track_records"),
 ]

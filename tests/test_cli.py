@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import vosmem
 from ften import ften_bytes
-from vosmem.cli import build_parser, run_command
+from vosmem.cli import _parser, run_command
 from vosmem.core import FeatureMap, FrameSequence, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene
 from vosmem.io import write_outputs, write_tensor
@@ -29,7 +29,7 @@ from vosmem.sampling import DEFAULT_PHASE_POLICY, DEFAULT_STRIDES
 
 
 def test_flag_defaults_match_library_defaults():
-    parser = build_parser()
+    parser = _parser()
     sample = parser.parse_args(["sample", "--length", "5"])
     assert (sample.strides, sample.phase_policy) == (DEFAULT_STRIDES, DEFAULT_PHASE_POLICY)
     assert parser.parse_args(["eval", "--pred", "p", "--gt", "g"]).radius == DEFAULT_BOUNDARY_RADIUS
@@ -45,19 +45,13 @@ def test_flag_defaults_match_library_defaults():
             DEFAULT_CAPACITY, DEFAULT_METRIC, DEFAULT_MODE)
 
 
-def test_run_command_builds_its_parser_once(monkeypatch, capsys):
+def test_run_command_builds_its_parser_once(capsys):
     assert run_command(["sample", "--length", "3"]) == 0
     first = capsys.readouterr().out
-
-    def no_build():
-        raise AssertionError("run_command built a second parser")
-
-    monkeypatch.setattr(vosmem.cli, "build_parser", no_build)
+    assert _parser() is _parser()
+    # the cached parser is left as it was by the run before
     assert run_command(["sample", "--length", "3"]) == 0
     assert capsys.readouterr().out == first
-    monkeypatch.undo()
-    # the public builder still hands each caller a parser of its own
-    assert build_parser() is not build_parser()
 
 
 class TestSampleCommand:
@@ -293,7 +287,7 @@ class TestSimulateCommand:
         assert run_command(self.ARGS + ["--out", str(out)]) == 0
         before = tree_snapshot(tmp_path)
         capsys.readouterr()
-        staged, mask_bytes = [], vosmem.io.mask_bytes
+        staged, mask_bytes = [], vosmem.io._mask_bytes
 
         def second_pred_frame_fails(mask):
             # gt/ is staged first: with 6 frames, call 8 is pred/'s frame 1
@@ -302,7 +296,7 @@ class TestSimulateCommand:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return mask_bytes(mask)
 
-        monkeypatch.setattr(vosmem.io, "mask_bytes", second_pred_frame_fails)
+        monkeypatch.setattr(vosmem.io, "_mask_bytes", second_pred_frame_fails)
         assert run_command(["simulate", "--out", str(out), "--frames", "6",
                             "--velocity", "0,1"]) == 1
         assert staged == [0, 1, 2, 3, 4, 5, 0, 1]
@@ -432,7 +426,7 @@ class TestErrorHandling:
         assert "Traceback" not in captured.err
 
     def test_empty_gaps_flag_means_no_gaps(self):
-        assert build_parser().parse_args(["simulate", "--out", "o", "--gaps", ""]).gaps == ()
+        assert _parser().parse_args(["simulate", "--out", "o", "--gaps", ""]).gaps == ()
 
     def test_domain_error_exits_1_with_message(self, tmp_path, capsys):
         missing = tmp_path / "nowhere"

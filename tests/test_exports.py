@@ -1,4 +1,4 @@
-"""Every public name has a reader.
+"""Every public name has a reader, and public means a user reads it.
 
 A public module-level name of any module of the package (one defined there
 without a leading underscore, which covers every name in ``vosmem.__all__``)
@@ -6,6 +6,11 @@ must be read somewhere other than its own definition: loaded (as a name or an
 attribute) by a module of the package other than ``__init__.py``, or
 mentioned as a whole word by a script, the benchmark or the README. Tests do
 not count, so a name that only tests read is made private or deleted.
+
+A public name outside ``vosmem.__all__`` must also be named as a whole word
+where a user reads it: a script, the benchmark, the README or
+``pyproject.toml`` (which names the console script's ``main``). A name that
+only the package itself reads is private.
 """
 
 import ast
@@ -55,9 +60,10 @@ def _package_loads() -> set[str]:
     return loads.names
 
 
-def _other_text() -> str:
+def _user_text(*extra: Path) -> str:
+    """The scripts, the benchmark and the README, then ``extra``."""
     paths = [*sorted((ROOT / "scripts").glob("*.py")),
-             *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md"]
+             *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "README.md", *extra]
     return "\n".join(path.read_text(encoding="utf-8") for path in paths)
 
 
@@ -78,9 +84,20 @@ def _public_names() -> list[tuple[str, str]]:
     return found
 
 
+def _named(name: str, text: str) -> bool:
+    return re.search(rf"\b{re.escape(name)}\b", text) is not None
+
+
 def test_every_public_name_has_a_reader():
-    loads, text, public = _package_loads(), _other_text(), _public_names()
+    loads, text, public = _package_loads(), _user_text(), _public_names()
     assert set(vosmem.__all__) - {"__version__"} <= {name for _, name in public}
     unread = [f"vosmem.{module}.{name}" for module, name in public
-              if name not in loads and not re.search(rf"\b{re.escape(name)}\b", text)]
+              if name not in loads and not _named(name, text)]
     assert not unread, f"public but read nowhere outside tests: {unread}"
+
+
+def test_public_names_outside_all_are_named_for_users():
+    text = _user_text(ROOT / "pyproject.toml")
+    internal = [f"vosmem.{module}.{name}" for module, name in _public_names()
+                if name not in vosmem.__all__ and not _named(name, text)]
+    assert not internal, f"public but read only by the package: {internal}"

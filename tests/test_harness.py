@@ -309,13 +309,13 @@ class TestTrackSequence:
             assert np.array_equal(a.labels, b.labels)
 
     def test_trace_is_reproducible(self):
-        from vosmem.io import jsonl_text, track_records
+        from vosmem.io import _jsonl_text, track_records
 
         scene = generate_scene(SceneConfig(velocity=(1, 0), n_frames=15, seed=5))
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.2)
         p1, t1 = track_sequence(scene, config, seed=5)
         p2, t2 = track_sequence(scene, config, seed=5)
-        assert jsonl_text(track_records(t1)) == jsonl_text(track_records(t2))
+        assert _jsonl_text(track_records(t1)) == _jsonl_text(track_records(t2))
         assert all(np.array_equal(a.labels, b.labels) for a, b in zip(p1, p2))
 
     def test_selected_entry_is_argmax_with_smallest_index_tiebreak(self):

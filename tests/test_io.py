@@ -20,14 +20,14 @@ from ften import ften_bytes
 from vosmem.core import FeatureMap, LabelMask
 from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
 from vosmem.io import (
-    TENSOR_MAGIC,
+    _TENSOR_MAGIC,
     MaskFormatError,
     TensorFormatError,
+    _json_text,
+    _jsonl_text,
+    _mask_bytes,
+    _prune_record,
     atomic_write_bytes,
-    json_text,
-    jsonl_text,
-    mask_bytes,
-    prune_record,
     read_feature_dir,
     read_mask,
     read_mask_dir,
@@ -201,7 +201,7 @@ _READERS = pytest.mark.parametrize("write, read_file, read_dir, suffix, error", 
     (lambda path: write_tensor(fmap(), path), read_tensor, read_feature_dir,
      ".ften", TensorFormatError),
     (lambda path: atomic_write_bytes(
-        path, mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)))),
+        path, _mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8)))),
      read_mask, read_mask_dir, ".pgm", MaskFormatError),
 ], ids=["tensor", "mask"])
 
@@ -265,13 +265,13 @@ class TestMaskFormat:
     def test_round_trip(self, tmp_path):
         mask = self._mask(7)
         path = tmp_path / "007.pgm"
-        atomic_write_bytes(path, mask_bytes(mask))
+        atomic_write_bytes(path, _mask_bytes(mask))
         back = read_mask(path)
         assert back.frame_index == 7
         np.testing.assert_array_equal(back.labels, mask.labels)
 
     def test_header_is_binary_pgm(self):
-        blob = mask_bytes(self._mask())
+        blob = _mask_bytes(self._mask())
         assert blob.startswith(b"P5\n4 6\n255\n")
         assert len(blob) == len(b"P5\n4 6\n255\n") + 24
 
@@ -324,7 +324,7 @@ class TestMaskFormat:
 class TestMaskDir:
     def _write(self, tmp_path, idx, shape=(4, 4)):
         labels = np.full(shape, idx % 7, dtype=np.uint8)
-        atomic_write_bytes(tmp_path / f"{idx:03d}.pgm", mask_bytes(LabelMask(idx, labels)))
+        atomic_write_bytes(tmp_path / f"{idx:03d}.pgm", _mask_bytes(LabelMask(idx, labels)))
 
     def test_reads_sorted_by_frame_index(self, tmp_path):
         for idx in (2, 0, 1):
@@ -335,7 +335,7 @@ class TestMaskDir:
     def test_duplicate_frame_index_rejected(self, tmp_path):
         self._write(tmp_path, 0)
         mask = LabelMask(0, np.zeros((4, 4), dtype=np.uint8))
-        atomic_write_bytes(tmp_path / "000_copy.pgm", mask_bytes(mask))
+        atomic_write_bytes(tmp_path / "000_copy.pgm", _mask_bytes(mask))
         with pytest.raises(MaskFormatError, match="duplicate frame index 0"):
             read_mask_dir(tmp_path)
 
@@ -390,9 +390,9 @@ class TestMaskDir:
             written.append(mask.frame_index)
             if len(written) == 3:
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return mask_bytes(mask)
+            return _mask_bytes(mask)
 
-        monkeypatch.setattr(vosmem.io, "mask_bytes", third_frame_fails)
+        monkeypatch.setattr(vosmem.io, "_mask_bytes", third_frame_fails)
         with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
             write_outputs({target: generate_scene(SceneConfig(n_frames=6, velocity=(1, 0)))})
         assert written == [0, 1, 2]
@@ -486,9 +486,9 @@ class TestFeatureDir:
 class TestAtomicity:
     def test_no_temp_files_left_behind(self, tmp_path):
         atomic_write_bytes(tmp_path / "000.pgm",
-                           mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8))))
+                           _mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8))))
         write_tensor(fmap(), tmp_path / "000.ften")
-        atomic_write_bytes(tmp_path / "t.jsonl", jsonl_text([{"a": 1}]).encode())
+        atomic_write_bytes(tmp_path / "t.jsonl", _jsonl_text([{"a": 1}]).encode())
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "000.ften", "000.pgm", "t.jsonl"]
 
@@ -510,22 +510,28 @@ class TestAtomicity:
 
     def test_overwrite_replaces_content(self, tmp_path):
         path = tmp_path / "000.pgm"
-        atomic_write_bytes(path, mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8))))
-        atomic_write_bytes(path, mask_bytes(LabelMask(0, np.ones((2, 2), dtype=np.uint8))))
+        atomic_write_bytes(path, _mask_bytes(LabelMask(0, np.zeros((2, 2), dtype=np.uint8))))
+        atomic_write_bytes(path, _mask_bytes(LabelMask(0, np.ones((2, 2), dtype=np.uint8))))
         assert read_mask(path).labels.max() == 1
 
 
 class TestTraceRecords:
     def test_json_documents_lead_with_schema_version(self):
-        assert json_text({"b": 1, "a": [2]}) == (
+        assert _json_text({"b": 1, "a": [2]}) == (
             '{\n  "schema_version": 1,\n  "b": 1,\n  "a": [\n    2\n  ]\n}\n')
+
+    def test_a_non_finite_float_is_refused_not_written_as_nan(self):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            _jsonl_text([{"a": 1.0}, {"b": -math.inf}])
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            _json_text({"a": [1.0, math.nan]})
 
     def test_prune_record_key_order_and_content(self):
         bank = MemoryBank(capacity=4)
         for i in range(4):
             bank.append(MemoryEntry(i, fmap(i, seed=i)))
         outcome = bank.prune_step(metric="dot", mode="select")
-        record = prune_record(2, outcome)
+        record = _prune_record(2, outcome)
         assert list(record) == ["schema_version", "step", "bank_before", "scores",
                                 "pruned", "retained", "mode", "metric"]
         assert (record["bank_before"], record["mode"], record["metric"]) == (
@@ -540,7 +546,7 @@ class TestTraceRecords:
         records = track_records(trace)
         assert len(records) == 9
         path = tmp_path / "trace.jsonl"
-        atomic_write_bytes(path, jsonl_text(records).encode())
+        atomic_write_bytes(path, _jsonl_text(records).encode())
         lines = path.read_text().splitlines()
         assert len(lines) == 9
         first = json.loads(lines[0])
@@ -565,7 +571,7 @@ def tensor_blobs(draw):
     dims = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)
                 | st.lists(st.integers(0, 3), max_size=4))
     code = field(1, st.integers(0, 2))
-    head = struct.pack("<4sHBB", field(TENSOR_MAGIC, st.binary(min_size=4, max_size=4)),
+    head = struct.pack("<4sHBB", field(_TENSOR_MAGIC, st.binary(min_size=4, max_size=4)),
                        field(1, st.integers(0, 2)), code,
                        field(len(dims), st.integers(0, 5)))
     head += struct.pack(f"<{len(dims)}I", *dims)
@@ -605,7 +611,7 @@ def _scratch_file(directory, name, blob):
 class TestFuzzedInputs:
     @given(tensor_blobs(), st.sampled_from(["000.ften", "12.bin", "frame.ften"]))
     # a zero dimension beside two numpy cannot size together
-    @example(TENSOR_MAGIC + struct.pack("<HBB3I", 1, 1, 3, 0, 2**32 - 1, 2**32 - 1), "000.ften")
+    @example(_TENSOR_MAGIC + struct.pack("<HBB3I", 1, 1, 3, 0, 2**32 - 1, 2**32 - 1), "000.ften")
     @settings(max_examples=300, deadline=None)
     def test_read_tensor_raises_only_format_errors(self, blob, name):
         with tempfile.TemporaryDirectory() as tmp:

@@ -25,7 +25,7 @@ from vosmem.memory import (
     SIMILARITY_METRICS,
     MemoryBank,
     MemoryEntry,
-    argmax_frame,
+    _argmax_frame,
     similarity,
 )
 
@@ -760,8 +760,13 @@ def overflowing_bank(capacity):
 
 class TestNonFiniteScores:
     def test_argmax_ties_go_to_smallest_frame_index(self):
-        assert argmax_frame("dot", {9: 1.0, 4: 2.0, 6: 2.0, 1: -5.0}) == 4
-        assert argmax_frame("dot", {3: -1e300}) == 3
+        assert _argmax_frame("dot", {9: 1.0, 4: 2.0, 6: 2.0, 1: -5.0}) == 4
+        assert _argmax_frame("dot", {3: -1e300}) == 3
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_argmax_rejects_non_finite_naming_metric_and_frame(self, bad):
+        with pytest.raises(ValueError, match=f"^euclidean score {bad} for frame 7 is not finite$"):
+            _argmax_frame("euclidean", {3: 1.0, 7: bad})
 
     def test_capacity_two_scores_nothing(self):
         outcome = overflowing_bank(2).prune_step(metric="euclidean")
