@@ -470,6 +470,12 @@ REFUSALS = [
     pytest.param(lambda: evaluate(SCENE, SCENE).to_dict(include_per_frame="no"), ValueError,
                  "include_per_frame must be a bool, got str",
                  id="MetricReport.to_dict include_per_frame"),
+    pytest.param(lambda: evaluate(SCENE, SCENE).to_dict(include_per_frame=1), ValueError,
+                 "include_per_frame must be a bool, got int",
+                 id="MetricReport.to_dict include_per_frame int"),
+    pytest.param(lambda: evaluate(SCENE, SCENE).to_dict(include_per_frame=None), ValueError,
+                 "include_per_frame must be a bool, got NoneType",
+                 id="MetricReport.to_dict include_per_frame None"),
 
     # vosmem.sampling
     pytest.param(lambda: build_plan(5, strides=(2.0,)), ValueError,

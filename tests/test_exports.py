@@ -14,8 +14,11 @@ only the package itself reads is private.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
 
 import vosmem
 
@@ -101,3 +104,20 @@ def test_public_names_outside_all_are_named_for_users():
     internal = [f"vosmem.{module}.{name}" for module, name in _public_names()
                 if name not in vosmem.__all__ and not _named(name, text)]
     assert not internal, f"public but read only by the package: {internal}"
+
+
+# Names once public that only the package reads: each is private now (the
+# parser builder as ``cli._parser``, the rest under their old name with a
+# leading underscore), and no public alias is left behind.
+MADE_PRIVATE = [
+    ("memory", "argmax_frame"), ("io", "mask_bytes"), ("io", "json_text"),
+    ("io", "jsonl_text"), ("io", "prune_record"), ("cli", "build_parser"),
+    ("io", "SCHEMA_VERSION"), ("io", "TENSOR_MAGIC"), ("io", "TENSOR_VERSION"),
+]
+
+
+@pytest.mark.parametrize("module, name", MADE_PRIVATE, ids=[f"{m}.{n}" for m, n in MADE_PRIVATE])
+def test_names_only_the_package_reads_are_private(module, name):
+    namespace = vars(importlib.import_module(f"vosmem.{module}"))
+    assert name not in namespace and name not in vosmem.__all__
+    assert ("_parser" if name == "build_parser" else f"_{name}") in namespace

@@ -520,11 +520,16 @@ class TestTraceRecords:
         assert _json_text({"b": 1, "a": [2]}) == (
             '{\n  "schema_version": 1,\n  "b": 1,\n  "a": [\n    2\n  ]\n}\n')
 
-    def test_a_non_finite_float_is_refused_not_written_as_nan(self):
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_float_is_refused_not_written_as_nan(self, bad):
         with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
-            _jsonl_text([{"a": 1.0}, {"b": -math.inf}])
+            _jsonl_text([{"a": 1.0}, {"b": bad}])
         with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
-            _json_text({"a": [1.0, math.nan]})
+            _json_text({"a": [1.0, bad]})
+
+    def test_jsonl_is_one_line_per_record_in_order_with_no_schema_version(self):
+        assert _jsonl_text([{"b": 1, "a": [2.5]}, {}]) == '{"b": 1, "a": [2.5]}\n{}\n'
+        assert _jsonl_text([]) == ""
 
     def test_prune_record_key_order_and_content(self):
         bank = MemoryBank(capacity=4)

@@ -768,6 +768,11 @@ class TestNonFiniteScores:
         with pytest.raises(ValueError, match=f"^euclidean score {bad} for frame 7 is not finite$"):
             _argmax_frame("euclidean", {3: 1.0, 7: bad})
 
+    def test_argmax_names_the_smallest_non_finite_frame(self):
+        # the scan runs in frame order, not in the dict's insertion order
+        with pytest.raises(ValueError, match="^dot score inf for frame 2 is not finite$"):
+            _argmax_frame("dot", {9: math.nan, 5: 1.0, 2: math.inf})
+
     def test_capacity_two_scores_nothing(self):
         outcome = overflowing_bank(2).prune_step(metric="euclidean")
         assert not outcome.fired

@@ -502,6 +502,14 @@ class TestEvaluate:
         assert '"radius": 2' in text
         assert set(payload["per_object"]) == {"1", "2"}
 
+    @pytest.mark.parametrize("kwargs, rows", [({}, False), ({"include_per_frame": False}, False),
+                                              ({"include_per_frame": True}, True)],
+                             ids=["default", "False", "True"])
+    def test_report_dict_holds_per_frame_rows_only_when_asked(self, kwargs, rows):
+        pred, gt = self._toy()
+        payload = evaluate(pred, gt).to_dict(**kwargs)
+        assert list(payload) == ["radius", "per_object", "aggregate"] + ["per_frame"] * rows
+
     @pytest.mark.parametrize("radius", [np.int64(2), np.uint8(2)])
     def test_numpy_integer_radius_reported_as_plain_int(self, radius):
         import json
