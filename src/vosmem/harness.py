@@ -234,6 +234,12 @@ class TrackTrace:
 
     steps: tuple[TrackStep, ...]
 
+    def __post_init__(self):
+        steps = _items("steps", self.steps, "TrackStep")
+        for i, s in enumerate(steps):
+            _instance(f"steps[{i}]", s, TrackStep)
+        object.__setattr__(self, "steps", steps)
+
 
 def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
                    bank_capacity: int = DEFAULT_CAPACITY,

@@ -61,24 +61,48 @@ def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
     """Spearman's key: the flat data's average ranks (as SciPy's
     ``rankdata(method="average")``) minus their mean (n + 1) / 2, and their sum
     of squares. A constant map is one tied run, so every position gets the
-    shared rank minus the mean, +0.0, and the sum is 0.0. Costs one argsort, one
-    gather, one scatter and three map-sized buffers (order, key, positions).
+    shared rank minus the mean, +0.0, and the sum is 0.0. Costs one sort of
+    packed keys, an argsort only when two values share a key prefix, one pass
+    over tied runs, and three map-sized buffers live at once (order, key,
+    ranks), plus one float for each value in a tied run.
     The ranks are multiples of 0.5, so while n(n + 1)/2 < 2**52 (n below about
     9.4e7) their mean is (n + 1) / 2 exactly and the key is ``ranks - mean``
     bit for bit; above that it is still exactly centred."""
     x = data.ravel()
-    order = np.argsort(x)
+    n = x.size
+    b = max((n - 1).bit_length(), 1)
+    # the float64 bits as an unsigned integer in value order (negatives get
+    # every bit flipped, the rest the sign bit), the low b bits replaced by the
+    # element's index: one integer sort leaves the order in the low bits
+    bits = x.view(np.int64)
+    low = np.uint64((1 << b) - 1)
+    order = np.right_shift(bits, 63)
+    order |= np.int64(-1 << 63)
+    order ^= bits
+    order = order.view(np.uint64)
+    order &= ~low
+    order |= np.arange(n, dtype=np.uint64)
+    order.sort()
+    order &= low
+    order = order.view(np.intp)
     centred = np.take(x, order)  # the sorted values until the scatter below
-    half = 0.5 * (x.size + 1)
-    # a run of equal values at sorted positions lo .. hi-1 shares rank
-    # (lo + hi + 1) / 2; a value alone in its run at position p has rank p + 1
-    tied = np.flatnonzero(centred[1:] == centred[:-1])
-    p = np.concatenate((tied, tied + 1))
-    run = centred[p]
-    shared = 0.5 * (np.searchsorted(centred, run, "left")
-                    + np.searchsorted(centred, run, "right") + 1) - half
-    centred[order] = np.arange(1.0 - half, x.size + 1 - half)
-    centred[order[p]] = shared
+    if (centred[1:] < centred[:-1]).any():
+        # two values shared a key prefix and their indices put them out of order
+        # (float32 data never does while n <= 2**29: its low 29 bits are zeros)
+        order = np.argsort(x)
+        centred = np.take(x, order)
+    half = 0.5 * (n + 1)
+    # tied[i]: sorted positions i - 1 and i hold equal values. A tied run at
+    # sorted positions lo .. hi-1 flips tied between lo and lo + 1 and between
+    # hi - 1 and hi, and shares rank (lo + hi + 1) / 2; a value alone in its
+    # run at position p has rank p + 1
+    tied = np.zeros(n + 1, bool)
+    np.equal(centred[1:], centred[:-1], out=tied[1:n])
+    edges = np.flatnonzero(tied[1:] != tied[:-1])
+    lo, hi = edges[0::2], edges[1::2] + 1
+    ranks = np.arange(1.0 - half, n + 1 - half)
+    ranks[tied[1:] | tied[:-1]] = np.repeat(0.5 * (lo + hi + 1) - half, hi - lo)
+    centred[order] = ranks
     return _freeze(centred), float(np.dot(centred, centred))
 
 
@@ -122,8 +146,9 @@ def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> fl
 
 # metric -> (key of one map's data, score of two keys). Cosine's key is the
 # channel rows and their norms, Pearson's the centred flat data, Spearman's
-# the centred average ranks (one argsort, gather and scatter, three map-sized
-# buffers, exact while n(n + 1)/2 < 2**52); the distances and dot score the data.
+# the centred average ranks (one sort of packed integer keys, one gather and
+# one scatter, three map-sized buffers, exact while n(n + 1)/2 < 2**52); the
+# distances and dot score the data.
 _METRICS = {
     "cosine": (_rows, _cosine),
     "manhattan": (_data, _manhattan),

@@ -34,6 +34,7 @@ from vosmem.harness import (
     OBJECT_SHAPES,
     SceneConfig,
     ToyEncoderConfig,
+    TrackTrace,
     encode_frame,
     generate_scene,
     readout_cost,
@@ -399,6 +400,10 @@ REFUSALS = [
                  id="TestTrackSequence.test_unknown_mode_rejected_even_without_pruning"),
     pytest.param(lambda: readout_cost(None), ValueError,
                  "trace must be a TrackTrace, got NoneType", id="readout_cost trace"),
+    pytest.param(lambda: TrackTrace(None), ValueError,
+                 "steps must be a sequence of TrackStep, got None", id="TrackTrace steps"),
+    pytest.param(lambda: TrackTrace([None]), ValueError,
+                 "steps[0] must be a TrackStep, got NoneType", id="TrackTrace steps[i]"),
 
     # vosmem.metrics
     pytest.param(lambda: jaccard(np.zeros((4, 4), bool), np.zeros((4, 5), bool)), ValueError,

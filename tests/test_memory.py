@@ -421,6 +421,8 @@ class TestMemoryKeys:
 
 _RANK_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+    # ulp neighbours share a packed key's prefix, which sends _ranks to argsort
+    st.sampled_from([5e-324, -5e-324, 1.0 + 2**-52, 1.0 + 2**-51, 1.0 - 2**-53, -1.0 - 2**-52]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
@@ -447,6 +449,14 @@ def _all_equal(flat, rng):
     flat[...] = 0.25
 
 
+def _relu(flat, rng):
+    np.maximum(flat, 0.0, out=flat)
+
+
+def _ten_values(flat, rng):
+    flat[...] = rng.choice(rng.standard_normal(10), flat.size)
+
+
 _WORKLOAD_TIES = {
     "untied": lambda flat, rng: None,
     "runs of 2 and 3": _tie_runs(2, 2, 3, 3),
@@ -454,6 +464,8 @@ _WORKLOAD_TIES = {
     "first and last": _ends,
     "signed zeros": _signed_zeros,
     "all equal": _all_equal,
+    "half zeros (ReLU-like)": _relu,
+    "ten distinct values": _ten_values,
 }
 
 
@@ -498,6 +510,31 @@ class TestSpearmanKey:
         _WORKLOAD_TIES[case](x.ravel(), rng)
         expected = rankdata(x, method="average")
         assert _key_as_ranks(x).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _argsort_calls(monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda x: calls.append(x) or argsort(x))
+        return calls
+
+    def test_values_sharing_a_key_prefix_are_ranked_by_argsort(self, monkeypatch):
+        # 64 values take 6 index bits, which 1.0's low mantissa bits give way
+        # to: 1.0 + k ulps all share one key prefix, and the indices order
+        # them with k descending, so the packed sort leaves them out of order
+        x = (1.0 + np.arange(63, -1, -1) * 2**-52).reshape(4, 4, 4)
+        expected = rankdata(x, method="average")
+        calls = self._argsort_calls(monkeypatch)
+        assert _key_as_ranks(x).tobytes() == expected.tobytes()
+        assert len(calls) == 1
+
+    def test_float32_data_needs_no_argsort(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((64, 32, 32), dtype=np.float32).astype(np.float64)
+        expected = rankdata(x, method="average")
+        calls = self._argsort_calls(monkeypatch)
+        assert _key_as_ranks(x).tobytes() == expected.tobytes()
+        assert calls == []
 
 
 class TestMemoryEntry:
