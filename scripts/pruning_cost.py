@@ -27,10 +27,10 @@ def main() -> None:
         velocity=(1, 0), n_frames=args.frames, seed=args.seed))
     encoder = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
 
-    pred_on, trace_on = track_sequence(
+    pred_on, steps_on = track_sequence(
         scene, encoder, bank_capacity=args.capacity, metric=args.metric,
         prune_enabled=True, seed=args.seed)
-    pred_off, trace_off = track_sequence(
+    pred_off, steps_off = track_sequence(
         scene, encoder, bank_capacity=args.capacity, metric=args.metric,
         prune_enabled=False, seed=args.seed)
 
@@ -39,7 +39,7 @@ def main() -> None:
     print()
     print("step  cost(pruned)  cost(fifo)  saved  pruned frames")
     total_on = total_off = 0
-    for on, off in zip(trace_on.steps, trace_off.steps):
+    for on, off in zip(steps_on, steps_off):
         total_on += on.readout_cost
         total_off += off.readout_cost
         saved = off.readout_cost - on.readout_cost

@@ -28,7 +28,6 @@ from .harness import (
     SceneConfig,
     ToyEncoderConfig,
     TrackStep,
-    TrackTrace,
     encode_frame,
     generate_scene,
     readout_cost,
@@ -80,7 +79,6 @@ __all__ = [
     "SceneConfig",
     "ToyEncoderConfig",
     "TrackStep",
-    "TrackTrace",
     "encode_frame",
     "generate_scene",
     "readout_cost",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numbers
 import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -227,25 +228,20 @@ class TrackStep:
     readout_cost: int
 
 
-@dataclass(frozen=True)
-class TrackTrace:
-    """Every step of a tracking run; each step's outcome holds the metric
-    and prune mode it used."""
-
-    steps: tuple[TrackStep, ...]
-
-    def __post_init__(self):
-        steps = _items("steps", self.steps, "TrackStep")
-        for i, s in enumerate(steps):
-            _instance(f"steps[{i}]", s, TrackStep)
-        object.__setattr__(self, "steps", steps)
+def _steps(steps) -> tuple[TrackStep, ...]:
+    """``steps`` as a tuple of :class:`TrackStep`; anything else raises
+    ValueError naming ``steps`` or the item ``steps[i]``."""
+    steps = _items("steps", steps, "TrackStep")
+    for i, s in enumerate(steps):
+        _instance(f"steps[{i}]", s, TrackStep)
+    return steps
 
 
 def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
                    bank_capacity: int = DEFAULT_CAPACITY,
                    metric: str = DEFAULT_METRIC, mode: str = DEFAULT_MODE,
                    prune_enabled: bool = True,
-                   seed: int = 0) -> tuple[FrameSequence, TrackTrace]:
+                   seed: int = 0) -> tuple[FrameSequence, tuple[TrackStep, ...]]:
     """Track a scene with the nearest-template segmenter.
 
     Frame 0's mask is the prompt: its features go into the bank before the
@@ -256,8 +252,10 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
     read-only labels) and appends the current features to the bank, which
     holds no masks: the predictions are kept here, keyed by frame index.
 
-    The returned sequence starts with the prompt mask itself so that it
-    aligns frame-for-frame with the observed scene.
+    Returns the predicted sequence, which starts with the prompt mask itself
+    so that it aligns frame-for-frame with the observed scene, and the
+    trace: a tuple of one :class:`TrackStep` per later frame, in order,
+    each holding the metric and prune mode its outcome used.
     """
     _instance("scene", scene, FrameSequence)
     _instance("encoder_config", encoder_config, ToyEncoderConfig)
@@ -299,10 +297,9 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
             readout_cost=len(outcome.retained) * tokens_per_entry,
         ))
 
-    return FrameSequence(tuple(masks.values())), TrackTrace(tuple(steps))
+    return FrameSequence(tuple(masks.values())), tuple(steps)
 
 
-def readout_cost(trace: TrackTrace) -> list[int]:
+def readout_cost(steps: Sequence[TrackStep]) -> list[int]:
     """Per-step tokens consulted: retained entries times feature h*w."""
-    _instance("trace", trace, TrackTrace)
-    return [s.readout_cost for s in trace.steps]
+    return [s.readout_cost for s in _steps(steps)]

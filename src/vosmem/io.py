@@ -40,12 +40,12 @@ import re
 import struct
 import tempfile
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import FeatureMap, FrameSequence, LabelMask, _instance
-from .harness import TrackTrace
+from .harness import TrackStep, _steps
 
 _SCHEMA_VERSION = 1
 
@@ -384,9 +384,8 @@ def _prune_record(step: int, outcome) -> dict:
                      **_decision(outcome)})
 
 
-def track_records(trace: TrackTrace) -> list[dict]:
+def track_records(steps: Sequence[TrackStep]) -> list[dict]:
     """JSON-lines records for a tracking run, one per step."""
-    _instance("trace", trace, TrackTrace)
     return [_stamped({
         "step": s.step,
         "frame_index": s.frame_index,
@@ -395,4 +394,4 @@ def track_records(trace: TrackTrace) -> list[dict]:
         **_decision(s.outcome),
         "selected": s.selected_frame_index,
         "readout_cost": s.readout_cost,
-    }) for s in trace.steps]
+    }) for s in _steps(steps)]

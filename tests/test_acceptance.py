@@ -246,10 +246,10 @@ def test_criterion_7_harness_end_to_end():
         assert [_mask_bytes(m) for m in pred_a] == [_mask_bytes(m) for m in pred_b]
 
         _, trace_off = track_sequence(scene, encoder, prune_enabled=False, seed=9)
-        fired = [s.step for s in trace_a.steps if s.outcome.fired]
+        fired = [s.step for s in trace_a if s.outcome.fired]
         assert fired == list(range(7, 20, 2))
-        cost_on = {s.step: s.readout_cost for s in trace_a.steps}
-        cost_off = {s.step: s.readout_cost for s in trace_off.steps}
+        cost_on = {s.step: s.readout_cost for s in trace_a}
+        cost_off = {s.step: s.readout_cost for s in trace_off}
         for step in fired:
             assert cost_on[step] * 7 == cost_off[step] * 5  # ratio exactly 5/7
 

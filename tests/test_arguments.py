@@ -34,7 +34,6 @@ from vosmem.harness import (
     OBJECT_SHAPES,
     SceneConfig,
     ToyEncoderConfig,
-    TrackTrace,
     encode_frame,
     generate_scene,
     readout_cost,
@@ -399,11 +398,9 @@ REFUSALS = [
                  ValueError, f"unknown prune mode 'bogus', expected one of {PRUNE_MODES}",
                  id="TestTrackSequence.test_unknown_mode_rejected_even_without_pruning"),
     pytest.param(lambda: readout_cost(None), ValueError,
-                 "trace must be a TrackTrace, got NoneType", id="readout_cost trace"),
-    pytest.param(lambda: TrackTrace(None), ValueError,
-                 "steps must be a sequence of TrackStep, got None", id="TrackTrace steps"),
-    pytest.param(lambda: TrackTrace([None]), ValueError,
-                 "steps[0] must be a TrackStep, got NoneType", id="TrackTrace steps[i]"),
+                 "steps must be a sequence of TrackStep, got None", id="readout_cost steps"),
+    pytest.param(lambda: readout_cost([None]), ValueError,
+                 "steps[0] must be a TrackStep, got NoneType", id="readout_cost steps[i]"),
 
     # vosmem.metrics
     pytest.param(lambda: jaccard(np.zeros((4, 4), bool), np.zeros((4, 5), bool)), ValueError,
@@ -603,7 +600,9 @@ REFUSALS = [
     pytest.param(lambda: atomic_write_bytes([], b""), ValueError,
                  "path must be a str or PathLike, got list", id="atomic_write_bytes list"),
     pytest.param(lambda: track_records(None), ValueError,
-                 "trace must be a TrackTrace, got NoneType", id="track_records"),
+                 "steps must be a sequence of TrackStep, got None", id="track_records steps"),
+    pytest.param(lambda: track_records([None]), ValueError,
+                 "steps[0] must be a TrackStep, got NoneType", id="track_records steps[i]"),
 ]
 
 

@@ -19,11 +19,13 @@ from vosmem.harness import (
     OBJECT_SHAPES,
     SceneConfig,
     ToyEncoderConfig,
+    TrackStep,
     encode_frame,
     generate_scene,
     readout_cost,
     track_sequence,
 )
+from vosmem.io import track_records
 from vosmem.memory import PRUNE_MODES, SIMILARITY_METRICS
 from vosmem.metrics import dice
 
@@ -285,7 +287,7 @@ class TestTrackSequence:
         scene = _static_scene()
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
         _, trace = track_sequence(scene, config, bank_capacity=7)
-        first_fired = next(s for s in trace.steps if s.outcome.fired)
+        first_fired = next(s for s in trace if s.outcome.fired)
         assert first_fired.step == 7
         assert len(first_fired.outcome.bank_before) == 7
         assert len(first_fired.outcome.retained) == 5
@@ -294,7 +296,7 @@ class TestTrackSequence:
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
         _, trace = track_sequence(_static_scene(10), config, bank_capacity=4, metric="dot",
                                   mode="select", prune_enabled=False)
-        for s in trace.steps:
+        for s in trace:
             o = s.outcome
             assert (o.metric, o.mode, o.pruned_frame_indices, o.scores) == ("dot", "select", (), {})
             assert o.bank_before == o.retained == tuple(range(max(0, s.step - 4), s.step))
@@ -323,7 +325,7 @@ class TestTrackSequence:
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.0)
         _, trace = track_sequence(scene, config)
         # all features identical, so the oldest retained entry always wins
-        assert [s.selected_frame_index for s in trace.steps] == [0] * 5
+        assert [s.selected_frame_index for s in trace] == [0] * 5
 
     @pytest.mark.parametrize("prune_enabled", [False, True])
     def test_overflowing_readout_scores_raise_value_error(self, prune_enabled):
@@ -357,8 +359,8 @@ class TestTrackSequence:
         assert len(maps) == 12
         assert [ref for ref in maps if ref() is not None] == []
         _, trace = result
-        assert any(s.outcome.fired for s in trace.steps)
-        for s in trace.steps:
+        assert any(s.outcome.fired for s in trace)
+        for s in trace:
             assert type(s.outcome.retained) is tuple
             assert all(type(i) is int for i in s.outcome.retained)
 
@@ -368,7 +370,7 @@ class TestTrackSequence:
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
         predicted, trace = track_sequence(scene, config, mode=mode)
         assert predicted[0] is scene[0]
-        for s in trace.steps:
+        for s in trace:
             selected = predicted[s.selected_frame_index]  # frame index = position here
             assert np.shares_memory(predicted[s.step].labels, selected.labels)
             assert not predicted[s.step].labels.flags.writeable
@@ -390,22 +392,31 @@ class TestTrackSequence:
         monkeypatch.setattr(memory, "similarity", counted("prune", memory.similarity))
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
         _, trace = track_sequence(_static_scene(12), config, bank_capacity=7, mode=mode)
-        scored = sum(len(group) for s in trace.steps for group in s.outcome.scores.values())
+        scored = sum(len(group) for s in trace for group in s.outcome.scores.values())
         assert scored > 0
-        assert calls["readout"] == sum(len(s.outcome.retained) for s in trace.steps)
+        assert calls["readout"] == sum(len(s.outcome.retained) for s in trace)
         assert calls["prune"] == scored
 
     def test_select_mode_bank_stays_full(self):
         scene = _static_scene()
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
         _, trace = track_sequence(scene, config, mode="select")
-        full_steps = [s for s in trace.steps if len(s.outcome.bank_before) == 7]
+        full_steps = [s for s in trace if len(s.outcome.bank_before) == 7]
         assert full_steps
         assert all(s.outcome.fired for s in full_steps)
         assert all(len(s.bank_after) == 7 for s in full_steps)
 
 
 class TestReadoutCost:
+    def test_the_trace_is_a_tuple_of_steps_and_any_sequence_of_them_reads_alike(self):
+        scene = generate_scene(SceneConfig(velocity=(1, 0), n_frames=12))
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
+        _, steps = track_sequence(scene, config, bank_capacity=4, seed=3)
+        assert type(steps) is tuple and len(steps) == 11
+        assert all(type(s) is TrackStep for s in steps)
+        assert readout_cost(list(steps)) == readout_cost(steps)
+        assert track_records(list(steps)) == track_records(steps)
+
     def test_warmup_costs_grow_with_bank(self):
         scene = _static_scene(5)
         config = ToyEncoderConfig(feature_resolution=(4, 8))
@@ -419,7 +430,7 @@ class TestReadoutCost:
         _, plain = track_sequence(scene, config, prune_enabled=False, seed=2)
         cost_pruned = readout_cost(pruned)
         cost_plain = readout_cost(plain)
-        fired = [i for i, s in enumerate(pruned.steps) if s.outcome.fired]
+        fired = [i for i, s in enumerate(pruned) if s.outcome.fired]
         assert fired
         for i in fired:
             assert cost_pruned[i] * 7 == cost_plain[i] * 5
@@ -469,9 +480,9 @@ class TestAgainstTrackOracle:
         predicted, trace = track_sequence(scene, encoder, **run)
         masks, steps = track_oracle(scene, encoder, run["bank_capacity"], run["metric"],
                                     run["mode"], run["prune_enabled"], run["seed"])
-        assert len(trace.steps) == len(steps) and len(predicted) == len(masks)
+        assert len(trace) == len(steps) and len(predicted) == len(masks)
         assert predicted[0].labels.tolist() == masks[0]
-        for s, step, mask in zip(trace.steps, steps, masks[1:]):
+        for s, step, mask in zip(trace, steps, masks[1:]):
             o = s.outcome
             assert (o.metric, o.mode) == (run["metric"], run["mode"])
             assert (s.step, s.frame_index, list(o.bank_before), list(s.bank_after),
