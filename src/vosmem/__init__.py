@@ -16,99 +16,20 @@ The package provides four pieces that plug together but stand alone:
 ``vosmem`` command with ``sample``/``prune``/``eval``/``simulate``.
 """
 
-from .core import (
-    MAX_OBJECT_ID,
-    FeatureMap,
-    FrameSequence,
-    LabelMask,
-)
-from .harness import (
-    OBJECT_ID,
-    OBJECT_SHAPES,
-    SceneConfig,
-    ToyEncoderConfig,
-    TrackStep,
-    encode_frame,
-    generate_scene,
-    readout_cost,
-    track_sequence,
-)
-from .memory import (
-    DEFAULT_CAPACITY,
-    DEFAULT_METRIC,
-    DEFAULT_MODE,
-    PRUNE_MODES,
-    SIMILARITY_METRICS,
-    MemoryBank,
-    MemoryEntry,
-    PruneOutcome,
-    similarity,
-)
-from .metrics import (
-    DEFAULT_BOUNDARY_RADIUS,
-    METRIC_NAMES,
-    AggregateStat,
-    MetricReport,
-    boundary_f,
-    ciou,
-    dice,
-    dilate_disk,
-    disk_footprint,
-    evaluate,
-    j_and_f,
-    jaccard,
-)
-from .sampling import (
-    DEFAULT_PHASE_POLICY,
-    DEFAULT_STRIDES,
-    PHASE_POLICIES,
-    SamplingView,
-    build_plan,
-    materialize,
-)
+from . import core, harness, memory, metrics, sampling
+from .core import *
+from .harness import *
+from .memory import *
+from .metrics import *
+from .sampling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_OBJECT_ID",
-    "FeatureMap",
-    "FrameSequence",
-    "LabelMask",
-    "OBJECT_ID",
-    "OBJECT_SHAPES",
-    "SceneConfig",
-    "ToyEncoderConfig",
-    "TrackStep",
-    "encode_frame",
-    "generate_scene",
-    "readout_cost",
-    "track_sequence",
-    "DEFAULT_CAPACITY",
-    "DEFAULT_METRIC",
-    "DEFAULT_MODE",
-    "PRUNE_MODES",
-    "SIMILARITY_METRICS",
-    "MemoryBank",
-    "MemoryEntry",
-    "PruneOutcome",
-    "similarity",
-    "DEFAULT_BOUNDARY_RADIUS",
-    "METRIC_NAMES",
-    "AggregateStat",
-    "MetricReport",
-    "boundary_f",
-    "ciou",
-    "dice",
-    "dilate_disk",
-    "disk_footprint",
-    "evaluate",
-    "j_and_f",
-    "jaccard",
-    "DEFAULT_PHASE_POLICY",
-    "DEFAULT_STRIDES",
-    "PHASE_POLICIES",
-    "SamplingView",
-    "build_plan",
-    "materialize",
-    "__version__",
-]
+# each module's __all__ states its public names; the package republishes them
+__all__: list[str] = []
+__all__ += core.__all__
+__all__ += harness.__all__
+__all__ += memory.__all__
+__all__ += metrics.__all__
+__all__ += sampling.__all__
+__all__ += ["__version__"]

@@ -195,7 +195,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, default=DEFAULT_BOUNDARY_RADIUS,
                    help=f"boundary dilation radius in pixels (default {DEFAULT_BOUNDARY_RADIUS})")
     p.add_argument("--metrics", type=_metric_names, default=METRIC_NAMES,
-                   help="comma-separated subset of J&F,J,F,Dice,CIoU")
+                   help=f"comma-separated subset of {','.join(METRIC_NAMES)}")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--per-frame", dest="per_frame", action="store_true",
                    help="include per-frame rows in the JSON report")

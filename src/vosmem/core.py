@@ -20,6 +20,8 @@ single truth value, so field-wise equality would raise.
 
 from __future__ import annotations
 
+__all__ = ["MAX_OBJECT_ID", "FeatureMap", "FrameSequence", "LabelMask"]
+
 import operator
 from dataclasses import dataclass
 from itertools import count

@@ -15,6 +15,9 @@ encoder's noise channel is drawn from a counter-based generator keyed by
 
 from __future__ import annotations
 
+__all__ = ["OBJECT_ID", "OBJECT_SHAPES", "SceneConfig", "ToyEncoderConfig", "TrackStep",
+           "encode_frame", "generate_scene", "readout_cost", "track_sequence"]
+
 import numbers
 import threading
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ from .memory import (
     DEFAULT_METRIC,
     DEFAULT_MODE,
     PRUNE_MODES,
+    SIMILARITY_METRICS,
     MemoryBank,
     MemoryEntry,
     PruneOutcome,
@@ -229,11 +233,33 @@ class TrackStep:
 
 
 def _steps(steps) -> tuple[TrackStep, ...]:
-    """``steps`` as a tuple of :class:`TrackStep`; anything else raises
-    ValueError naming ``steps`` or the item ``steps[i]``."""
+    """``steps`` as a tuple of :class:`TrackStep` whose every field the trace
+    readers read is of its kind: integers >= 0, tuples of them, and a
+    :class:`PruneOutcome` of a known metric and mode whose scores map group
+    names to {frame index: real score}. Anything else raises ValueError
+    naming ``steps``, the item ``steps[i]`` or its field, as in
+    ``steps[i].outcome.retained``."""
     steps = _items("steps", steps, "TrackStep")
     for i, s in enumerate(steps):
         _instance(f"steps[{i}]", s, TrackStep)
+        for name in ("step", "frame_index", "selected_frame_index", "readout_cost"):
+            _integer(f"steps[{i}].{name}", getattr(s, name), 0)
+        outcome = s.outcome
+        _instance(f"steps[{i}].outcome", outcome, PruneOutcome)
+        for name, frames in (("bank_after", s.bank_after), ("outcome.retained", outcome.retained),
+                             ("outcome.pruned_frame_indices", outcome.pruned_frame_indices)):
+            # a tuple, so that the check does not use up an iterator the reader reads
+            _instance(f"steps[{i}].{name}", frames, tuple)
+            _integers(f"steps[{i}].{name}", frames, 0)
+        _choice("similarity metric", outcome.metric, SIMILARITY_METRICS)
+        _choice("prune mode", outcome.mode, PRUNE_MODES)
+        _instance(f"steps[{i}].outcome.scores", outcome.scores, dict)
+        for group, scores in outcome.scores.items():
+            name = f"steps[{i}].outcome.scores[{group!r}]"
+            _instance(name, scores, dict)
+            _integers(name, scores, 0)  # its frame indices
+            for frame, score in scores.items():
+                _instance(f"{name}[{frame}]", score, numbers.Real)
     return steps
 
 

@@ -16,6 +16,9 @@ harness's readout uses the same rule.
 
 from __future__ import annotations
 
+__all__ = ["DEFAULT_CAPACITY", "DEFAULT_METRIC", "DEFAULT_MODE", "PRUNE_MODES",
+           "SIMILARITY_METRICS", "MemoryBank", "MemoryEntry", "PruneOutcome", "similarity"]
+
 import math
 import sys
 from dataclasses import dataclass, field

@@ -14,6 +14,10 @@ was hallucinated); when exactly one side is empty they return 0.
 
 from __future__ import annotations
 
+__all__ = ["DEFAULT_BOUNDARY_RADIUS", "METRIC_NAMES", "AggregateStat", "MetricReport",
+           "boundary_f", "ciou", "dice", "dilate_disk", "disk_footprint", "evaluate",
+           "j_and_f", "jaccard"]
+
 import functools
 import math
 import numbers

@@ -10,6 +10,9 @@ lazily.
 
 from __future__ import annotations
 
+__all__ = ["DEFAULT_PHASE_POLICY", "DEFAULT_STRIDES", "PHASE_POLICIES", "SamplingView",
+           "build_plan", "materialize"]
+
 from dataclasses import dataclass
 
 from .core import FrameSequence, _choice, _instance, _integer, _integers

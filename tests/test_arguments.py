@@ -34,6 +34,7 @@ from vosmem.harness import (
     OBJECT_SHAPES,
     SceneConfig,
     ToyEncoderConfig,
+    TrackStep,
     encode_frame,
     generate_scene,
     readout_cost,
@@ -56,6 +57,7 @@ from vosmem.memory import (
     SIMILARITY_METRICS,
     MemoryBank,
     MemoryEntry,
+    PruneOutcome,
     similarity,
 )
 from vosmem.metrics import (
@@ -80,6 +82,7 @@ VALUES = (1.5, 2.0, "3", None, True, np.int64(3), -1, 0)
 SCENE = generate_scene(SceneConfig(grid=(6, 6), size=2, n_frames=4))
 PIXELS = SCENE[0].binarize(1)
 NOISY = ToyEncoderConfig(feature_resolution=(3, 3), noise_sigma=0.1)
+STEP = track_sequence(SCENE, NOISY)[1][0]  # a trace step, changed by dataclasses.replace
 
 
 def _features(frame_index):
@@ -401,6 +404,9 @@ REFUSALS = [
                  "steps must be a sequence of TrackStep, got None", id="readout_cost steps"),
     pytest.param(lambda: readout_cost([None]), ValueError,
                  "steps[0] must be a TrackStep, got NoneType", id="readout_cost steps[i]"),
+    pytest.param(lambda: readout_cost([dataclasses.replace(STEP, readout_cost="x")]), ValueError,
+                 "steps[0].readout_cost must be an integer, got 'x'",
+                 id="readout_cost steps[i].readout_cost"),
 
     # vosmem.metrics
     pytest.param(lambda: jaccard(np.zeros((4, 4), bool), np.zeros((4, 5), bool)), ValueError,
@@ -603,6 +609,30 @@ REFUSALS = [
                  "steps must be a sequence of TrackStep, got None", id="track_records steps"),
     pytest.param(lambda: track_records([None]), ValueError,
                  "steps[0] must be a TrackStep, got NoneType", id="track_records steps[i]"),
+    pytest.param(lambda: track_records([TrackStep(1, 1, (0, 1), None, 0, 64)]), ValueError,
+                 "steps[0].outcome must be a PruneOutcome, got NoneType",
+                 id="track_records steps[i].outcome"),
+    pytest.param(lambda: track_records([dataclasses.replace(
+                     STEP, outcome=PruneOutcome(None, None, None, None))]), ValueError,
+                 "steps[0].outcome.retained must be a tuple, got NoneType",
+                 id="track_records steps[i].outcome.retained"),
+    pytest.param(lambda: track_records([dataclasses.replace(
+                     STEP, outcome=PruneOutcome((0,), (), "cosine", "persistent", None))]),
+                 ValueError, "steps[0].outcome.scores must be a dict, got NoneType",
+                 id="track_records steps[i].outcome.scores"),
+    # a tuple, not an iterator that the check would use up before the record reads it
+    pytest.param(lambda: track_records([dataclasses.replace(STEP, bank_after=iter((0, 1)))]),
+                 ValueError, "steps[0].bank_after must be a tuple, got tuple_iterator",
+                 id="track_records steps[i].bank_after"),
+    # float() would read the string as a score
+    pytest.param(lambda: track_records([dataclasses.replace(STEP, outcome=PruneOutcome(
+                     (0,), (), "cosine", "persistent", {"short": {0: "0.5"}}))]), ValueError,
+                 "steps[0].outcome.scores['short'][0] must be a Real, got str",
+                 id="track_records steps[i].outcome.scores score"),
+    pytest.param(lambda: track_records([dataclasses.replace(
+                     STEP, outcome=PruneOutcome((0,), (), "cosine", None))]), ValueError,
+                 f"unknown prune mode None, expected one of {PRUNE_MODES}",
+                 id="track_records steps[i].outcome.mode"),
 ]
 
 

@@ -11,6 +11,11 @@ A public name outside ``vosmem.__all__`` must also be named as a whole word
 where a user reads it: a script, the benchmark, the README or
 ``pyproject.toml`` (which names the console script's ``main``). A name that
 only the package itself reads is private.
+
+Each library module states its public names once, in its own ``__all__``,
+and ``vosmem.__all__`` republishes those lists in module order; ``io`` and
+``cli`` are not republished, and their leading underscores alone say what
+is public.
 """
 
 import ast
@@ -97,6 +102,21 @@ def test_every_public_name_has_a_reader():
     unread = [f"vosmem.{module}.{name}" for module, name in public
               if name not in loads and not _named(name, text)]
     assert not unread, f"public but read nowhere outside tests: {unread}"
+
+
+LIBRARY = ("core", "harness", "memory", "metrics", "sampling")  # the modules vosmem republishes
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_each_library_module_lists_its_public_names(module):
+    listed = importlib.import_module(f"vosmem.{module}").__all__
+    assert sorted(listed) == sorted(name for m, name in _public_names() if m == module)
+
+
+def test_the_package_republishes_the_library_lists():
+    listed = [name for module in LIBRARY
+              for name in importlib.import_module(f"vosmem.{module}").__all__]
+    assert vosmem.__all__ == [*listed, "__version__"]
 
 
 def test_public_names_outside_all_are_named_for_users():
