@@ -187,8 +187,8 @@ class LabelMask:
         return [int(i) for i in ids if i != 0]
 
     def binarize(self, object_id: int) -> np.ndarray:
-        """Boolean membership map for one object id."""
-        return self.labels == object_id
+        """Boolean membership map for one object id, an integer."""
+        return self.labels == _integer("object_id", object_id)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .memory import (
     DEFAULT_METRIC,
     DEFAULT_MODE,
     PRUNE_MODES,
-    SIMILARITY_METRICS,
     MemoryBank,
     MemoryEntry,
     PruneOutcome,
@@ -112,14 +111,11 @@ class SceneConfig:
         side = self.size if self.shape == "square" else 2 * self.size + 1
         return side, side
 
-    def in_gap(self, t: int) -> bool:
-        return any(lo <= t <= hi for lo, hi in self.gaps)
-
 
 def _rasterize(config: SceneConfig, t: int) -> np.ndarray:
     h, w = config.grid
     labels = np.zeros((h, w), dtype=np.uint8)
-    if config.in_gap(t):
+    if any(lo <= t <= hi for lo, hi in config.gaps):
         return labels
     x = config.start[0] + t * config.velocity[0]
     y = config.start[1] + t * config.velocity[1]
@@ -232,37 +228,6 @@ class TrackStep:
     readout_cost: int
 
 
-def _steps(steps) -> tuple[TrackStep, ...]:
-    """``steps`` as a tuple of :class:`TrackStep` whose every field the trace
-    readers read is of its kind: integers >= 0, tuples of them, and a
-    :class:`PruneOutcome` of a known metric and mode whose scores map group
-    names to {frame index: real score}. Anything else raises ValueError
-    naming ``steps``, the item ``steps[i]`` or its field, as in
-    ``steps[i].outcome.retained``."""
-    steps = _items("steps", steps, "TrackStep")
-    for i, s in enumerate(steps):
-        _instance(f"steps[{i}]", s, TrackStep)
-        for name in ("step", "frame_index", "selected_frame_index", "readout_cost"):
-            _integer(f"steps[{i}].{name}", getattr(s, name), 0)
-        outcome = s.outcome
-        _instance(f"steps[{i}].outcome", outcome, PruneOutcome)
-        for name, frames in (("bank_after", s.bank_after), ("outcome.retained", outcome.retained),
-                             ("outcome.pruned_frame_indices", outcome.pruned_frame_indices)):
-            # a tuple, so that the check does not use up an iterator the reader reads
-            _instance(f"steps[{i}].{name}", frames, tuple)
-            _integers(f"steps[{i}].{name}", frames, 0)
-        _choice("similarity metric", outcome.metric, SIMILARITY_METRICS)
-        _choice("prune mode", outcome.mode, PRUNE_MODES)
-        _instance(f"steps[{i}].outcome.scores", outcome.scores, dict)
-        for group, scores in outcome.scores.items():
-            name = f"steps[{i}].outcome.scores[{group!r}]"
-            _instance(name, scores, dict)
-            _integers(name, scores, 0)  # its frame indices
-            for frame, score in scores.items():
-                _instance(f"{name}[{frame}]", score, numbers.Real)
-    return steps
-
-
 def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
                    bank_capacity: int = DEFAULT_CAPACITY,
                    metric: str = DEFAULT_METRIC, mode: str = DEFAULT_MODE,
@@ -327,5 +292,11 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
 
 
 def readout_cost(steps: Sequence[TrackStep]) -> list[int]:
-    """Per-step tokens consulted: retained entries times feature h*w."""
-    return [s.readout_cost for s in _steps(steps)]
+    """Per-step tokens consulted: retained entries times feature h*w, as plain
+    ints. Each step must be a :class:`TrackStep` whose ``readout_cost`` is an
+    integer >= 0; it is the only field read, so the only one checked."""
+    costs = []
+    for i, s in enumerate(_items("steps", steps, "TrackStep")):
+        _instance(f"steps[{i}]", s, TrackStep)
+        costs.append(_integer(f"steps[{i}].readout_cost", s.readout_cost, 0))
+    return costs

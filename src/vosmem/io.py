@@ -35,6 +35,7 @@ from __future__ import annotations
 import errno
 import json
 import math
+import numbers
 import os
 import re
 import struct
@@ -44,8 +45,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import FeatureMap, FrameSequence, LabelMask, _instance
-from .harness import TrackStep, _steps
+from .core import (FeatureMap, FrameSequence, LabelMask, _choice, _instance, _integer, _integers,
+                   _items)
+from .harness import TrackStep
+from .memory import _GROUPS, PRUNE_MODES, SIMILARITY_METRICS, PruneOutcome
 
 _SCHEMA_VERSION = 1
 
@@ -385,13 +388,38 @@ def _prune_record(step: int, outcome) -> dict:
 
 
 def track_records(steps: Sequence[TrackStep]) -> list[dict]:
-    """JSON-lines records for a tracking run, one per step."""
-    return [_stamped({
-        "step": s.step,
-        "frame_index": s.frame_index,
-        "bank_before": list(s.outcome.bank_before),
-        "bank_after": list(s.bank_after),
-        **_decision(s.outcome),
-        "selected": s.selected_frame_index,
-        "readout_cost": s.readout_cost,
-    }) for s in _steps(steps)]
+    """JSON-lines records for a tracking run, one per step. Each field is read
+    once, through its rule, and written as the rule returns it; a field of
+    another kind raises ValueError naming it, as ``steps[i].outcome.retained``."""
+    records = []
+    for i, s in enumerate(_items("steps", steps, "TrackStep")):
+        at = f"steps[{i}]"
+        _instance(at, s, TrackStep)
+        step, frame_index, selected, cost = [
+            _integer(f"{at}.{name}", getattr(s, name), 0)
+            for name in ("step", "frame_index", "selected_frame_index", "readout_cost")]
+        outcome = s.outcome
+        _instance(f"{at}.outcome", outcome, PruneOutcome)
+        frames = []
+        for name, value in (("bank_after", s.bank_after), ("outcome.retained", outcome.retained),
+                            ("outcome.pruned_frame_indices", outcome.pruned_frame_indices)):
+            _instance(f"{at}.{name}", value, tuple)
+            frames.append(_integers(f"{at}.{name}", value, 0))
+        bank_after, retained, pruned = frames
+        _choice("similarity metric", outcome.metric, SIMILARITY_METRICS)
+        _choice("prune mode", outcome.mode, PRUNE_MODES)
+        _instance(f"{at}.outcome.scores", outcome.scores, dict)
+        scores = {}
+        for group, raw in outcome.scores.items():
+            _choice("score group", group, _GROUPS)
+            name = f"{at}.outcome.scores[{group!r}]"
+            _instance(name, raw, dict)
+            scores[group] = dict(zip(_integers(name, raw, 0), raw.values()))
+            for frame, score in scores[group].items():
+                _instance(f"{name}[{frame}]", score, numbers.Real)
+        checked = PruneOutcome(retained, pruned, outcome.metric, outcome.mode, scores)
+        records.append(_stamped({"step": step, "frame_index": frame_index,
+                                 "bank_before": list(checked.bank_before),
+                                 "bank_after": list(bank_after), **_decision(checked),
+                                 "selected": selected, "readout_cost": cost}))
+    return records

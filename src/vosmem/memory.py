@@ -28,6 +28,7 @@ import numpy as np
 from .core import FeatureMap, _choice, _freeze, _instance, _integer
 
 PRUNE_MODES = ("persistent", "select")
+_GROUPS = ("short", "long")  # the score groups of a prune step, in scoring order
 
 DEFAULT_CAPACITY = 7
 DEFAULT_METRIC = "cosine"
@@ -300,8 +301,8 @@ class MemoryBank:
         long, short = self._entries[:cut], self._entries[cut:]
         scores: dict[str, dict[int, float]] = {}
         victims: list[int] = []
-        for name, reference, candidates in (("short", short[-1], short[:-1]),
-                                            ("long", long[0], long[1:])):
+        for name, (reference, candidates) in zip(_GROUPS, ((short[-1], short[:-1]),
+                                                           (long[0], long[1:]))):
             scores[name] = group_scores = {
                 c.frame_index: similarity(metric, reference.features, c.features)
                 for c in candidates}

@@ -177,6 +177,7 @@ CALLS = {
     "materialize.indices": lambda v: materialize(SCENE, v),
     "disk_footprint.radius": lambda v: disk_footprint(v),
     "dilate_disk.radius": lambda v: dilate_disk(PIXELS, v),
+    "LabelMask.binarize.object_id": lambda v: SCENE[0].binarize(v),
     "boundary_f.radius": lambda v: boundary_f(PIXELS, PIXELS, v),
 }
 
@@ -302,6 +303,10 @@ REFUSALS = [
     pytest.param(lambda: FrameSequence((None, _mask(1))), ValueError,
                  "frames[0] must be a LabelMask, got NoneType",
                  id="TestFrameSequence.test_rejects_frames_that_are_not_masks[None]"),
+    # unchecked, each would be compared with the labels and give an all-False mask
+    *(pytest.param(lambda v=v: SCENE[0].binarize(v), ValueError,
+                   f"object_id must be an integer, got {v!r}", id=f"LabelMask.binarize {v!r}")
+      for v in ("x", None, 1.5)),
 
     # vosmem.memory
     pytest.param(lambda: MemoryBank(7.0).prune_step(), ValueError,
@@ -633,6 +638,14 @@ REFUSALS = [
                      STEP, outcome=PruneOutcome((0,), (), "cosine", None))]), ValueError,
                  f"unknown prune mode None, expected one of {PRUNE_MODES}",
                  id="track_records steps[i].outcome.mode"),
+    # group names are the two that prune_step scores: a tuple would reach the
+    # writer as a JSON key, and an unknown string would be written
+    *(pytest.param(lambda group=group: track_records([dataclasses.replace(STEP, outcome=(
+                       PruneOutcome((0,), (), "cosine", "persistent", {group: {}})))]),
+                   ValueError,
+                   f"unknown score group {group!r}, expected one of ('short', 'long')",
+                   id=f"track_records steps[i].outcome.scores group {group!r}")
+      for group in (("a",), "middle")),
 ]
 
 

@@ -1,5 +1,6 @@
 """Synthetic tracker: scene kinematics, encoder determinism, streaming loop."""
 
+import dataclasses
 import gc
 import threading
 import warnings
@@ -416,6 +417,18 @@ class TestReadoutCost:
         assert all(type(s) is TrackStep for s in steps)
         assert readout_cost(list(steps)) == readout_cost(steps)
         assert track_records(list(steps)) == track_records(steps)
+
+    def test_numpy_integer_costs_come_back_as_plain_ints(self):
+        _, steps = track_sequence(_static_scene(5), ToyEncoderConfig(feature_resolution=(4, 8)))
+        costs = readout_cost([dataclasses.replace(s, readout_cost=np.int64(s.readout_cost))
+                              for s in steps])
+        assert costs == [32, 64, 96, 128]
+        assert all(type(c) is int for c in costs)
+
+    def test_only_the_cost_is_read_so_only_the_cost_is_checked(self):
+        _, steps = track_sequence(_static_scene(3), ToyEncoderConfig(feature_resolution=(4, 8)))
+        malformed = dataclasses.replace(steps[0], step=None, bank_after=None, outcome=None)
+        assert readout_cost([malformed]) == [32]
 
     def test_warmup_costs_grow_with_bank(self):
         scene = _static_scene(5)

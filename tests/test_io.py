@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import vosmem.io
 from ften import ften_bytes
 from vosmem.core import FeatureMap, LabelMask
-from vosmem.harness import SceneConfig, ToyEncoderConfig, generate_scene, track_sequence
+from vosmem.harness import (SceneConfig, ToyEncoderConfig, TrackStep, generate_scene,
+                            track_sequence)
 from vosmem.io import (
     _TENSOR_MAGIC,
     MaskFormatError,
@@ -36,7 +37,7 @@ from vosmem.io import (
     write_outputs,
     write_tensor,
 )
-from vosmem.memory import MemoryBank, MemoryEntry
+from vosmem.memory import MemoryBank, MemoryEntry, PruneOutcome
 
 
 def fmap(idx=0, shape=(2, 3, 4), seed=0):
@@ -558,6 +559,37 @@ class TestTraceRecords:
         assert first["step"] == 1
         assert first["metric"] == "cosine"
         assert first["readout_cost"] == 64
+
+    def test_numpy_integer_fields_are_written_as_plain_ints(self):
+        scene = generate_scene(SceneConfig(n_frames=8, velocity=(1, 0)))
+        config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=0.1)
+        _, trace = track_sequence(scene, config, bank_capacity=4, seed=1)
+        assert any(s.outcome.scores for s in trace)
+
+        def as_numpy(frames, kind=np.int64):
+            return tuple(kind(f) for f in frames)
+
+        def numpy_step(s):
+            o = s.outcome
+            outcome = PruneOutcome(as_numpy(o.retained, np.uint16),
+                                   as_numpy(o.pruned_frame_indices), o.metric, o.mode,
+                                   {g: {np.uint16(f): v for f, v in scores.items()}
+                                    for g, scores in o.scores.items()})
+            return TrackStep(np.int64(s.step), np.uint16(s.frame_index), as_numpy(s.bank_after),
+                             outcome, np.uint16(s.selected_frame_index), np.int64(s.readout_cost))
+
+        def leaves(value):
+            if isinstance(value, (dict, list)):
+                for item in (value.values() if isinstance(value, dict) else value):
+                    yield from leaves(item)
+            else:
+                yield value
+
+        plain = track_records(trace)
+        records = track_records([numpy_step(s) for s in trace])
+        assert records == plain
+        assert {type(v) for v in leaves(records)} == {int, float, str}
+        assert _jsonl_text(records) == _jsonl_text(plain)
 
 
 # ---------------------------------------------------------------------------
