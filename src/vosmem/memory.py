@@ -11,7 +11,9 @@ bank is left untouched.
 Redundancy is a similarity score where higher means "more like the group
 reference". Distances (L1, L2) are negated so one argmax rule
 (``_argmax_frame``) selects the prune victim for every metric, and the
-harness's readout uses the same rule.
+harness's readout uses the same rule. Every sum of products in a score is
+``_sumprod``, NumPy's own einsum loop, not BLAS: it adds in one order on every
+CPU, so scores are bit-identical across CPUs, and an overflow gives a silent inf.
 """
 
 from __future__ import annotations
@@ -41,15 +43,18 @@ DEFAULT_MODE = "persistent"
 # symmetric bit for bit (products and sums commute, |a - b| = |b - a|).
 
 
+def _sumprod(x: np.ndarray, y: np.ndarray) -> np.ndarray | float:
+    return np.einsum("...i,...i->...", x, y)
+
+
 def _data(data: np.ndarray) -> np.ndarray:
     return data
 
 
 def _rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # np.linalg.norm(rows, axis=1)'s own formula for real input,
-    # sqrt(add.reduce((x.conj() * x).real, axis)), without the conj() copy
+    # each channel's row and its norm, the root of the row's _sumprod with itself
     rows = data.reshape(data.shape[0], -1)
-    return rows, _freeze(np.sqrt(np.add.reduce(rows * rows, axis=1)))
+    return rows, _freeze(np.sqrt(_sumprod(rows, rows)))
 
 
 def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -58,7 +63,7 @@ def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
     if (x == x[0]).all():
         return _freeze(np.zeros_like(x)), 0.0
     xc = x - x.mean()
-    return _freeze(xc), float(np.dot(xc, xc))
+    return _freeze(xc), float(_sumprod(xc, xc))
 
 
 def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -107,13 +112,13 @@ def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
     ranks = np.arange(1.0 - half, n + 1 - half)
     ranks[tied[1:] | tied[:-1]] = np.repeat(0.5 * (lo + hi + 1) - half, hi - lo)
     centred[order] = ranks
-    return _freeze(centred), float(np.dot(centred, centred))
+    return _freeze(centred), float(_sumprod(centred, centred))
 
 
 def _cosine(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> float:
     # Sum of per-channel cosines; a zero-norm channel contributes 0.
     (xr, xn), (yr, yn) = x, y
-    dots = np.einsum("ij,ij->i", xr, yr)
+    dots = _sumprod(xr, yr)
     norms = xn * yn
     ok = norms > 0.0
     return float(np.add.reduce(dots[ok] / norms[ok]))  # np.sum's reduction
@@ -125,12 +130,12 @@ def _manhattan(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _euclidean(x: np.ndarray, y: np.ndarray) -> float:
-    d = x - y
-    return -math.sqrt(float(np.sum(np.square(d, out=d))))
+    d = (x - y).ravel()
+    return -math.sqrt(float(_sumprod(d, d)))
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum(x * y))
+    return float(_sumprod(x.ravel(), y.ravel()))
 
 
 def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> float:
@@ -142,17 +147,15 @@ def _correlation(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> fl
     (xc, vx), (yc, vy) = x, y
     if vx == 0.0 or vy == 0.0:
         return 0.0
-    vv = vx * vy
+    xy, vv = float(_sumprod(xc, yc)), vx * vy
     if sys.float_info.min <= vv <= sys.float_info.max:
-        return float(np.dot(xc, yc)) / math.sqrt(vv)
-    return float(np.dot(xc, yc)) / (math.sqrt(vx) * math.sqrt(vy))
+        return xy / math.sqrt(vv)
+    return xy / (math.sqrt(vx) * math.sqrt(vy))
 
 
 # metric -> (key of one map's data, score of two keys). Cosine's key is the
 # channel rows and their norms, Pearson's the centred flat data, Spearman's
-# the centred average ranks (one sort of packed integer keys, one gather and
-# one scatter, three map-sized buffers, exact while n(n + 1)/2 < 2**52); the
-# distances and dot score the data.
+# the centred average ranks; the distances and dot score the data.
 _METRICS = {
     "cosine": (_rows, _cosine),
     "manhattan": (_data, _manhattan),

@@ -6,10 +6,11 @@ Every ``simulate`` metric and mode (with noise and a gap) at capacities
 float64 tensors, and ``sample`` with ``--phase-policy all``, with every
 default and with unsorted strides under ``--max-frames`` go through
 :func:`vosmem.cli.run_command`, and the demo scripts in ``scripts/`` run as
-CI runs them. Mask bytes, integers and stdout are hashed exactly; JSON
-floats are rounded to 12 significant digits first, so a one-ulp BLAS
-difference on another CPU passes while any changed decision (a prune
-victim, a readout pick, a mask pixel) fails.
+CI runs them. Mask bytes, integers and stdout (which holds every ``prune``
+score) are hashed exactly, and scores are the same bits on every CPU. JSON
+floats are rounded to 12 significant digits first, so the JSON files pin
+every decision (a prune victim, a readout pick, a mask pixel) and each float
+to 12 digits.
 
 Re-record only when an output is meant to change, and say why in
 CHANGES.md::

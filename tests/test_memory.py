@@ -4,8 +4,12 @@ import copy
 import dataclasses
 import gc
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -127,6 +131,19 @@ class TestSimilarityExamples:
             similarity("cosine", a, b)
 
 
+# Every metric's scores of fixed maps, as bytes, in `bits`. (3, 8, 8) holds 192
+# values, a count at which the order of a sum decides its last bits.
+_SCORE_BITS = """
+import numpy as np
+from vosmem.core import FeatureMap
+from vosmem.memory import SIMILARITY_METRICS, similarity
+rng = np.random.default_rng(6)
+maps = [rng.normal(size=shape) for shape in [(3, 8, 8), (3, 5, 7), (4, 64, 64)]]
+bits = np.array([similarity(metric, FeatureMap(0, x), FeatureMap(1, x + 0.1 * np.sin(x)))
+                 for x in maps for metric in SIMILARITY_METRICS]).tobytes()
+"""
+
+
 class TestSimilarityAgainstOracles:
     @pytest.mark.parametrize("metric", SIMILARITY_METRICS)
     def test_random_pairs_match_brute_force(self, metric):
@@ -148,10 +165,11 @@ class TestSimilarityAgainstOracles:
         # Small integers on a power-of-two element count keep every sum,
         # mean and centred value exact, so summation order cannot matter
         # and only the final divisions and square roots round, as in the
-        # oracles.
+        # oracles. test_scores_are_the_same_bits_under_another_blas_kernel
+        # covers an element count where the order matters.
         rng = np.random.default_rng(3)
         oracle = METRIC_ORACLES[metric]
-        for shape in [(1, 4, 4), (2, 2, 4), (4, 2, 2), (4, 4, 4), (3, 8, 8)]:
+        for shape in [(1, 4, 4), (2, 2, 4), (4, 2, 2), (4, 4, 4), (4, 8, 8)]:
             a = rng.integers(-3, 4, size=shape).astype(float)
             b = rng.integers(-3, 4, size=shape).astype(float)
             a[0] = 0.0  # a zero-norm channel
@@ -162,20 +180,33 @@ class TestSimilarityAgainstOracles:
             assert similarity(metric, fa, fb) == oracle(a.tolist(), b.tolist())
             assert similarity(metric, fb, fa) == oracle(b.tolist(), a.tolist())
 
+    def test_scores_are_the_same_bits_under_another_blas_kernel(self):
+        # OpenBLAS picks its kernel by CPU unless OPENBLAS_CORETYPE names one;
+        # Prescott's runs on every x86-64 CPU, and other BLAS builds ignore it
+        here = {}
+        exec(_SCORE_BITS, here)
+        src = str(Path(memory.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", _SCORE_BITS + "print(bits.hex())"],
+                               capture_output=True, text=True, check=True, timeout=60,
+                               env={**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": src})
+        assert bytes.fromhex(child.stdout) == here["bits"]
+
     @pytest.mark.parametrize("metric", ["cosine", "pearson", "spearman"])
     def test_cached_keys_reproduce_per_pair_formulas(self, metric):
-        # reference: each score computed from scratch per pair, SciPy ranks
+        # reference: each score computed from scratch per pair, SciPy ranks,
+        # every sum of products an einsum over the last axis
         def per_pair(x, y):
             if metric == "cosine":
                 x, y = x.reshape(x.shape[0], -1), y.reshape(y.shape[0], -1)
                 dots = np.einsum("ij,ij->i", x, y)
-                norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+                norms = np.sqrt(np.einsum("ij,ij->i", x, x)) * np.sqrt(np.einsum("ij,ij->i", y, y))
                 return float(np.sum(dots[norms > 0] / norms[norms > 0]))
             x, y = x.ravel(), y.ravel()
             if metric == "spearman":
                 x, y = rankdata(x, method="average"), rankdata(y, method="average")
             xc, yc = x - x.mean(), y - y.mean()
-            return float(np.dot(xc, yc)) / math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
+            return float(np.einsum("i,i->", xc, yc)) / math.sqrt(
+                float(np.einsum("i,i->", xc, xc)) * float(np.einsum("i,i->", yc, yc)))
 
         rng = np.random.default_rng(8)
         for shape in [(64, 8, 8), (4, 16, 16), (3, 5, 7)]:
@@ -264,7 +295,7 @@ class TestScoreMemo:
 
     @pytest.mark.parametrize("shape", [(4, 64, 64), (64, 32, 32), (3, 5, 7)])
     def test_workload_sized_maps_are_symmetric_bit_for_bit(self, shape):
-        # long reductions take the vectorized paths of einsum and dot
+        # long reductions take einsum's vectorized path
         rng = np.random.default_rng(shape[0])
         x = rng.normal(size=shape)
         y = x + 0.1 * rng.normal(size=shape)
@@ -314,7 +345,8 @@ class TestScoreMemo:
         for x in rng.normal(size=(50, 1, 1, 4)):
             b = None  # the previous map dies just before the next takes its address
             b = FeatureMap(1, x)
-            assert similarity("dot", a, b) == float(np.sum(a.data * b.data))
+            assert similarity("dot", a, b) == float(np.einsum("i,i->", a.data.ravel(),
+                                                              b.data.ravel()))
 
     @pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.copy,
                                        copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
@@ -365,18 +397,20 @@ class TestMemoryKeys:
     @example((np.full((2, 2, 2), 1e200), np.full((2, 2, 2), 1.0)))
     @example((np.full((1, 1, 2), 1e160), np.full((1, 1, 2), 1e160)))
     def test_cosine_key_and_score_are_numpys_norm_and_sum(self, pair):
-        # both sides run under the suite's warnings-as-errors, so an overflow
-        # must raise the same RuntimeWarning on both; fresh maps each time so
-        # that nothing is memoized
+        # the norm is the root of an einsum, which overflows to inf without a
+        # warning; the rest runs on both sides under the suite's
+        # warnings-as-errors, so a warning later on must be the same on both;
+        # fresh maps each time so that nothing is memoized
         a, b = pair
 
         def numpy_norms(x):
-            return np.linalg.norm(x.reshape(x.shape[0], -1), axis=1)
+            x = x.reshape(x.shape[0], -1)
+            return np.sqrt(np.einsum("ij,ij->i", x, x))
 
         def per_pair(x, y):  # as in test_cached_keys_reproduce_per_pair_formulas
             x, y = x.reshape(x.shape[0], -1), y.reshape(y.shape[0], -1)
             dots = np.einsum("ij,ij->i", x, y)
-            norms = np.linalg.norm(x, axis=1) * np.linalg.norm(y, axis=1)
+            norms = numpy_norms(x) * numpy_norms(y)
             return float(np.sum(dots[norms > 0] / norms[norms > 0]))
 
         assert _outcome(lambda: memory._key("cosine", FeatureMap(0, a))[1]) == \
@@ -403,7 +437,7 @@ class TestMemoryKeys:
         flat = FeatureMap(0, x).data.ravel()
         centred, sq = memory._key("pearson", FeatureMap(0, x))
         xc = flat - flat.mean()
-        assert centred.tobytes() == xc.tobytes() and sq == float(np.dot(xc, xc))
+        assert centred.tobytes() == xc.tobytes() and sq == float(np.einsum("i,i->", xc, xc))
 
     @pytest.mark.parametrize("metric", SIMILARITY_METRICS)
     def test_each_map_key_is_computed_once_across_partners(self, metric, monkeypatch):
@@ -788,7 +822,8 @@ class TestPruneProperties:
 
 
 def overflowing_bank(capacity):
-    """Finite features near +-1e308 whose euclidean scores overflow to -inf."""
+    """Finite features near +-1e308, whose euclidean, dot and Pearson scores
+    overflow and whose cosine scores are inf / inf, a nan."""
     bank = MemoryBank(capacity=capacity)
     for i in range(capacity):
         bank.append(entry(i, [(-1.0) ** i * 1e308, 1.0]))
@@ -823,6 +858,26 @@ class TestNonFiniteScores:
                 ValueError, match=r"euclidean score -inf for frame \d+ is not finite"):
             bank.prune_step(metric="euclidean", mode=mode)
         assert len(bank.frame_indices) == capacity
+
+    @pytest.mark.parametrize("metric", ["cosine", "dot", "pearson"])
+    @pytest.mark.parametrize("mode", PRUNE_MODES)
+    def test_overflowing_sums_of_products_raise_value_error(self, metric, mode):
+        # a sum of products overflows to inf without a warning; cosine's
+        # inf / inf then flags an invalid value
+        bank = overflowing_bank(7)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match=rf"^{metric} score -?(inf|nan) for frame \d+ is not finite$"):
+            bank.prune_step(metric=metric, mode=mode)
+        assert len(bank.frame_indices) == 7
+
+    @pytest.mark.parametrize("metric", ["euclidean", "dot", "pearson"])
+    def test_an_overflowing_sum_of_products_warns_nothing(self, metric):
+        # np.dot and x * y warn on overflow; the einsum of a score does not
+        x = np.where(np.arange(192).reshape(3, 8, 8) % 3 == 0, 1e200, -1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = similarity(metric, FeatureMap(0, x), FeatureMap(1, -x))
+        assert not math.isfinite(score)
 
 
 def test_readme_example_runs_as_written():
