@@ -14,8 +14,6 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as vio
 from .harness import (
     OBJECT_SHAPES,
@@ -220,7 +218,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
                    default=ToyEncoderConfig.noise_sigma)
     p.add_argument("--seed", type=int, default=SceneConfig.seed,
-                   help="scene and encoder noise seed, 0..2**64-1")
+                   help="encoder noise seed, 0..2**64-1")
     p.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY)
     p.add_argument("--metric", choices=SIMILARITY_METRICS, default=DEFAULT_METRIC)
     p.add_argument("--mode", choices=PRUNE_MODES, default=DEFAULT_MODE)
@@ -244,16 +242,13 @@ def run_command(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
     try:
-        # A score that overflows is reported once, as the ValueError that
-        # memory._argmax_frame raises, rather than as numpy warnings too.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except MemoryError:  # printed below, once the traceback and what it holds are freed
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

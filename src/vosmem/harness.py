@@ -272,7 +272,7 @@ def track_sequence(scene: FrameSequence, encoder_config: ToyEncoderConfig,
         else:
             outcome = PruneOutcome(bank.frame_indices, (), metric, mode)
 
-        selected = _argmax_frame(metric, {
+        selected = _argmax_frame({
             i: similarity(metric, stored[i], features) for i in outcome.retained})
 
         # every mask in masks is frozen, so the prediction shares its labels

@@ -125,14 +125,17 @@ def read_tensor(path) -> FeatureMap:
 
 def _stem_frame_index(path, error: type[ValueError]) -> int:
     """The frame index a reader gives the file at ``path``: the leading
-    decimal digits of its stem ('012_x' -> 12). A stem without them raises
-    the reader's format ``error``."""
+    decimal digits of its stem ('012_x' -> 12). A stem without them, or with
+    more of them than int() converts, raises the reader's format ``error``."""
     _instance("path", path, (str, os.PathLike))
     stem = Path(path).stem
     m = re.match(r"\d+", stem)
     if m is None:
         raise error(f"cannot decode a frame index from filename stem {stem!r}")
-    return int(m.group(0))
+    try:
+        return int(m.group(0))
+    except ValueError:  # more digits than int() converts
+        raise error(f"frame index in filename stem has {len(m.group(0))} digits") from None
 
 
 def _mask_bytes(mask: LabelMask) -> bytes:

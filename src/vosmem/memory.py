@@ -13,7 +13,8 @@ reference". Distances (L1, L2) are negated so one argmax rule
 (``_argmax_frame``) selects the prune victim for every metric, and the
 harness's readout uses the same rule. Every sum of products in a score is
 ``_sumprod``, NumPy's own einsum loop, not BLAS: it adds in one order on every
-CPU, so scores are bit-identical across CPUs, and an overflow gives a silent inf.
+CPU, so scores are bit-identical across CPUs. A sum can overflow on finite
+features, and ``similarity`` refuses a score that is not finite, without a warning.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ def _data(data: np.ndarray) -> np.ndarray:
 
 
 def _rows(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # each channel's row and its norm, the root of the row's _sumprod with itself
+    # each channel's row and its norm, the root of its _sumprod, NaN if that overflowed
     rows = data.reshape(data.shape[0], -1)
-    return rows, _freeze(np.sqrt(_sumprod(rows, rows)))
+    norms = np.sqrt(_sumprod(rows, rows))
+    return rows, _freeze(np.where(norms < np.inf, norms, np.nan))
 
 
 def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -63,7 +65,8 @@ def _centre(x: np.ndarray) -> tuple[np.ndarray, float]:
     if (x == x[0]).all():
         return _freeze(np.zeros_like(x)), 0.0
     xc = x - x.mean()
-    return _freeze(xc), float(_sumprod(xc, xc))
+    v = float(_sumprod(xc, xc))
+    return _freeze(xc), v if v < math.inf else math.nan  # NaN if it overflowed
 
 
 def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
@@ -116,11 +119,11 @@ def _ranks(data: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _cosine(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> float:
-    # Sum of per-channel cosines; a zero-norm channel contributes 0.
+    # Sum of per-channel cosines; a zero-norm channel contributes 0, a NaN one NaN.
     (xr, xn), (yr, yn) = x, y
     dots = _sumprod(xr, yr)
     norms = xn * yn
-    ok = norms > 0.0
+    ok = norms != 0.0
     return float(np.add.reduce(dots[ok] / norms[ok]))  # np.sum's reduction
 
 
@@ -185,6 +188,8 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
     tensor; dot, spearman, and pearson operate on the flattened tensor.
     Scores are memoized per pair of maps (by identity) and metric, so asking
     again, in either order, returns the same float without recomputing it.
+    A score that is not finite (a sum overflowed) raises ValueError naming
+    the metric and both frames, and is not memoized.
     """
     _choice("similarity metric", metric, SIMILARITY_METRICS)
     _instance("a", a, FeatureMap)
@@ -195,21 +200,18 @@ def similarity(metric: str, a: FeatureMap, b: FeatureMap) -> float:
     serial_b, memo_b = b._memo
     score = memo_a.get((metric, serial_b))
     if score is None:
-        score = _METRICS[metric][1](_key(metric, a), _key(metric, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            score = _METRICS[metric][1](_key(metric, a), _key(metric, b))
+        if not math.isfinite(score):
+            raise ValueError(f"{metric} score {score} for frames {a.frame_index} "
+                             f"and {b.frame_index} is not finite")
         memo_a[metric, serial_b] = memo_b[metric, serial_a] = score
     return score
 
 
-def _argmax_frame(metric: str, scores: dict[int, float]) -> int:
-    """Frame index with the highest score; ties go to the smallest
-    frame_index so results are deterministic across platforms. A score that
-    is not finite (an overflowed score) raises ValueError naming the metric
-    and the frame."""
-    order = sorted(scores)
-    for idx in order:
-        if not math.isfinite(scores[idx]):
-            raise ValueError(f"{metric} score {scores[idx]} for frame {idx} is not finite")
-    return max(order, key=scores.__getitem__)
+def _argmax_frame(scores: dict[int, float]) -> int:
+    """The highest-scoring frame index; a tie goes to the smallest, on every CPU."""
+    return max(sorted(scores), key=scores.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -310,7 +312,7 @@ class MemoryBank:
                 c.frame_index: similarity(metric, reference.features, c.features)
                 for c in candidates}
             if group_scores:
-                victims.append(_argmax_frame(metric, group_scores))
+                victims.append(_argmax_frame(group_scores))
         kept = [e for e in self._entries if e.frame_index not in victims]
         if mode == "persistent":
             self._entries = kept

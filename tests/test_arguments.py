@@ -576,6 +576,12 @@ REFUSALS = [
     # a stem without digits is refused before the file is read, naming the stem
     pytest.param(lambda: _read_file(b"", "abc.pgm"), MaskFormatError,
                  "cannot decode a frame index from filename stem 'abc'", id="read_mask stem"),
+    # a stem of more digits than int() converts, refused as a malformed name;
+    # too long for a file system to hold, so no file is read
+    pytest.param(lambda: read_mask("0" * 5000 + ".pgm"), MaskFormatError,
+                 "frame index in filename stem has 5000 digits", id="read_mask stem digits"),
+    pytest.param(lambda: read_tensor("0" * 5000 + ".ften"), TensorFormatError,
+                 "frame index in filename stem has 5000 digits", id="read_tensor stem digits"),
     pytest.param(lambda: _read_file(ften_bytes(np.array([[[1.0, np.nan]]]), "float32")),
                  TensorFormatError, "000.ften: non-finite feature value at flat index 1",
                  id="read_tensor non-finite value"),

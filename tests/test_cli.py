@@ -376,7 +376,7 @@ class TestErrorHandling:
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
-        assert lines[0].startswith("error: euclidean score -inf for frame ")
+        assert lines[0].startswith("error: euclidean score -inf for frames ")
 
     @pytest.mark.parametrize("blob", [ften_bytes(np.zeros((0, 2, 2)), "float64"),
                                       ften_bytes(np.array([[[np.nan]]]), "float64"),

@@ -333,8 +333,8 @@ class TestTrackSequence:
         # noise near 1e307 is finite, but squared distances overflow
         scene = _static_scene(3)
         config = ToyEncoderConfig(feature_resolution=(8, 8), noise_sigma=1e307)
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=r"euclidean score -inf for frame 0 is not finite"):
+        with pytest.raises(ValueError,
+                           match="^euclidean score -inf for frames 0 and 1 is not finite$"):
             track_sequence(scene, config, metric="euclidean", prune_enabled=prune_enabled)
 
     def test_scene_too_short_rejected(self):

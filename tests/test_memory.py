@@ -9,7 +9,6 @@ import pickle
 import re
 import subprocess
 import sys
-import warnings
 import weakref
 from pathlib import Path
 
@@ -398,20 +397,26 @@ class TestMemoryKeys:
     @example((np.full((1, 1, 2), 1e160), np.full((1, 1, 2), 1e160)))
     def test_cosine_key_and_score_are_numpys_norm_and_sum(self, pair):
         # the norm is the root of an einsum, which overflows to inf without a
-        # warning; the rest runs on both sides under the suite's
-        # warnings-as-errors, so a warning later on must be the same on both;
-        # fresh maps each time so that nothing is memoized
+        # warning, and the key holds an overflowed norm as NaN; a score that
+        # reads one is NaN, which similarity refuses. Neither side warns under
+        # the suite's warnings-as-errors: NaN operands raise no flag, and no
+        # finite norms' product overflows. Fresh maps each time so that
+        # nothing is memoized
         a, b = pair
 
         def numpy_norms(x):
             x = x.reshape(x.shape[0], -1)
-            return np.sqrt(np.einsum("ij,ij->i", x, x))
+            norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+            return np.where(norms == np.inf, np.nan, norms)
 
         def per_pair(x, y):  # as in test_cached_keys_reproduce_per_pair_formulas
             x, y = x.reshape(x.shape[0], -1), y.reshape(y.shape[0], -1)
             dots = np.einsum("ij,ij->i", x, y)
             norms = numpy_norms(x) * numpy_norms(y)
-            return float(np.sum(dots[norms > 0] / norms[norms > 0]))
+            score = float(np.sum(dots[norms != 0] / norms[norms != 0]))
+            if not math.isfinite(score):
+                raise ValueError(f"cosine score {score} for frames 0 and 1 is not finite")
+            return score
 
         assert _outcome(lambda: memory._key("cosine", FeatureMap(0, a))[1]) == \
             _outcome(lambda: numpy_norms(a))
@@ -822,28 +827,31 @@ class TestPruneProperties:
 
 
 def overflowing_bank(capacity):
-    """Finite features near +-1e308, whose euclidean, dot and Pearson scores
-    overflow and whose cosine scores are inf / inf, a nan."""
+    """Finite features near +-1e308, whose euclidean and dot scores, cosine
+    norms and Pearson variances overflow."""
     bank = MemoryBank(capacity=capacity)
     for i in range(capacity):
         bank.append(entry(i, [(-1.0) ** i * 1e308, 1.0]))
     return bank
 
 
+def _plus_minus(scale):
+    """A (3, 8, 8) map of +scale and -scale values."""
+    return np.where(np.arange(192).reshape(3, 8, 8) % 3 == 0, scale, -scale)
+
+
 class TestNonFiniteScores:
     def test_argmax_ties_go_to_smallest_frame_index(self):
-        assert _argmax_frame("dot", {9: 1.0, 4: 2.0, 6: 2.0, 1: -5.0}) == 4
-        assert _argmax_frame("dot", {3: -1e300}) == 3
+        assert _argmax_frame({9: 1.0, 4: 2.0, 6: 2.0, 1: -5.0}) == 4
+        assert _argmax_frame({3: -1e300}) == 3
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_argmax_rejects_non_finite_naming_metric_and_frame(self, bad):
-        with pytest.raises(ValueError, match=f"^euclidean score {bad} for frame 7 is not finite$"):
-            _argmax_frame("euclidean", {3: 1.0, 7: bad})
-
-    def test_argmax_names_the_smallest_non_finite_frame(self):
-        # the scan runs in frame order, not in the dict's insertion order
-        with pytest.raises(ValueError, match="^dot score inf for frame 2 is not finite$"):
-            _argmax_frame("dot", {9: math.nan, 5: 1.0, 2: math.inf})
+    def test_similarity_refuses_non_finite_naming_metric_and_frames(self, bad, monkeypatch):
+        monkeypatch.setitem(memory._METRICS, "dot", (memory._data, lambda x, y: bad))
+        a, b = FeatureMap(7, np.ones((1, 1, 2))), FeatureMap(3, np.ones((1, 1, 2)))
+        with pytest.raises(ValueError, match=f"^dot score {bad} for frames 7 and 3 is not finite$"):
+            similarity("dot", a, b)
+        assert a._memo[1].keys() == {"dot"} and b._memo[1].keys() == {"dot"}  # keys, no score
 
     def test_capacity_two_scores_nothing(self):
         outcome = overflowing_bank(2).prune_step(metric="euclidean")
@@ -854,30 +862,44 @@ class TestNonFiniteScores:
     @pytest.mark.parametrize("mode", PRUNE_MODES)
     def test_overflowing_scores_raise_value_error(self, capacity, mode):
         bank = overflowing_bank(capacity)
-        with np.errstate(over="ignore"), pytest.raises(
-                ValueError, match=r"euclidean score -inf for frame \d+ is not finite"):
+        with pytest.raises(ValueError,
+                           match=r"^euclidean score -inf for frames \d+ and \d+ is not finite$"):
             bank.prune_step(metric="euclidean", mode=mode)
         assert len(bank.frame_indices) == capacity
 
     @pytest.mark.parametrize("metric", ["cosine", "dot", "pearson"])
     @pytest.mark.parametrize("mode", PRUNE_MODES)
     def test_overflowing_sums_of_products_raise_value_error(self, metric, mode):
-        # a sum of products overflows to inf without a warning; cosine's
-        # inf / inf then flags an invalid value
+        # a sum of products overflows to inf; cosine's and Pearson's keys hold
+        # the overflowed norm or variance as NaN
         bank = overflowing_bank(7)
-        with np.errstate(invalid="ignore"), pytest.raises(
-                ValueError, match=rf"^{metric} score -?(inf|nan) for frame \d+ is not finite$"):
+        message = rf"^{metric} score -?(inf|nan) for frames \d+ and \d+ is not finite$"
+        with pytest.raises(ValueError, match=message):
             bank.prune_step(metric=metric, mode=mode)
         assert len(bank.frame_indices) == 7
 
-    @pytest.mark.parametrize("metric", ["euclidean", "dot", "pearson"])
-    def test_an_overflowing_sum_of_products_warns_nothing(self, metric):
-        # np.dot and x * y warn on overflow; the einsum of a score does not
-        x = np.where(np.arange(192).reshape(3, 8, 8) % 3 == 0, 1e200, -1e200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            score = similarity(metric, FeatureMap(0, x), FeatureMap(1, -x))
-        assert not math.isfinite(score)
+    @pytest.mark.parametrize("metric, a, b, score", [
+        # only one map's norm or variance overflows: not read as 0.0 (the true
+        # scores are 3.0 and 1.0)
+        ("cosine", _plus_minus(1e200), _plus_minus(1.0), "nan"),
+        ("pearson", _plus_minus(1e200), _plus_minus(1.0), "nan"),
+        # every channel's dot and norms overflow, and nothing divides inf by inf
+        ("cosine", _plus_minus(1e200), _plus_minus(1e200), "nan"),
+        # sums of products overflow
+        ("euclidean", _plus_minus(1e200), -_plus_minus(1e200), "-inf"),
+        ("dot", _plus_minus(1e200), -_plus_minus(1e200), "-inf"),
+        ("pearson", _plus_minus(1e200), -_plus_minus(1e200), "nan"),
+        # the differences and the mean overflow
+        ("manhattan", _plus_minus(1e308), -_plus_minus(1e308), "-inf"),
+        ("euclidean", _plus_minus(1e308), -_plus_minus(1e308), "-inf"),
+        ("pearson", _plus_minus(1e308), -_plus_minus(1e308), "nan"),
+    ], ids=["cosine-one-norm", "pearson-one-variance", "cosine-inf-over-inf", "euclidean-1e200",
+            "dot-1e200", "pearson-1e200", "manhattan-1e308", "euclidean-1e308", "pearson-1e308"])
+    def test_an_overflowing_score_is_refused_without_a_warning(self, metric, a, b, score):
+        # the suite turns every warning into an error
+        message = f"^{metric} score {score} for frames 0 and 1 is not finite$"
+        with pytest.raises(ValueError, match=message):
+            similarity(metric, FeatureMap(0, a), FeatureMap(1, b))
 
 
 def test_readme_example_runs_as_written():
